@@ -55,7 +55,6 @@ from .mintpt import (
     lbm_schedule,
     mintpt_lower_bound,
     slot_profile,
-    total_power_on_time,
 )
 from .oracles import (
     MINMS_LIMITS,
@@ -91,7 +90,6 @@ __all__ = [
     "mintpt_lower_bound",
     "estf_schedule",
     "lbm_schedule",
-    "total_power_on_time",
     "OracleLimits",
     "InstanceTooLargeError",
     "MINMS_LIMITS",

@@ -37,16 +37,35 @@ from .oracles import (
 )
 from .report import ReportRow, render_csv, render_json, render_markdown
 
-MINMS_ALGORITHMS = ("lpt", "pam", "wraparound", "exact")
-MINTPT_ALGORITHMS = ("estf", "lbm", "exact")
-ALL_ALGORITHMS = ("lpt", "pam", "wraparound", "estf", "lbm", "exact")
-
 DUMP_FORMAT = "migsched-dump"
 DUMP_VERSION = 1
 
 
 class CliError(Exception):
     """Usage or input error; reported on stderr with exit code 2."""
+
+
+def _with_makespan(schedule):
+    return schedule, schedule.makespan()
+
+
+def _with_power_on_time(schedule):
+    return schedule, schedule.total_power_on_time()
+
+
+# Algorithm name -> (instance kind it applies to, None for both; solver
+# returning (schedule, objective)). Solvers are looked up through their
+# module at call time, so a wrapped module function (as perfbench's tracer
+# installs) is the one the CLI runs. "exact" has no solver here: the
+# oracle's value is its objective, and it produces no schedule.
+ALGORITHMS = {
+    "lpt": ("minms", lambda i: _with_makespan(minms.lpt_schedule(i))),
+    "pam": ("minms", lambda i: _with_makespan(minms.pam_schedule(i).schedule)),
+    "wraparound": ("minms", lambda i: minms.wraparound_schedule(i)),
+    "estf": ("mintpt", lambda i: _with_power_on_time(mintpt.estf_schedule(i))),
+    "lbm": ("mintpt", lambda i: _with_power_on_time(mintpt.lbm_schedule(i))),
+    "exact": (None, None),
+}
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -75,10 +94,14 @@ def _load(path: str) -> MinMsInstance | IntervalInstance:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
-def _limits_for(args, default: OracleLimits) -> OracleLimits | None:
-    override = getattr(args, "oracle_limit", None)
+def _kind(instance) -> str:
+    return "minms" if isinstance(instance, MinMsInstance) else "mintpt"
+
+
+def _limits_for(args, instance) -> OracleLimits | None:
+    override = args.oracle_limit
     if override is None:
-        return default
+        return MINMS_LIMITS if _kind(instance) == "minms" else MINTPT_LIMITS
     if override == 0:
         return None
     if override < 0:
@@ -86,62 +109,47 @@ def _limits_for(args, default: OracleLimits) -> OracleLimits | None:
     return OracleLimits(max_jobs=override, max_machines=override)
 
 
+def _oracle(instance, limits: OracleLimits):
+    if _kind(instance) == "minms":
+        return exact_minms(instance, limits)
+    return exact_mintpt(instance, limits)
+
+
 def _oracle_column(instance, limits: OracleLimits | None):
     """Oracle value when the instance is within limits, else None."""
     if limits is None:
         return None
     try:
-        if isinstance(instance, MinMsInstance):
-            return exact_minms(instance, limits)
-        return exact_mintpt(instance, limits)
+        return _oracle(instance, limits)
     except InstanceTooLargeError:
         return None
 
 
 def _solve_one(instance, name: str, algorithm: str, limits, oracle_value, timings: bool):
-    """Run one algorithm; returns (ReportRow, schedule or None)."""
+    """Run one algorithm; returns (ReportRow, schedule or None).
+
+    An exact row calls the oracle itself, and its value fills both the
+    objective and the oracle column.
+    """
+    applies_to, solver = ALGORITHMS[algorithm]
+    kind = _kind(instance)
+    if applies_to not in (None, kind):
+        raise CliError(f"algorithm {algorithm!r} does not apply to {kind} instances")
     started = time.perf_counter()
-    schedule = None
-    if isinstance(instance, MinMsInstance):
-        if algorithm not in MINMS_ALGORITHMS:
-            raise CliError(f"algorithm {algorithm!r} does not apply to minms instances")
-        kind = "minms"
-        param = instance.machine_count
-        optimum = minms.opt_balance(instance)
-        if algorithm == "lpt":
-            schedule = minms.lpt_schedule(instance)
-            objective = schedule.makespan()
-        elif algorithm == "pam":
-            schedule = minms.pam_schedule(instance).schedule
-            objective = schedule.makespan()
-        elif algorithm == "wraparound":
-            schedule, objective = minms.wraparound_schedule(instance)
-        else:
-            if limits is None:
-                raise CliError("exact solve requested but the oracle is disabled")
-            try:
-                objective = exact_minms(instance, limits)
-            except InstanceTooLargeError as exc:
-                raise CliError(str(exc)) from exc
+    if kind == "minms":
+        param, optimum = instance.machine_count, minms.opt_balance(instance)
     else:
-        if algorithm not in MINTPT_ALGORITHMS:
-            raise CliError(f"algorithm {algorithm!r} does not apply to mintpt instances")
-        kind = "mintpt"
-        param = instance.capacity
-        optimum = mintpt.mintpt_lower_bound(instance)
-        if algorithm == "estf":
-            schedule = mintpt.estf_schedule(instance)
-            objective = schedule.total_power_on_time()
-        elif algorithm == "lbm":
-            schedule = mintpt.lbm_schedule(instance)
-            objective = schedule.total_power_on_time()
-        else:
-            if limits is None:
-                raise CliError("exact solve requested but the oracle is disabled")
-            try:
-                objective = exact_mintpt(instance, limits)
-            except InstanceTooLargeError as exc:
-                raise CliError(str(exc)) from exc
+        param, optimum = instance.capacity, mintpt.mintpt_lower_bound(instance)
+    if solver is not None:
+        schedule, objective = solver(instance)
+    elif limits is None:
+        raise CliError("exact solve requested but the oracle is disabled")
+    else:
+        try:
+            schedule, objective = None, _oracle(instance, limits)
+        except InstanceTooLargeError as exc:
+            raise CliError(str(exc)) from exc
+        oracle_value = objective
 
     elapsed = (time.perf_counter() - started) * 1000.0
     ratio = Fraction(objective) / Fraction(optimum) if optimum > 0 else None
@@ -162,10 +170,9 @@ def _solve_one(instance, name: str, algorithm: str, limits, oracle_value, timing
 
 
 def _dump_payload(schedule, algorithm: str) -> dict:
+    header = {"format": DUMP_FORMAT, "version": DUMP_VERSION}
     if isinstance(schedule, MigrationSchedule):
-        return {
-            "format": DUMP_FORMAT,
-            "version": DUMP_VERSION,
+        return header | {
             "kind": "minms",
             "algorithm": algorithm,
             "machine_count": schedule.instance.machine_count,
@@ -175,9 +182,7 @@ def _dump_payload(schedule, algorithm: str) -> dict:
                 for s in schedule.segments
             ],
         }
-    return {
-        "format": DUMP_FORMAT,
-        "version": DUMP_VERSION,
+    return header | {
         "kind": "mintpt",
         "algorithm": algorithm,
         "machines_used": schedule.machines_used,
@@ -205,9 +210,8 @@ def _write(text: str, out: str | None) -> None:
 
 def cmd_solve(args) -> int:
     instance = _load(args.instance)
-    default = MINMS_LIMITS if isinstance(instance, MinMsInstance) else MINTPT_LIMITS
-    limits = _limits_for(args, default)
-    oracle_value = _oracle_column(instance, limits)
+    limits = _limits_for(args, instance)
+    oracle_value = None if args.algorithm == "exact" else _oracle_column(instance, limits)
     row, schedule = _solve_one(
         instance, args.instance, args.algorithm, limits, oracle_value, args.timings
     )
@@ -220,20 +224,30 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _generate(args, m: int, seed: int) -> MinMsInstance | IntervalInstance:
+    """One instance of args.family; bad generator parameters are a CliError."""
+    try:
+        if args.family == "graham":
+            return gen_graham_worst_case(m)
+        if args.family == "random-minms":
+            return gen_random_minms(args.n, m, (args.p_min, args.p_max), seed)
+        return gen_random_mintpt(args.n, args.horizon, args.g, seed)
+    except ValueError as exc:  # InvariantError included
+        raise CliError(str(exc)) from exc
+
+
 def cmd_bench(args) -> int:
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     if not algorithms:
         raise CliError("no algorithms given")
     for algorithm in algorithms:
-        if algorithm not in ALL_ALGORITHMS:
+        if algorithm not in ALGORITHMS:
             raise CliError(f"unknown algorithm {algorithm!r}")
 
     instances: list[tuple[str, object]] = []
     if args.family == "graham":
         for m in _parse_int_list(args.m):
-            if m < 2:
-                raise CliError(f"the adversarial family needs m >= 2, got {m}")
-            instances.append((f"graham-m{m}", gen_graham_worst_case(m)))
+            instances.append((f"graham-m{m}", _generate(args, m, 0)))
     elif args.family == "random-minms":
         seeds = _parse_int_list(args.seeds)
         if seeds:
@@ -242,25 +256,15 @@ def cmd_bench(args) -> int:
             except ValueError as exc:
                 raise CliError(f"--m must be a single machine count here, got {args.m!r}") from exc
             for seed in seeds:
-                instances.append(
-                    (
-                        f"minms-n{args.n}-m{m}-s{seed}",
-                        gen_random_minms(args.n, m, (args.p_min, args.p_max), seed),
-                    )
-                )
+                instances.append((f"minms-n{args.n}-m{m}-s{seed}", _generate(args, m, seed)))
     else:
         for seed in _parse_int_list(args.seeds):
-            instances.append(
-                (
-                    f"mintpt-n{args.n}-h{args.horizon}-g{args.g}-s{seed}",
-                    gen_random_mintpt(args.n, args.horizon, args.g, seed),
-                )
-            )
+            name = f"mintpt-n{args.n}-h{args.horizon}-g{args.g}-s{seed}"
+            instances.append((name, _generate(args, 0, seed)))
 
     rows = []
     for name, instance in instances:
-        default = MINMS_LIMITS if isinstance(instance, MinMsInstance) else MINTPT_LIMITS
-        limits = _limits_for(args, default)
+        limits = _limits_for(args, instance)
         oracle_value = _oracle_column(instance, limits)
         for algorithm in algorithms:
             row, _ = _solve_one(instance, name, algorithm, limits, oracle_value, args.timings)
@@ -270,33 +274,40 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    try:
-        if args.family == "graham":
-            instance = gen_graham_worst_case(args.m)
-        elif args.family == "random-minms":
-            instance = gen_random_minms(args.n, args.m, (args.p_min, args.p_max), args.seed)
-        else:
-            instance = gen_random_mintpt(args.n, args.horizon, args.g, args.seed)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    _write(serialize_instance(instance), args.out)
+    _write(serialize_instance(_generate(args, args.m, args.seed)), args.out)
     return 0
 
 
-def _verify_minms(instance: MinMsInstance, dump: dict) -> tuple[list[str], list[str]]:
-    issues: list[str] = []
-    notes: list[str] = []
+def _records(dump: dict, key: str, decode, issues: list[str]) -> list[tuple]:
+    """Decode each record of the dump's list under `key` into a tuple.
+
+    A malformed list or record becomes an issue instead of an exception.
+    """
+    records = dump.get(key, [])
+    if not isinstance(records, list):
+        issues.append(f"{key} malformed: expected a list, got {type(records).__name__}")
+        return []
+    raw = []
+    for i, record in enumerate(records):
+        try:
+            raw.append(decode(record))
+        except (KeyError, ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
+            issues.append(f"{key[:-1]} {i} malformed: {exc}")
+    return raw
+
+
+def _verify_minms(instance: MinMsInstance, dump: dict, issues: list, notes: list) -> None:
     if dump.get("machine_count") != instance.machine_count:
         issues.append(
             f"machine_count {dump.get('machine_count')!r} does not match instance "
             f"{instance.machine_count}"
         )
-    raw = []
-    for i, seg in enumerate(dump.get("segments", [])):
-        try:
-            raw.append((int(seg["job"]), int(seg["machine"]), Fraction(str(seg["amount"]))))
-        except (KeyError, ValueError, TypeError) as exc:
-            issues.append(f"segment {i} malformed: {exc}")
+    raw = _records(
+        dump,
+        "segments",
+        lambda s: (int(s["job"]), int(s["machine"]), Fraction(str(s["amount"]))),
+        issues,
+    )
     problems = segment_violations(instance, raw)
     issues.extend(problems)
     if not problems:
@@ -310,12 +321,11 @@ def _verify_minms(instance: MinMsInstance, dump: dict) -> tuple[list[str], list[
     else:
         notes.append(f"migrations = {migrations} as recorded")
     if problems:
-        return issues, notes
+        return
 
     loads = [Fraction(0)] * instance.machine_count
     for _, machine, amount in raw:
-        if 0 <= machine < instance.machine_count:
-            loads[machine] += amount
+        loads[machine] += amount
 
     algorithm = dump.get("algorithm")
     if algorithm == "pam":
@@ -326,9 +336,9 @@ def _verify_minms(instance: MinMsInstance, dump: dict) -> tuple[list[str], list[
         else:
             notes.append(f"all loads = {opt}")
     elif algorithm == "lpt":
-        split = len(raw) - len({job for job, _, _ in raw})
-        if split:
-            issues.append(f"{split} split jobs in a whole-job schedule")
+        # Conservation holds, so every job has a segment: each extra one splits a job.
+        if migrations:
+            issues.append(f"{migrations} split jobs in a whole-job schedule")
         else:
             notes.append("every job is whole on one machine")
     elif algorithm == "wraparound":
@@ -355,18 +365,12 @@ def _verify_minms(instance: MinMsInstance, dump: dict) -> tuple[list[str], list[
             issues.append(f"jobs {sorted(overlapping)} overlap themselves in time")
         else:
             notes.append("no job overlaps itself in time")
-    return issues, notes
 
 
-def _verify_mintpt(instance: IntervalInstance, dump: dict) -> tuple[list[str], list[str]]:
-    issues: list[str] = []
-    notes: list[str] = []
-    raw = []
-    for i, placement in enumerate(dump.get("placements", [])):
-        try:
-            raw.append((int(placement["job"]), int(placement["machine"]), int(placement["slot"])))
-        except (KeyError, ValueError, TypeError) as exc:
-            issues.append(f"placement {i} malformed: {exc}")
+def _verify_mintpt(instance: IntervalInstance, dump: dict, issues: list, notes: list) -> None:
+    raw = _records(
+        dump, "placements", lambda p: (int(p["job"]), int(p["machine"]), int(p["slot"])), issues
+    )
     problems = placement_violations(instance, raw)
     issues.extend(problems)
     if not problems:
@@ -380,7 +384,7 @@ def _verify_mintpt(instance: IntervalInstance, dump: dict) -> tuple[list[str], l
             f"machines_used recorded as {dump.get('machines_used')!r}, recomputed {machines_used}"
         )
     if problems:
-        return issues, notes
+        return
 
     schedule = IntervalSchedule(instance, tuple(raw))
     if dump.get("migrations") != schedule.migrations:
@@ -403,7 +407,6 @@ def _verify_mintpt(instance: IntervalInstance, dump: dict) -> tuple[list[str], l
             issues.append("migrations present in a no-migration schedule")
         else:
             notes.append("no migrations, each job keeps one machine")
-    return issues, notes
 
 
 def cmd_verify(args) -> int:
@@ -415,14 +418,14 @@ def cmd_verify(args) -> int:
     if not isinstance(dump, dict) or dump.get("format") != DUMP_FORMAT:
         raise CliError("not a schedule dump")
 
-    kind = "minms" if isinstance(instance, MinMsInstance) else "mintpt"
+    kind = _kind(instance)
     if dump.get("kind") != kind:
         raise CliError(f"dump kind {dump.get('kind')!r} does not match instance kind {kind!r}")
 
-    if kind == "minms":
-        issues, notes = _verify_minms(instance, dump)
-    else:
-        issues, notes = _verify_mintpt(instance, dump)
+    issues: list[str] = []
+    notes: list[str] = []
+    verifier = _verify_minms if kind == "minms" else _verify_mintpt
+    verifier(instance, dump, issues, notes)
 
     for note in notes:
         print(f"ok: {note}")
@@ -442,40 +445,34 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", help="run one algorithm on one instance file")
+    # Options shared by solve and bench (report) and by bench and gen (generator).
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--format", choices=("csv", "md", "json"), default="csv")
+    report.add_argument("--out", help="write the report here instead of stdout")
+    report.add_argument("--oracle-limit", type=int, help="max jobs for the oracle column (0 disables)")
+    report.add_argument("--timings", action="store_true", help="fill the ms column (not reproducible)")
+    generator = argparse.ArgumentParser(add_help=False)
+    generator.add_argument("--family", required=True, choices=("graham", "random-minms", "random-mintpt"))
+    generator.add_argument("--n", type=int, default=8, help="job count for random families")
+    generator.add_argument("--g", type=int, default=3, help="slot capacity for random-mintpt")
+    generator.add_argument("--horizon", type=int, default=10, help="slot horizon for random-mintpt")
+    generator.add_argument("--p-min", type=int, default=1)
+    generator.add_argument("--p-max", type=int, default=20)
+
+    solve = sub.add_parser("solve", parents=[report], help="run one algorithm on one instance file")
     solve.add_argument("instance", help="instance file path")
-    solve.add_argument("--algorithm", required=True, choices=ALL_ALGORITHMS)
-    solve.add_argument("--format", choices=("csv", "md", "json"), default="csv")
-    solve.add_argument("--out", help="write the report here instead of stdout")
+    solve.add_argument("--algorithm", required=True, choices=tuple(ALGORITHMS))
     solve.add_argument("--dump", help="write the schedule dump (JSON) here")
-    solve.add_argument("--oracle-limit", type=int, help="max jobs for the oracle column (0 disables)")
-    solve.add_argument("--timings", action="store_true", help="fill the ms column (not reproducible)")
     solve.set_defaults(func=cmd_solve)
 
-    bench = sub.add_parser("bench", help="run a sweep and emit a report")
-    bench.add_argument("--family", required=True, choices=("graham", "random-minms", "random-mintpt"))
+    bench = sub.add_parser("bench", parents=[generator, report], help="run a sweep and emit a report")
     bench.add_argument("--algorithms", required=True, help="comma-separated algorithm names")
     bench.add_argument("--m", default="2:10", help="machine count (int or range for graham)")
-    bench.add_argument("--n", type=int, default=8, help="job count for random families")
-    bench.add_argument("--g", type=int, default=3, help="slot capacity for random-mintpt")
-    bench.add_argument("--horizon", type=int, default=10, help="slot horizon for random-mintpt")
-    bench.add_argument("--p-min", type=int, default=1)
-    bench.add_argument("--p-max", type=int, default=20)
     bench.add_argument("--seeds", default="0:9", help='seed list, e.g. "1:5" or "1,7"; "" for none')
-    bench.add_argument("--format", choices=("csv", "md", "json"), default="csv")
-    bench.add_argument("--out", help="write the report here instead of stdout")
-    bench.add_argument("--oracle-limit", type=int, help="max jobs for the oracle column (0 disables)")
-    bench.add_argument("--timings", action="store_true", help="fill the ms column (not reproducible)")
     bench.set_defaults(func=cmd_bench)
 
-    gen = sub.add_parser("gen", help="generate an instance file")
-    gen.add_argument("--family", required=True, choices=("graham", "random-minms", "random-mintpt"))
+    gen = sub.add_parser("gen", parents=[generator], help="generate an instance file")
     gen.add_argument("--m", type=int, default=2, help="machine count")
-    gen.add_argument("--n", type=int, default=8, help="job count for random families")
-    gen.add_argument("--g", type=int, default=3, help="slot capacity for random-mintpt")
-    gen.add_argument("--horizon", type=int, default=10, help="slot horizon for random-mintpt")
-    gen.add_argument("--p-min", type=int, default=1)
-    gen.add_argument("--p-max", type=int, default=20)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", help="write the instance here instead of stdout")
     gen.set_defaults(func=cmd_gen)

@@ -39,6 +39,20 @@ def opt_balance(instance: MinMsInstance) -> TimeValue:
     return instance.total_load() / instance.machine_count
 
 
+def _lpt_greedy(instance: MinMsInstance) -> list[tuple[int, int, TimeValue]]:
+    """The greedy of lpt_schedule: (job_id, machine, amount) in allocation order."""
+    order = sorted(instance.jobs, key=lambda j: (-j.process_time, j.id))
+    heap: list[tuple[Fraction, int]] = [
+        (Fraction(0), i) for i in range(instance.machine_count)
+    ]
+    placed = []
+    for job in order:
+        load, i = heapq.heappop(heap)
+        placed.append((job.id, i, job.process_time))
+        heapq.heappush(heap, (load + job.process_time, i))
+    return placed
+
+
 def lpt_schedule(instance: MinMsInstance) -> MigrationSchedule:
     """Assign whole jobs, largest first, to the currently least-loaded machine.
 
@@ -47,16 +61,8 @@ def lpt_schedule(instance: MinMsInstance) -> MigrationSchedule:
     equal process times are ordered by job id. No job is split, so the result
     has zero migrations.
     """
-    order = sorted(instance.jobs, key=lambda j: (-j.process_time, j.id))
-    heap: list[tuple[Fraction, int]] = [
-        (Fraction(0), i) for i in range(instance.machine_count)
-    ]
-    segments = []
-    for job in order:
-        load, i = heapq.heappop(heap)
-        segments.append(JobSegment(job.id, i, job.process_time))
-        heapq.heappush(heap, (load + job.process_time, i))
-    return MigrationSchedule(instance, tuple(segments))
+    segments = tuple(JobSegment(*p) for p in _lpt_greedy(instance))
+    return MigrationSchedule(instance, segments)
 
 
 @dataclass(frozen=True)
@@ -79,23 +85,22 @@ class PamTrace:
 def pam_schedule(instance: MinMsInstance) -> PamTrace:
     """Balance every machine to exactly the ideal load by splitting jobs.
 
-    Phase 1 is lpt_schedule. Phase 2 sorts overloaded machines by load
+    Phase 1 is the lpt greedy. Phase 2 sorts overloaded machines by load
     non-increasing and underloaded machines by load non-decreasing, then
     repeatedly moves min(current excess, current deficit) from the most
     loaded machine to the least loaded one, splitting the most recently
     allocated jobs on the source machine first. Always feasible: load is
     treated as divisible.
     """
-    base = lpt_schedule(instance)
-    lpt_loads = base.machine_loads()
     opt = opt_balance(instance)
     m = instance.machine_count
 
     # Per-machine [job_id, amount] entries in allocation order; the transfer
     # carves from the tail (most recently allocated first).
     stacks: list[list[list]] = [[] for _ in range(m)]
-    for seg in base.segments:
-        stacks[seg.machine_id].append([seg.job_id, seg.amount])
+    for job_id, machine, amount in _lpt_greedy(instance):
+        stacks[machine].append([job_id, amount])
+    lpt_loads = tuple(sum((amount for _, amount in stack), Fraction(0)) for stack in stacks)
     received: list[list[tuple[int, Fraction]]] = [[] for _ in range(m)]
 
     over = sorted(

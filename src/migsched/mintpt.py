@@ -32,7 +32,6 @@ __all__ = [
     "mintpt_lower_bound",
     "estf_schedule",
     "lbm_schedule",
-    "total_power_on_time",
     "placement_violations",
 ]
 
@@ -62,10 +61,6 @@ class IntervalJob:
     @property
     def slots(self) -> range:
         return range(self.start_slot, self.end_slot)
-
-    @property
-    def length(self) -> int:
-        return self.end_slot - self.start_slot
 
     @property
     def interval(self) -> tuple[int, int]:
@@ -257,11 +252,6 @@ class IntervalSchedule:
     def total_power_on_time(self) -> int:
         """Total busy machine-slots: slots where a machine hosts >= 1 job."""
         return len({(machine, slot) for _, machine, slot in self.placements})
-
-
-def total_power_on_time(schedule: IntervalSchedule) -> int:
-    """Module-level alias for IntervalSchedule.total_power_on_time."""
-    return schedule.total_power_on_time()
 
 
 def _allocation_order(instance: IntervalInstance) -> list[IntervalJob]:

@@ -1,11 +1,16 @@
 """CLI behavior: solve, bench, gen, verify, exit codes, determinism."""
 
+import contextlib
+import copy
 import csv
 import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from migsched.cli import main
 from migsched.instances import load_instance
@@ -209,6 +214,95 @@ class TestVerify:
         assert code == 2
 
 
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from(["1/0", "0", "-1", "7/2", "inf", "x"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def valid_dumps(tmp_path_factory):
+    """Algorithm -> (instance path, a valid dump of that algorithm on it)."""
+    fixtures = Path(__file__).parent / "fixtures"
+    tmp = tmp_path_factory.mktemp("dumps")
+    dumps = {}
+    for name, algorithms in (
+        ("graham_m2.inst", ("lpt", "pam", "wraparound")),
+        ("intervals_g3.inst", ("estf", "lbm")),
+    ):
+        instance = str(fixtures / name)
+        for algorithm in algorithms:
+            path = tmp / f"{algorithm}.json"
+            argv = ["solve", instance, "--algorithm", algorithm, "--out", str(tmp / "r.csv")]
+            assert main(argv + ["--dump", str(path)]) == 0
+            dumps[algorithm] = (instance, json.loads(path.read_text()))
+    return tmp, dumps
+
+
+class TestVerifyMalformedDumps:
+    """verify ends every dump in ok/FAIL lines or an error line, never a traceback."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_replaced_values_never_raise(self, valid_dumps, data):
+        tmp, dumps = valid_dumps
+        instance, dump = copy.deepcopy(dumps[data.draw(st.sampled_from(sorted(dumps)))])
+        records_key = "segments" if "segments" in dump else "placements"
+        for _ in range(data.draw(st.integers(1, 3))):
+            records = dump.get(records_key)
+            target = data.draw(st.sampled_from(["field", "record", "records", "top"]))
+            value = data.draw(json_values)
+            if target == "records":
+                dump[records_key] = value
+            elif target == "top" or not isinstance(records, list) or not records:
+                dump[data.draw(st.sampled_from(sorted(dump)))] = value
+            else:
+                i = data.draw(st.integers(0, len(records) - 1))
+                if target == "field" and isinstance(records[i], dict) and records[i]:
+                    records[i][data.draw(st.sampled_from(sorted(records[i])))] = value
+                else:
+                    records[i] = value
+        path = tmp / "tampered.json"
+        path.write_text(json.dumps(dump))
+
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", instance, str(path)])
+        assert code in (0, 1, 2)
+        for line in out.getvalue().splitlines():
+            assert line.startswith(("ok: ", "FAIL: ", "verification ")), line
+        for line in err.getvalue().splitlines():
+            assert line.startswith("error: "), line
+
+    @pytest.mark.parametrize(
+        "algorithm, keys, value",
+        [
+            ("pam", ("segments", 0, "amount"), "1/0"),
+            ("pam", ("segments",), 5),
+            ("lbm", ("placements",), None),
+        ],
+    )
+    def test_known_malformed_values_fail(self, capsys, valid_dumps, algorithm, keys, value):
+        tmp, dumps = valid_dumps
+        instance, dump = copy.deepcopy(dumps[algorithm])
+        target = dump
+        for k in keys[:-1]:
+            target = target[k]
+        target[keys[-1]] = value
+        path = tmp / "tampered.json"
+        path.write_text(json.dumps(dump))
+        code, out, _ = run(capsys, "verify", instance, str(path))
+        assert code == 1
+        assert "FAIL: " in out
+
+
 class TestBench:
     def test_graham_sweep_ratio_column(self, capsys):
         code, out, _ = run(
@@ -281,6 +375,19 @@ class TestBench:
             capsys, "bench", "--family", "graham", "--m", "2:x", "--algorithms", "lpt"
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--family", "random-mintpt", "--g", "0", "--algorithms", "lbm"),
+            ("--family", "random-minms", "--n", "0", "--m", "3", "--algorithms", "lpt"),
+        ],
+    )
+    def test_bad_generator_parameters_are_input_errors(self, capsys, argv):
+        code, out, err = run(capsys, "bench", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestGen:

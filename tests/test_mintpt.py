@@ -18,7 +18,6 @@ from migsched import (
     lbm_schedule,
     mintpt_lower_bound,
     slot_profile,
-    total_power_on_time,
 )
 
 intervals_strategy = st.lists(
@@ -175,10 +174,6 @@ class TestLbm:
                 estf_schedule(inst).total_power_on_time()
                 >= lbm_schedule(inst).total_power_on_time()
             )
-
-    def test_module_level_alias(self):
-        sched = lbm_schedule(four_job_instance())
-        assert total_power_on_time(sched) == sched.total_power_on_time()
 
 
 class TestIntervalScheduleValidation:
