@@ -17,7 +17,14 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import minms, mintpt
-from .core import MigrationSchedule, MinMsInstance, segment_violations
+from .core import (
+    InvariantError,
+    JobSegment,
+    MigrationSchedule,
+    MinMsInstance,
+    as_time,
+    segment_violations,
+)
 from .instances import (
     InstanceFormatError,
     gen_graham_worst_case,
@@ -90,7 +97,7 @@ def _parse_int_list(text: str) -> list[int]:
 def _load(path: str) -> MinMsInstance | IntervalInstance:
     try:
         return load_instance(path)
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
@@ -202,10 +209,13 @@ def _render(rows, fmt: str, single: bool = False) -> str:
 
 
 def _write(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write {out}: {exc}") from exc
 
 
 def cmd_solve(args) -> int:
@@ -220,7 +230,7 @@ def cmd_solve(args) -> int:
         if schedule is None:
             raise CliError("the exact solver produces a value, not a schedule; nothing to dump")
         payload = _dump_payload(schedule, args.algorithm)
-        Path(args.dump).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        _write(json.dumps(payload, indent=2) + "\n", args.dump)
     return 0
 
 
@@ -291,7 +301,7 @@ def _records(dump: dict, key: str, decode, issues: list[str]) -> list[tuple]:
     for i, record in enumerate(records):
         try:
             raw.append(decode(record))
-        except (KeyError, ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             issues.append(f"{key[:-1]} {i} malformed: {exc}")
     return raw
 
@@ -305,10 +315,13 @@ def _verify_minms(instance: MinMsInstance, dump: dict, issues: list, notes: list
     raw = _records(
         dump,
         "segments",
-        lambda s: (int(s["job"]), int(s["machine"]), Fraction(str(s["amount"]))),
+        lambda s: JobSegment(int(s["job"]), int(s["machine"]), as_time(s["amount"])),
         issues,
     )
-    problems = segment_violations(instance, raw)
+    try:
+        schedule, problems = MigrationSchedule(instance, tuple(raw)), []
+    except InvariantError:
+        schedule, problems = None, segment_violations(instance, raw)
     issues.extend(problems)
     if not problems:
         notes.append(
@@ -320,17 +333,13 @@ def _verify_minms(instance: MinMsInstance, dump: dict, issues: list, notes: list
         issues.append(f"migrations recorded as {dump.get('migrations')!r}, recomputed {migrations}")
     else:
         notes.append(f"migrations = {migrations} as recorded")
-    if problems:
+    if schedule is None:
         return
-
-    loads = [Fraction(0)] * instance.machine_count
-    for _, machine, amount in raw:
-        loads[machine] += amount
 
     algorithm = dump.get("algorithm")
     if algorithm == "pam":
         opt = minms.opt_balance(instance)
-        off = [i for i, load in enumerate(loads) if load != opt]
+        off = [i for i, load in enumerate(schedule.machine_loads()) if load != opt]
         if off:
             issues.append(f"machines {off} deviate from the balanced optimum {opt}")
         else:
@@ -346,16 +355,14 @@ def _verify_minms(instance: MinMsInstance, dump: dict, issues: list, notes: list
             max(j.process_time for j in instance.jobs),
             minms.opt_balance(instance),
         )
-        if max(loads) != bound:
-            issues.append(f"makespan {max(loads)} differs from wrap bound {bound}")
+        makespan = schedule.makespan()
+        if makespan != bound:
+            issues.append(f"makespan {makespan} differs from wrap bound {bound}")
         else:
             notes.append(f"makespan = {bound} (wrap bound)")
-        clocks: dict[int, Fraction] = {}
         windows: dict[int, list[tuple[Fraction, Fraction]]] = {}
-        for job, machine, amount in raw:
-            start = clocks.get(machine, Fraction(0))
-            clocks[machine] = start + amount
-            windows.setdefault(job, []).append((start, start + amount))
+        for job, _, start, end in minms.timeline(schedule):
+            windows.setdefault(job, []).append((start, end))
         overlapping = []
         for job, spans in windows.items():
             spans.sort()
@@ -371,7 +378,11 @@ def _verify_mintpt(instance: IntervalInstance, dump: dict, issues: list, notes: 
     raw = _records(
         dump, "placements", lambda p: (int(p["job"]), int(p["machine"]), int(p["slot"])), issues
     )
-    problems = placement_violations(instance, raw)
+    try:
+        schedule, problems = IntervalSchedule(instance, tuple(raw)), []
+    except InvariantError:
+        # Listed in dump order, which the schedule's canonical order would lose.
+        schedule, problems = None, placement_violations(instance, raw)
     issues.extend(problems)
     if not problems:
         notes.append(
@@ -383,10 +394,9 @@ def _verify_mintpt(instance: IntervalInstance, dump: dict, issues: list, notes: 
         issues.append(
             f"machines_used recorded as {dump.get('machines_used')!r}, recomputed {machines_used}"
         )
-    if problems:
+    if schedule is None:
         return
 
-    schedule = IntervalSchedule(instance, tuple(raw))
     if dump.get("migrations") != schedule.migrations:
         issues.append(
             f"migrations recorded as {dump.get('migrations')!r}, recomputed {schedule.migrations}"
@@ -413,7 +423,7 @@ def cmd_verify(args) -> int:
     instance = _load(args.instance)
     try:
         dump = json.loads(Path(args.dump).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or int digits
         raise CliError(f"cannot read dump {args.dump}: {exc}") from exc
     if not isinstance(dump, dict) or dump.get("format") != DUMP_FORMAT:
         raise CliError("not a schedule dump")

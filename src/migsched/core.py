@@ -8,9 +8,10 @@ asserted as a true equality with no tolerance.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 __all__ = [
     "TimeValue",
@@ -34,13 +35,23 @@ class InvariantError(ValueError):
     """A structural invariant of an instance or schedule is violated."""
 
 
+_RATIONAL = re.compile(r"(\d+)(?:/(\d+))?")
+
+
 def as_time(value: int | str | Fraction) -> TimeValue:
     """Coerce an int, exact string ("7" or "7/2"), or Fraction to a TimeValue.
 
-    Floats are rejected outright: a float that has already drifted cannot be
-    recovered, and exact-equality guarantees downstream depend on never
-    letting one in.
+    The one time grammar, for instance files and schedule dumps: a string is
+    "n" or "n/d" in digits with d != 0 (no sign, space, point or exponent, so
+    the value's size is bounded by the string's). Floats are rejected
+    outright: a float that has already drifted cannot be recovered, and
+    exact-equality guarantees downstream depend on never letting one in.
     """
+    if isinstance(value, str):
+        match = _RATIONAL.fullmatch(value)
+        if match is None or match[2] and int(match[2]) == 0:
+            raise ValueError(f"time must be n or num/den with a nonzero denominator, got {value!r}")
+        return Fraction(int(match[1]), int(match[2] or 1))
     if isinstance(value, float):
         raise TypeError(f"refusing inexact float time value {value!r}")
     tv = Fraction(value)
@@ -96,20 +107,12 @@ class MinMsInstance:
         return {j.id: j for j in self.jobs}
 
 
-@dataclass(frozen=True)
-class JobSegment:
-    """A positive portion of one job's load placed on one machine."""
+class JobSegment(NamedTuple):
+    """A portion of one job's load on one machine; checked by MigrationSchedule."""
 
     job_id: int
     machine_id: int
     amount: TimeValue
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.machine_id, int) or self.machine_id < 0:
-            raise InvariantError(f"machine id must be a non-negative integer, got {self.machine_id!r}")
-        object.__setattr__(self, "amount", as_time(self.amount))
-        if self.amount <= 0:
-            raise InvariantError(f"segment of job {self.job_id}: amount must be positive")
 
 
 def segment_violations(
@@ -119,8 +122,9 @@ def segment_violations(
     """Check raw (job_id, machine_id, amount) triples against an instance.
 
     Returns a list of human-readable violations (empty when consistent):
-    unknown jobs, machine ids out of range, non-positive amounts, and per-job
-    conservation failures (segment amounts must sum to the process time).
+    unknown jobs, machine ids that are not ints or out of range, amounts that
+    are not a positive int or Fraction, and per-job conservation failures
+    (segment amounts must sum to the process time).
     """
     problems: list[str] = []
     by_id = instance.jobs_by_id()
@@ -129,10 +133,13 @@ def segment_violations(
         if job_id not in by_id:
             problems.append(f"segment references unknown job {job_id}")
             continue
-        if not 0 <= machine_id < instance.machine_count:
+        if not isinstance(machine_id, int) or not 0 <= machine_id < instance.machine_count:
             problems.append(
-                f"job {job_id}: machine {machine_id} out of range 0..{instance.machine_count - 1}"
+                f"job {job_id}: machine {machine_id!r} out of range 0..{instance.machine_count - 1}"
             )
+        if not isinstance(amount, (int, Fraction)):
+            problems.append(f"job {job_id}: segment amount {amount!r} is not an int or Fraction")
+            continue
         if amount <= 0:
             problems.append(f"job {job_id}: non-positive segment amount {amount}")
         totals[job_id] += amount
@@ -151,7 +158,8 @@ class MigrationSchedule:
 
     Invariants (checked at construction):
       - every referenced job exists in the instance,
-      - machine ids fall in [0, machine_count),
+      - machine ids are ints in [0, machine_count),
+      - amounts are positive ints or Fractions,
       - per job, segment amounts sum exactly to its process time.
 
     A job split into k segments accounts for k-1 migrations; a schedule that
@@ -165,9 +173,7 @@ class MigrationSchedule:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "segments", tuple(self.segments))
-        problems = segment_violations(
-            self.instance, [(s.job_id, s.machine_id, s.amount) for s in self.segments]
-        )
+        problems = segment_violations(self.instance, self.segments)
         if problems:
             raise InvariantError("; ".join(problems))
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 import re
-from fractions import Fraction
 from pathlib import Path
 
 from .core import InvariantError, Job, MinMsInstance
@@ -36,7 +35,6 @@ __all__ = [
 
 FORMAT_VERSION = 1
 
-_RATIONAL = re.compile(r"^(\d+)(?:/(\d+))?$")
 _INTEGER = re.compile(r"^\d+$")
 
 
@@ -93,20 +91,10 @@ def gen_random_mintpt(n: int, horizon: int, capacity: int, seed: int = 0) -> Int
 def _parse_int(token: str, what: str, line: int) -> int:
     if not _INTEGER.match(token):
         raise InstanceFormatError(f"{what} must be a non-negative integer, got {token!r}", line)
-    return int(token)
-
-
-def _parse_time(token: str, line: int) -> Fraction:
-    match = _RATIONAL.match(token)
-    if not match:
-        raise InstanceFormatError(
-            f"process time must be an integer or num/den string, got {token!r}", line
-        )
-    num = int(match.group(1))
-    den = int(match.group(2)) if match.group(2) else 1
-    if den == 0:
-        raise InstanceFormatError(f"zero denominator in {token!r}", line)
-    return Fraction(num, den)
+    try:
+        return int(token)
+    except ValueError as exc:  # more digits than int() converts
+        raise InstanceFormatError(f"{what}: {exc}", line) from exc
 
 
 def parse_instance(text: str) -> MinMsInstance | IntervalInstance:
@@ -148,10 +136,8 @@ def parse_instance(text: str) -> MinMsInstance | IntervalInstance:
                 raise InstanceFormatError(f"duplicate job id {job_id}", line)
             seen.add(job_id)
             try:
-                jobs.append(Job(job_id, _parse_time(tokens[2], line)))
-            except (InvariantError, ValueError) as exc:
-                if isinstance(exc, InstanceFormatError):
-                    raise
+                jobs.append(Job(job_id, tokens[2]))  # as_time parses the time token
+            except ValueError as exc:  # InvariantError included
                 raise InstanceFormatError(str(exc), line) from exc
         try:
             return MinMsInstance(tuple(jobs), param_value)

@@ -63,19 +63,7 @@ class ReportRow:
     ms: float | None = None
 
     def cells(self) -> list[str]:
-        return [
-            self.instance,
-            self.kind,
-            str(self.n),
-            str(self.param),
-            _cell(self.optimum),
-            self.algorithm,
-            _cell(self.objective),
-            _cell(self.ratio),
-            str(self.migrations),
-            _cell(self.oracle),
-            _cell(self.ms),
-        ]
+        return [_cell(getattr(self, column)) for column in CSV_COLUMNS]
 
     def as_dict(self) -> dict:
         return {

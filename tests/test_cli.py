@@ -220,7 +220,7 @@ json_values = st.recursive(
     | st.integers()
     | st.floats()
     | st.text(max_size=4)
-    | st.sampled_from(["1/0", "0", "-1", "7/2", "inf", "x"]),
+    | st.sampled_from(["1/0", "0", "-1", "7/2", "inf", "x", "1e3", "19.0"]),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6,
@@ -301,6 +301,81 @@ class TestVerifyMalformedDumps:
         code, out, _ = run(capsys, "verify", instance, str(path))
         assert code == 1
         assert "FAIL: " in out
+
+    @pytest.mark.parametrize("amount", ["1e10000000", "19.0", 19.5])
+    def test_amount_outside_the_time_grammar_is_malformed(
+        self, capsys, valid_dumps, amount
+    ):
+        tmp, dumps = valid_dumps
+        instance, dump = copy.deepcopy(dumps["pam"])
+        dump["segments"][0]["amount"] = amount
+        path = tmp / "tampered.json"
+        path.write_text(json.dumps(dump))
+        code, out, _ = run(capsys, "verify", instance, str(path))
+        assert code == 1
+        assert "FAIL: segment 0 malformed" in out
+
+
+def _put(path, data):
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        path.write_text(data)
+    return str(path)
+
+
+# Case -> argv builder taking (tmp_path, fixtures_dir).
+FILE_AND_NUMBER_ERRORS = {
+    "solve-directory": lambda tmp, fx: ["solve", str(tmp), "--algorithm", "lpt"],
+    "solve-non-utf8-instance": lambda tmp, fx: [
+        "solve", _put(tmp / "x.inst", b"minms 1\nmachines 2\njob 0 \xff\n"), "--algorithm", "lpt"
+    ],
+    "verify-non-utf8-dump": lambda tmp, fx: [
+        "verify", str(fx / "graham_m2.inst"), _put(tmp / "d.json", b'{"format": "\xff"}')
+    ],
+    "verify-long-json-integer": lambda tmp, fx: [
+        "verify",
+        str(fx / "graham_m2.inst"),
+        _put(
+            tmp / "d.json",
+            '{"format": "migsched-dump", "kind": "minms", "machine_count": ' + "2" * 5000 + "}",
+        ),
+    ],
+    "solve-long-job-id": lambda tmp, fx: [
+        "solve", _put(tmp / "x.inst", "minms 1\nmachines 2\njob " + "1" * 5000 + " 3\n"),
+        "--algorithm", "lpt",
+    ],
+    "solve-long-machines": lambda tmp, fx: [
+        "solve", _put(tmp / "x.inst", "minms 1\nmachines " + "2" * 5000 + "\njob 0 3\n"),
+        "--algorithm", "lpt",
+    ],
+    "solve-long-capacity": lambda tmp, fx: [
+        "solve", _put(tmp / "x.inst", "mintpt 1\ncapacity " + "2" * 5000 + "\njob 0 0 3 1\n"),
+        "--algorithm", "estf",
+    ],
+    "solve-out-missing-directory": lambda tmp, fx: [
+        "solve", str(fx / "graham_m2.inst"), "--algorithm", "lpt",
+        "--out", str(tmp / "no" / "r.csv"),
+    ],
+    "solve-dump-missing-directory": lambda tmp, fx: [
+        "solve", str(fx / "graham_m2.inst"), "--algorithm", "lpt",
+        "--dump", str(tmp / "no" / "d.json"),
+    ],
+    "gen-out-missing-directory": lambda tmp, fx: [
+        "gen", "--family", "graham", "--out", str(tmp / "no" / "g.inst")
+    ],
+    "bench-out-missing-directory": lambda tmp, fx: [
+        "bench", "--family", "graham", "--m", "2", "--algorithms", "lpt",
+        "--out", str(tmp / "no" / "b.csv"),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILE_AND_NUMBER_ERRORS))
+def test_file_and_number_errors_are_input_errors(capsys, tmp_path, fixtures_dir, case):
+    code, _, err = run(capsys, *FILE_AND_NUMBER_ERRORS[case](tmp_path, fixtures_dir))
+    assert code == 2
+    assert err.startswith("error: "), err
 
 
 class TestBench:

@@ -26,6 +26,7 @@ class TestTimeValue:
     def test_accepts_int_string_fraction(self):
         assert as_time(3) == 3
         assert as_time("7/2") == Fraction(7, 2)
+        assert as_time("14/4") == Fraction(7, 2)
         assert as_time(Fraction(6, 4)) == Fraction(3, 2)
 
     def test_canonical_reduced_form(self):
@@ -39,6 +40,11 @@ class TestTimeValue:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             as_time(-1)
+
+    @pytest.mark.parametrize("text", ["1e3", "1.5", " 2", "-1", "3/0", "2\n", "+2", "", "1/2/3"])
+    def test_rejects_other_strings(self, text):
+        with pytest.raises(ValueError):
+            as_time(text)
 
     @given(nonneg_rationals, nonneg_rationals)
     def test_addition_round_trip_is_exact(self, a, b):
@@ -139,6 +145,19 @@ class TestMigrationSchedule:
         inst = make_instance([5], 1)
         with pytest.raises(InvariantError, match="out of range"):
             MigrationSchedule(inst, (JobSegment(0, 1, 5),))
+
+    @pytest.mark.parametrize(
+        "fields", [(0, 0, 5.0), (0, 0, "5"), (0, 0, 0), (0, -1, 5), (0, "0", 5), (0, 0.0, 5)]
+    )
+    def test_malformed_segment_rejected(self, fields):
+        # JobSegment is a plain triple; the schedule checks it.
+        with pytest.raises(InvariantError):
+            MigrationSchedule(make_instance([5], 1), (JobSegment(*fields),))
+
+    def test_segment_is_a_named_triple(self):
+        segment = JobSegment(3, 1, Fraction(1, 2))
+        assert segment == (3, 1, Fraction(1, 2))
+        assert (segment.job_id, segment.machine_id, segment.amount) == segment
 
     @given(
         st.lists(st.fractions(min_value=Fraction(1, 7), max_value=50), min_size=1, max_size=12),

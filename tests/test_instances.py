@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from migsched import (
     InstanceFormatError,
@@ -164,3 +166,66 @@ class TestParseErrors:
     def test_missing_parameter_line(self):
         with pytest.raises(InstanceFormatError):
             parse_instance("minms 1\n")
+
+
+VALID_DOCUMENTS = (
+    "minms 1\nmachines 3\njob 0 3\njob 1 7/2\njob 2 5\n",
+    "mintpt 1\ncapacity 2\njob 0 0 3 1\njob 1 1 4 1\njob 2 2 5 1\n",
+)
+
+replacement_tokens = st.one_of(
+    st.text(max_size=8),
+    st.text(alphabet="0123456789/", min_size=1, max_size=12),
+    st.sampled_from(
+        ["1e3", "1.5", "-1", "+2", "3/0", "0", "0/5", "7/2", "minms", "1" * 5000, "4" * 5000 + "/3"]
+    ),
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document with tokens replaced and lines dropped, repeated or inserted."""
+    lines = [line.split() for line in draw(st.sampled_from(VALID_DOCUMENTS)).splitlines()]
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["token", "drop", "repeat", "insert"])) if lines else "insert"
+        i = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if op == "token" and lines[i]:
+            lines[i][draw(st.integers(0, len(lines[i]) - 1))] = draw(replacement_tokens)
+        elif op == "drop":
+            del lines[i]
+        elif op == "repeat":
+            lines.insert(i, list(lines[i]))
+        else:
+            lines.insert(i, [draw(st.text(max_size=20))])
+    return "\n".join(" ".join(tokens) for tokens in lines) + "\n"
+
+
+class TestParseFuzz:
+    """parse_instance returns an instance or raises InstanceFormatError, nothing else.
+
+    Fuzzed instances are only parsed, never solved: their horizons can be huge.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @example("minms 1\nmachines 1\njob " + "1" * 5000 + " 3\n")
+    @given(mutated_documents())
+    def test_mutated_documents_parse_or_raise_format_error(self, text):
+        try:
+            result = parse_instance(text)
+        except InstanceFormatError:
+            return
+        assert isinstance(result, (MinMsInstance, IntervalInstance))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "minms 1\nmachines " + "2" * 5000 + "\njob 0 3\n",
+            "mintpt 1\ncapacity " + "2" * 5000 + "\njob 0 0 3 1\n",
+            "minms 1\nmachines 1\njob 0 " + "3" * 5000 + "\n",
+        ],
+        ids=["machines", "capacity", "process-time"],
+    )
+    def test_long_numbers_report_their_line(self, text):
+        with pytest.raises(InstanceFormatError, match="digits") as err:
+            parse_instance(text)
+        assert err.value.line in (2, 3)

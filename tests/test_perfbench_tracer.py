@@ -1,0 +1,52 @@
+"""The benchmark's tracer still finds every name it wraps.
+
+perfbench/spans.py patches module functions and the copies that
+migsched.cli binds by name. A refactor that drops or stops calling one of
+those names breaks the traced benchmark run; this test notices it in the
+main suite.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from migsched.report import render_csv
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_counts_every_layer(tmp_path, fixtures_dir, capsys):
+    spans = _load_spans()
+    modules = {layer: importlib.import_module(f"migsched.{layer}") for layer in spans.LAYERS}
+    cli = modules["cli"]
+    tracer = spans.Tracer()
+    tracer.install(modules)
+    try:
+        for fixture, algorithm in (("graham_m2.inst", "pam"), ("intervals_g3.inst", "lbm")):
+            instance = str(fixtures_dir / fixture)
+            dump = str(tmp_path / f"{algorithm}.json")
+            argv = ["solve", instance, "--algorithm", algorithm, "--format", "json"]
+            assert cli.main(argv + ["--dump", dump]) == 0
+            assert cli.main(["verify", instance, dump]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+
+    for name in (
+        "instances.parse",
+        "core.validate",
+        "core.schedule",
+        "mintpt.validate",
+        "mintpt.schedule",
+        "report.render",
+    ):
+        assert tracer.counts[name + "_calls"] > 0, name
+    assert cli.render_csv is render_csv
+    assert cli.segment_violations is modules["core"].segment_violations
