@@ -45,7 +45,7 @@ from .oracles import (
 from .report import ReportRow, render_csv, render_json, render_markdown
 
 DUMP_FORMAT = "migsched-dump"
-DUMP_VERSION = 1
+DUMP_VERSION = 2
 
 
 class CliError(Exception):
@@ -194,8 +194,8 @@ def _dump_payload(schedule, algorithm: str) -> dict:
         "algorithm": algorithm,
         "machines_used": schedule.machines_used,
         "migrations": schedule.migrations,
-        "placements": [
-            {"job": j, "machine": m, "slot": s} for j, m, s in schedule.placements
+        "stints": [
+            {"job": j, "machine": m, "start": s, "end": e} for j, m, s, e in schedule.stints
         ],
     }
 
@@ -288,6 +288,13 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _json_int(value) -> int:
+    """A JSON integer as it is; a float, a string or a boolean is malformed."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _records(dump: dict, key: str, decode, issues: list[str]) -> list[tuple]:
     """Decode each record of the dump's list under `key` into a tuple.
 
@@ -315,7 +322,7 @@ def _verify_minms(instance: MinMsInstance, dump: dict, issues: list, notes: list
     raw = _records(
         dump,
         "segments",
-        lambda s: JobSegment(int(s["job"]), int(s["machine"]), as_time(s["amount"])),
+        lambda s: JobSegment(_json_int(s["job"]), _json_int(s["machine"]), as_time(s["amount"])),
         issues,
     )
     try:
@@ -376,7 +383,10 @@ def _verify_minms(instance: MinMsInstance, dump: dict, issues: list, notes: list
 
 def _verify_mintpt(instance: IntervalInstance, dump: dict, issues: list, notes: list) -> None:
     raw = _records(
-        dump, "placements", lambda p: (int(p["job"]), int(p["machine"]), int(p["slot"])), issues
+        dump,
+        "stints",
+        lambda s: tuple(_json_int(s[field]) for field in ("job", "machine", "start", "end")),
+        issues,
     )
     try:
         schedule, problems = IntervalSchedule(instance, tuple(raw)), []
@@ -389,7 +399,7 @@ def _verify_mintpt(instance: IntervalInstance, dump: dict, issues: list, notes: 
             f"every job placed in all its slots within capacity {instance.capacity}"
         )
 
-    machines_used = len({machine for _, machine, _ in raw})
+    machines_used = len({machine for _, machine, _, _ in raw})
     if dump.get("machines_used") != machines_used:
         issues.append(
             f"machines_used recorded as {dump.get('machines_used')!r}, recomputed {machines_used}"
@@ -427,6 +437,11 @@ def cmd_verify(args) -> int:
         raise CliError(f"cannot read dump {args.dump}: {exc}") from exc
     if not isinstance(dump, dict) or dump.get("format") != DUMP_FORMAT:
         raise CliError("not a schedule dump")
+    if dump.get("version") != DUMP_VERSION:
+        raise CliError(
+            f"dump version {dump.get('version')!r} is not supported; "
+            f"this verify reads version {DUMP_VERSION}"
+        )
 
     kind = _kind(instance)
     if dump.get("kind") != kind:

@@ -122,16 +122,17 @@ def segment_violations(
     """Check raw (job_id, machine_id, amount) triples against an instance.
 
     Returns a list of human-readable violations (empty when consistent):
-    unknown jobs, machine ids that are not ints or out of range, amounts that
-    are not a positive int or Fraction, and per-job conservation failures
-    (segment amounts must sum to the process time).
+    job ids that are not ints or not in the instance, machine ids that are
+    not ints or out of range, amounts that are not a positive int or
+    Fraction, and per-job conservation failures (segment amounts must sum to
+    the process time).
     """
     problems: list[str] = []
     by_id = instance.jobs_by_id()
     totals: dict[int, Fraction] = {jid: Fraction(0) for jid in by_id}
     for job_id, machine_id, amount in segments:
-        if job_id not in by_id:
-            problems.append(f"segment references unknown job {job_id}")
+        if not isinstance(job_id, int) or job_id not in by_id:
+            problems.append(f"segment references unknown job {job_id!r}")
             continue
         if not isinstance(machine_id, int) or not 0 <= machine_id < instance.machine_count:
             problems.append(

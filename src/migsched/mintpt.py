@@ -12,10 +12,18 @@ least ceil(L_i / g) machines, so no schedule can beat the sum of those minima
 (mintpt_lower_bound). estf_schedule is the no-migration baseline; it can
 strictly exceed the floor. lbm_schedule reaches the floor on every instance
 by letting jobs migrate between machines at slot boundaries.
+
+A schedule is run-length: each (job, machine, start, end) stint places a job
+on one machine for the slots [start, end). The floor, both solvers and the
+schedule's checks and totals work from the sorted start and end events, so
+their cost does not grow with the horizon; only the per-slot views
+(slot_profile, machines_per_slot, machine_assignment) walk every slot.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -135,12 +143,31 @@ def interval_span(intervals: Iterable[tuple[int, int]]) -> int:
     return total
 
 
+def _runs(intervals: Iterable[tuple[int, int]]) -> list[tuple[int, int, int]]:
+    """Maximal runs (start, end, active count) of a constant active set.
+
+    The intervals' start and end slots, sorted, cut time into runs; inside a
+    run no interval starts or ends. A run may have count 0 (a gap) or the
+    same count as its neighbour (one interval ends where another starts).
+    """
+    delta: dict[int, int] = {}
+    for s, t in intervals:
+        delta[s] = delta.get(s, 0) + 1
+        delta[t] = delta.get(t, 0) - 1
+    times = sorted(delta)
+    runs = []
+    count = 0
+    for s, t in zip(times, times[1:]):
+        count += delta[s]
+        runs.append((s, t, count))
+    return runs
+
+
 def slot_profile(instance: IntervalInstance) -> SlotProfile:
     """Count active jobs per slot and the resulting machine-count floor."""
     loads = [0] * instance.horizon
-    for job in instance.jobs:
-        for s in job.slots:
-            loads[s] += 1
+    for s, t, count in _runs(job.interval for job in instance.jobs):
+        loads[s:t] = [count] * (t - s)
     g = instance.capacity
     min_machines = tuple(-(-load // g) for load in loads)
     return SlotProfile(tuple(loads), min_machines)
@@ -151,107 +178,124 @@ def mintpt_lower_bound(instance: IntervalInstance) -> int:
 
     No schedule, migratory or not, can power on fewer machine-slots.
     """
-    return sum(slot_profile(instance).min_machines)
+    g = instance.capacity
+    return sum(-(-count // g) * (t - s) for s, t, count in _runs(j.interval for j in instance.jobs))
 
 
 def placement_violations(
     instance: IntervalInstance,
-    placements: Iterable[tuple[int, int, int]],
+    stints: Iterable[tuple[int, int, int, int]],
 ) -> list[str]:
-    """Check raw (job_id, machine_id, slot) triples against an instance.
+    """Check raw (job_id, machine_id, start, end) stints against an instance.
 
-    Verifies that every job is placed exactly once in each of its active
-    slots and nowhere else, machine ids are non-negative, and no machine
-    hosts more than g jobs in any slot. Returns violations (empty when valid).
+    A stint places a job on one machine in slots [start, end). Verifies that
+    job ids are known, machine ids are non-negative ints, start < end are
+    ints, each job's stints cover its interval exactly (no gap, no slot twice,
+    nothing outside), and no machine hosts more than g jobs in any slot.
+    Returns violations (empty when valid).
     """
     problems: list[str] = []
     by_id = instance.jobs_by_id()
-    seen: dict[int, dict[int, int]] = {jid: {} for jid in by_id}
-    per_machine_slot: dict[tuple[int, int], int] = {}
-    for job_id, machine_id, slot in placements:
-        if job_id not in by_id:
-            problems.append(f"placement references unknown job {job_id}")
+    covered: dict[int, list[tuple[int, int]]] = {jid: [] for jid in by_id}
+    per_machine: dict[int, list[tuple[int, int]]] = {}
+    for job_id, machine_id, start, end in stints:
+        if not isinstance(job_id, int) or job_id not in by_id:
+            problems.append(f"stint references unknown job {job_id!r}")
             continue
         if not isinstance(machine_id, int) or machine_id < 0:
             problems.append(f"job {job_id}: machine id {machine_id!r} invalid")
             continue
-        job = by_id[job_id]
-        if not job.start_slot <= slot < job.end_slot:
-            problems.append(
-                f"job {job_id}: placed in slot {slot} outside its interval "
-                f"[{job.start_slot}, {job.end_slot})"
-            )
-        elif slot in seen[job_id]:
-            problems.append(f"job {job_id}: placed twice in slot {slot}")
-        else:
-            seen[job_id][slot] = machine_id
-        key = (machine_id, slot)
-        per_machine_slot[key] = per_machine_slot.get(key, 0) + 1
+        if not isinstance(start, int) or not isinstance(end, int) or start >= end:
+            problems.append(f"job {job_id}: stint [{start!r}, {end!r}) is not a slot range")
+            continue
+        covered[job_id].append((start, end))
+        per_machine.setdefault(machine_id, []).append((start, end))
     for job in instance.jobs:
-        missing = [s for s in job.slots if s not in seen[job.id]]
-        if missing:
-            problems.append(f"job {job.id}: no placement for slots {missing}")
-    for (machine_id, slot), count in sorted(per_machine_slot.items()):
-        if count > instance.capacity:
-            problems.append(
-                f"machine {machine_id}, slot {slot}: {count} jobs exceed capacity "
-                f"{instance.capacity}"
-            )
+        cursor = job.start_slot
+        for start, end in sorted(covered[job.id]):
+            if start < job.start_slot or end > job.end_slot:
+                problems.append(
+                    f"job {job.id}: stint [{start}, {end}) outside its interval "
+                    f"[{job.start_slot}, {job.end_slot})"
+                )
+                start, end = max(start, job.start_slot), min(end, job.end_slot)
+                if start >= end:
+                    continue
+            if start > cursor:
+                problems.append(f"job {job.id}: no placement for slots [{cursor}, {start})")
+            elif start < cursor:
+                twice = f"[{start}, {min(end, cursor)})"
+                problems.append(f"job {job.id}: placed twice in slots {twice}")
+            cursor = max(cursor, end)
+        if cursor < job.end_slot:
+            problems.append(f"job {job.id}: no placement for slots [{cursor}, {job.end_slot})")
+    for machine_id, intervals in sorted(per_machine.items()):
+        for start, end, count in _runs(intervals):
+            if count > instance.capacity:
+                problems.append(
+                    f"machine {machine_id}, slots [{start}, {end}): {count} jobs exceed "
+                    f"capacity {instance.capacity}"
+                )
     return problems
 
 
 @dataclass(frozen=True)
 class IntervalSchedule:
-    """Slot-granular machine assignment for every job.
+    """Run-length machine assignment: (job_id, machine_id, start, end) stints.
 
-    Placements are canonicalized to (job_id, slot) order at construction and
-    validated: one placement per active slot per job, capacity respected in
-    every (machine, slot). A migration is a slot boundary where a job's
-    machine differs from the previous slot's.
+    A stint places a job on one machine in slots [start, end), end exclusive.
+    Stints are validated at construction (each job's interval covered
+    exactly, capacity respected in every slot of every machine) and then
+    kept in canonical (job_id, start) order. A migration is a boundary inside
+    a job where its machine changes.
     """
 
     instance: IntervalInstance
-    placements: tuple[tuple[int, int, int], ...]
+    stints: tuple[tuple[int, int, int, int], ...]
 
     def __post_init__(self) -> None:
-        canonical = tuple(sorted(self.placements, key=lambda p: (p[0], p[2])))
-        object.__setattr__(self, "placements", canonical)
-        problems = placement_violations(self.instance, canonical)
+        stints = tuple(self.stints)
+        # Checked before sorting: a malformed id may not compare with the others.
+        problems = placement_violations(self.instance, stints)
         if problems:
             raise InvariantError("; ".join(problems))
+        object.__setattr__(self, "stints", tuple(sorted(stints, key=lambda p: (p[0], p[2]))))
 
     @property
     def machines_used(self) -> int:
-        return len({machine for _, machine, _ in self.placements})
+        return len({machine for _, machine, _, _ in self.stints})
 
     @property
     def migrations(self) -> int:
-        count = 0
-        previous: tuple[int, int, int] | None = None
-        for job_id, machine_id, slot in self.placements:
-            if previous is not None and previous[0] == job_id:
-                if previous[2] == slot - 1 and previous[1] != machine_id:
-                    count += 1
-            previous = (job_id, machine_id, slot)
-        return count
+        # Canonical order puts a job's stints side by side, each ending where the next starts.
+        return sum(a[0] == b[0] and a[1] != b[1] for a, b in zip(self.stints, self.stints[1:]))
 
     def machine_assignment(self) -> dict[int, dict[int, int]]:
         """Per job: slot -> machine mapping."""
         out: dict[int, dict[int, int]] = {}
-        for job_id, machine_id, slot in self.placements:
-            out.setdefault(job_id, {})[slot] = machine_id
+        for job_id, machine_id, start, end in self.stints:
+            out.setdefault(job_id, {}).update(dict.fromkeys(range(start, end), machine_id))
+        return out
+
+    def _machine_intervals(self) -> dict[int, list[tuple[int, int]]]:
+        out: dict[int, list[tuple[int, int]]] = {}
+        for _, machine_id, start, end in self.stints:
+            out.setdefault(machine_id, []).append((start, end))
         return out
 
     def machines_per_slot(self) -> tuple[int, ...]:
         """Distinct machines powered on in each slot of the horizon."""
-        active: dict[int, set[int]] = {}
-        for _, machine_id, slot in self.placements:
-            active.setdefault(slot, set()).add(machine_id)
-        return tuple(len(active.get(s, ())) for s in range(self.instance.horizon))
+        change = [0] * (self.instance.horizon + 1)
+        for intervals in self._machine_intervals().values():
+            for start, end, jobs in _runs(intervals):
+                if jobs:
+                    change[start] += 1
+                    change[end] -= 1
+        return tuple(itertools.accumulate(change[:-1]))
 
     def total_power_on_time(self) -> int:
         """Total busy machine-slots: slots where a machine hosts >= 1 job."""
-        return len({(machine, slot) for _, machine, slot in self.placements})
+        return sum(interval_span(intervals) for intervals in self._machine_intervals().values())
 
 
 def _allocation_order(instance: IntervalInstance) -> list[IntervalJob]:
@@ -265,24 +309,33 @@ def estf_schedule(instance: IntervalInstance) -> IntervalSchedule:
     Each job, in non-decreasing start order, goes wholly to the lowest-indexed
     machine with spare capacity in all of its slots; a new machine is opened
     when none fits. Every job keeps one machine for its whole interval.
+
+    Jobs arrive in start order, so a machine's busiest slot within a new job's
+    interval is the job's first: the machine fits the job exactly when fewer
+    than g of its jobs end after that start. Each machine keeps a min-heap of
+    its jobs' end slots to count them.
     """
     g = instance.capacity
-    occupancy: dict[tuple[int, int], int] = {}
-    placements: list[tuple[int, int, int]] = []
+    ends: list[list[int]] = []  # per machine: min-heap of its jobs' end slots
+    stints: list[tuple[int, int, int, int]] = []
     for job in _allocation_order(instance):
-        machine = 0
-        while any(occupancy.get((machine, s), 0) >= g for s in job.slots):
-            machine += 1
-        for s in job.slots:
-            occupancy[(machine, s)] = occupancy.get((machine, s), 0) + 1
-            placements.append((job.id, machine, s))
-    return IntervalSchedule(instance, tuple(placements))
+        for machine, heap in enumerate(ends):
+            while heap and heap[0] <= job.start_slot:
+                heapq.heappop(heap)
+            if len(heap) < g:
+                break
+        else:
+            machine, heap = len(ends), []
+            ends.append(heap)
+        heapq.heappush(heap, job.end_slot)
+        stints.append((job.id, machine, job.start_slot, job.end_slot))
+    return IntervalSchedule(instance, tuple(stints))
 
 
 def lbm_schedule(instance: IntervalInstance) -> IntervalSchedule:
     """Reach the power-on floor by migrating jobs at slot boundaries.
 
-    Slot sweep: in slot i only machines 0..l_i-1 may host, where l_i is the
+    Sweep: in slot i only machines 0..l_i-1 may host, where l_i is the
     per-slot machine floor. A job keeps its previous machine whenever that
     machine is still allowed (capacity then always suffices); newly started
     jobs go to the lowest-indexed machine with spare capacity; jobs stranded
@@ -290,47 +343,42 @@ def lbm_schedule(instance: IntervalInstance) -> IntervalSchedule:
     the highest-indexed machine first, to the lowest-indexed machine with
     spare capacity. Per-slot machine usage is then exactly l_i everywhere, so
     the total power-on time equals the lower bound.
+
+    Inside a run of slots where no job starts or ends, the active set and the
+    floor do not change, so every job keeps its machine: the step above runs
+    once per run, and each placement becomes a stint that lasts until its job
+    ends or is stranded.
     """
     g = instance.capacity
-    profile = slot_profile(instance)
     order = _allocation_order(instance)
     rank = {job.id: k for k, job in enumerate(order)}
-    starts: dict[int, list[IntervalJob]] = {}
+    starts: dict[int, list[int]] = {}
+    ends: dict[int, list[int]] = {}
     for job in order:
-        starts.setdefault(job.start_slot, []).append(job)
+        starts.setdefault(job.start_slot, []).append(job.id)
+        ends.setdefault(job.end_slot, []).append(job.id)
 
-    placements: list[tuple[int, int, int]] = []
-    active: list[IntervalJob] = []  # allocation order; carried across slots
-    previous: dict[int, int] = {}  # job id -> machine in the previous slot
-    for slot in range(instance.horizon):
-        allowed = profile.min_machines[slot]
-        # carried jobs all started earlier, so appending the newly started
-        # ones keeps allocation order
-        active = [job for job in active if job.end_slot > slot]
-        active.extend(starts.get(slot, ()))
-        counts = [0] * allowed
-        current: dict[int, int] = {}
-
-        fresh: list[IntervalJob] = []
-        stranded: list[IntervalJob] = []
-        for job in active:
-            prev = previous.get(job.id)
-            if prev is not None and prev < allowed:
-                current[job.id] = prev
-                counts[prev] += 1
-            elif prev is None:
-                fresh.append(job)
-            else:
-                stranded.append(job)
-
-        stranded.sort(key=lambda j: (-previous[j.id], -rank[j.id]))
-        for job in fresh + stranded:
-            machine = next(k for k in range(allowed) if counts[k] < g)
-            current[job.id] = machine
-            counts[machine] += 1
-
-        for job_id, machine in current.items():
-            placements.append((job_id, machine, slot))
-        previous = current
-
-    return IntervalSchedule(instance, tuple(placements))
+    stints: list[tuple[int, int, int, int]] = []
+    hosted: list[set[int]] = []  # per allowed machine: the job ids on it
+    placed: dict[int, tuple[int, int]] = {}  # job id -> (machine, stint start)
+    for slot, _, count in _runs(job.interval for job in order):
+        for job_id in ends.get(slot, ()):
+            machine, since = placed.pop(job_id)
+            hosted[machine].discard(job_id)
+            stints.append((job_id, machine, since, slot))
+        allowed = -(-count // g)
+        stranded: list[int] = []
+        while len(hosted) > allowed:
+            machine = len(hosted) - 1
+            for job_id in sorted(hosted.pop(), key=rank.__getitem__, reverse=True):
+                stints.append((job_id, machine, placed[job_id][1], slot))
+                stranded.append(job_id)
+        hosted.extend(set() for _ in range(allowed - len(hosted)))
+        for job_id in starts.get(slot, []) + stranded:
+            machine = next(k for k in range(allowed) if len(hosted[k]) < g)
+            hosted[machine].add(job_id)
+            placed[job_id] = (machine, slot)
+    # Every job still placed ends at the last event, the horizon.
+    for job_id, (machine, since) in placed.items():
+        stints.append((job_id, machine, since, instance.horizon))
+    return IntervalSchedule(instance, tuple(stints))

@@ -5,6 +5,7 @@ import copy
 import csv
 import io
 import json
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -181,7 +182,8 @@ class TestVerify:
         dump = tmp_path / "lbm.json"
         run(capsys, "solve", intervals, "--algorithm", "lbm", "--dump", str(dump))
         payload = json.loads(dump.read_text())
-        payload["placements"][0]["slot"] = 9
+        stint = payload["stints"][0]
+        stint["start"], stint["end"] = stint["start"] + 9, stint["end"] + 9
         dump.write_text(json.dumps(payload, indent=2) + "\n")
         code, out, _ = run(capsys, "verify", intervals, str(dump))
         assert code == 1
@@ -206,6 +208,25 @@ class TestVerify:
         code, _, err = run(capsys, "verify", graham10, str(dump))
         assert code == 2
         assert "does not match" in err
+
+    @pytest.mark.parametrize("version", [1, None, "2", 3])
+    def test_other_dump_versions_are_input_errors(self, capsys, intervals, tmp_path, version):
+        dump = tmp_path / "lbm.json"
+        run(capsys, "solve", intervals, "--algorithm", "lbm", "--dump", str(dump))
+        payload = json.loads(dump.read_text())
+        assert payload["version"] == 2
+        payload["version"] = version
+        if version == 1:  # the v1 layout: one record per active slot
+            payload["placements"] = [
+                {"job": s["job"], "machine": s["machine"], "slot": slot}
+                for s in payload.pop("stints")
+                for slot in range(s["start"], s["end"])
+            ]
+        dump.write_text(json.dumps(payload, indent=2) + "\n")
+        code, out, err = run(capsys, "verify", intervals, str(dump))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: dump version ")
 
     def test_not_a_dump(self, capsys, graham10, tmp_path):
         bogus = tmp_path / "x.json"
@@ -254,7 +275,7 @@ class TestVerifyMalformedDumps:
     def test_replaced_values_never_raise(self, valid_dumps, data):
         tmp, dumps = valid_dumps
         instance, dump = copy.deepcopy(dumps[data.draw(st.sampled_from(sorted(dumps)))])
-        records_key = "segments" if "segments" in dump else "placements"
+        records_key = "segments" if "segments" in dump else "stints"
         for _ in range(data.draw(st.integers(1, 3))):
             records = dump.get(records_key)
             target = data.draw(st.sampled_from(["field", "record", "records", "top"]))
@@ -286,7 +307,15 @@ class TestVerifyMalformedDumps:
         [
             ("pam", ("segments", 0, "amount"), "1/0"),
             ("pam", ("segments",), 5),
-            ("lbm", ("placements",), None),
+            ("lbm", ("stints",), None),
+            ("lbm", ("stints", 0, "machine"), 0.9),
+            ("lbm", ("stints", 0, "start"), " 0 "),
+            ("lbm", ("stints", 0, "end"), 3.0),
+            ("lbm", ("stints", 0, "job"), True),
+            ("estf", ("stints", 1, "machine"), "0"),
+            ("pam", ("segments", 0, "machine"), 0.9),
+            ("pam", ("segments", 0, "job"), " 0 "),
+            ("pam", ("segments", 1, "job"), True),
         ],
     )
     def test_known_malformed_values_fail(self, capsys, valid_dumps, algorithm, keys, value):
@@ -300,7 +329,10 @@ class TestVerifyMalformedDumps:
         path.write_text(json.dumps(dump))
         code, out, _ = run(capsys, "verify", instance, str(path))
         assert code == 1
-        assert "FAIL: " in out
+        if len(keys) == 3:  # one field of one record: only JSON integers pass
+            assert f"FAIL: {keys[0][:-1]} {keys[1]} malformed" in out
+        else:
+            assert f"FAIL: {keys[0]} malformed" in out
 
     @pytest.mark.parametrize("amount", ["1e10000000", "19.0", 19.5])
     def test_amount_outside_the_time_grammar_is_malformed(
@@ -376,6 +408,29 @@ def test_file_and_number_errors_are_input_errors(capsys, tmp_path, fixtures_dir,
     code, _, err = run(capsys, *FILE_AND_NUMBER_ERRORS[case](tmp_path, fixtures_dir))
     assert code == 2
     assert err.startswith("error: "), err
+
+
+@pytest.mark.parametrize("algorithm", ["estf", "lbm"])
+def test_solve_does_not_scale_with_the_horizon(capsys, tmp_path, algorithm):
+    # One job a million slots long: a schedule of stints holds one record,
+    # where one record per slot would take tens of megabytes.
+    instance = _put(tmp_path / "long.inst", "mintpt 1\ncapacity 1\njob 0 0 1000000 1\n")
+    dump = tmp_path / "d.json"
+    tracemalloc.start()
+    try:
+        argv = ["solve", instance, "--algorithm", algorithm, "--oracle-limit", "0"]
+        code = main(argv + ["--dump", str(dump)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    (row,) = parse_csv(capsys.readouterr().out)
+    assert (row["optimum"], row["objective"], row["ratio"]) == ("1000000", "1000000", "1")
+    assert (row["migrations"], row["oracle"]) == ("0", "")
+    assert json.loads(dump.read_text())["stints"] == [
+        {"job": 0, "machine": 0, "start": 0, "end": 1000000}
+    ]
+    assert peak < 5 * 2**20
 
 
 class TestBench:

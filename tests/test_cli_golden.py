@@ -121,10 +121,10 @@ CASES: dict[str, list] = {
     "fail-verify-pam-unbalanced": _tamper("graham_m10.inst", "lpt", ["algorithm"], "pam"),
     "fail-verify-wrap-bound": _tamper("graham_m10.inst", "lpt", ["algorithm"], "wraparound"),
     "fail-verify-placement-moved": _tamper(
-        "intervals_g3.inst", "lbm", ["placements", 0, "slot"], 9
+        "intervals_g3.inst", "lbm", ["stints", 0, "start"], 9
     ),
     "fail-verify-placement-malformed": _tamper(
-        "intervals_g3.inst", "lbm", ["placements", 0], {"job": 0}
+        "intervals_g3.inst", "lbm", ["stints", 0], {"job": 0}
     ),
     "fail-verify-machines-used": _tamper("intervals_g3.inst", "estf", ["machines_used"], 7),
     "fail-verify-estf-migrations": _tamper("intervals_g3.inst", "lbm", ["algorithm"], "estf"),

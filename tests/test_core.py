@@ -141,6 +141,13 @@ class TestMigrationSchedule:
         with pytest.raises(InvariantError, match="unknown job"):
             MigrationSchedule(inst, (JobSegment(0, 0, 5), JobSegment(9, 0, 1)))
 
+    @pytest.mark.parametrize("job_id", [[0], 0.0, "0", None])
+    def test_job_id_not_an_int_rejected(self, job_id):
+        # Even an id that cannot be hashed is a violation, not a TypeError.
+        inst = make_instance([5], 1)
+        with pytest.raises(InvariantError, match="unknown job"):
+            MigrationSchedule(inst, (JobSegment(job_id, 0, 5),))
+
     def test_machine_out_of_range_rejected(self):
         inst = make_instance([5], 1)
         with pytest.raises(InvariantError, match="out of range"):

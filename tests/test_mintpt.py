@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from migsched import (
@@ -37,6 +37,102 @@ def four_job_instance():
 def overlaps(intervals):
     ordered = sorted(intervals)
     return any(b_start < a_end for (_, a_end), (b_start, _) in zip(ordered, ordered[1:]))
+
+
+def reference_estf(instance):
+    """Per-slot estf: (job, machine, slot) placements, one per active slot."""
+    g = instance.capacity
+    occupancy = {}
+    placements = []
+    for job in sorted(instance.jobs, key=lambda j: (j.start_slot, j.id)):
+        machine = 0
+        while any(occupancy.get((machine, s), 0) >= g for s in job.slots):
+            machine += 1
+        for s in job.slots:
+            occupancy[(machine, s)] = occupancy.get((machine, s), 0) + 1
+            placements.append((job.id, machine, s))
+    return placements
+
+
+def reference_lbm(instance):
+    """Per-slot lbm: the keep / fresh / stranded step in every slot."""
+    g = instance.capacity
+    order = sorted(instance.jobs, key=lambda j: (j.start_slot, j.id))
+    rank = {job.id: k for k, job in enumerate(order)}
+    placements = []
+    previous = {}
+    for slot in range(instance.horizon):
+        active = [job for job in order if job.start_slot <= slot < job.end_slot]
+        allowed = -(-len(active) // g)
+        counts = [0] * allowed
+        current = {}
+        fresh, stranded = [], []
+        for job in active:
+            prev = previous.get(job.id)
+            if prev is not None and prev < allowed:
+                current[job.id] = prev
+                counts[prev] += 1
+            elif prev is None:
+                fresh.append(job)
+            else:
+                stranded.append(job)
+        stranded.sort(key=lambda j: (-previous[j.id], -rank[j.id]))
+        for job in fresh + stranded:
+            machine = next(k for k in range(allowed) if counts[k] < g)
+            current[job.id] = machine
+            counts[machine] += 1
+        placements.extend((job_id, machine, slot) for job_id, machine in current.items())
+        previous = current
+    return placements
+
+
+def reference_queries(placements):
+    """(machine assignment, migrations, power-on time) of per-slot placements."""
+    assignment = {}
+    for job_id, machine, slot in placements:
+        assignment.setdefault(job_id, {})[slot] = machine
+    migrations = sum(
+        slots[s] != slots[s - 1] for slots in assignment.values() for s in slots if s - 1 in slots
+    )
+    power_on = len({(machine, slot) for _, machine, slot in placements})
+    return assignment, migrations, power_on
+
+
+@st.composite
+def interval_instances(draw):
+    horizon = draw(st.integers(1, 30))
+    jobs = []
+    for i in range(draw(st.integers(0, 25))):
+        start = draw(st.integers(0, horizon - 1))
+        jobs.append(IntervalJob(i, start, draw(st.integers(start + 1, horizon))))
+    ids = draw(st.permutations(range(len(jobs))))
+    jobs = [IntervalJob(k, j.start_slot, j.end_slot) for k, j in zip(ids, jobs)]
+    return IntervalInstance(tuple(jobs), draw(st.integers(1, 5)))
+
+
+class TestStintsMatchPerSlotReference:
+    @settings(max_examples=300, deadline=None)
+    @given(interval_instances())
+    def test_estf_and_lbm_match_the_per_slot_sweeps(self, inst):
+        for solver, reference in ((estf_schedule, reference_estf), (lbm_schedule, reference_lbm)):
+            sched = solver(inst)
+            got = (sched.machine_assignment(), sched.migrations, sched.total_power_on_time())
+            assert got == reference_queries(reference(inst))
+
+    @settings(max_examples=100, deadline=None)
+    @given(interval_instances())
+    def test_lower_bound_and_machines_per_slot_match_slot_counts(self, inst):
+        loads = [0] * inst.horizon
+        for job in inst.jobs:
+            for s in job.slots:
+                loads[s] += 1
+        assert slot_profile(inst).loads == tuple(loads)
+        assert mintpt_lower_bound(inst) == sum(-(-load // inst.capacity) for load in loads)
+        placements = reference_lbm(inst)
+        per_slot = [set() for _ in range(inst.horizon)]
+        for _, machine, slot in placements:
+            per_slot[slot].add(machine)
+        assert lbm_schedule(inst).machines_per_slot() == tuple(len(m) for m in per_slot)
 
 
 class TestIntervalAlgebra:
@@ -178,24 +274,53 @@ class TestLbm:
 
 class TestIntervalScheduleValidation:
     def test_missing_slot_rejected(self):
-        inst = IntervalInstance((IntervalJob(0, 0, 2),), 1)
-        with pytest.raises(InvariantError, match="no placement"):
-            IntervalSchedule(inst, ((0, 0, 0),))
+        inst = IntervalInstance((IntervalJob(0, 0, 3),), 1)
+        with pytest.raises(InvariantError, match=r"no placement for slots \[1, 2\)"):
+            IntervalSchedule(inst, ((0, 0, 0, 1), (0, 0, 2, 3)))
 
     def test_capacity_violation_rejected(self):
-        inst = IntervalInstance((IntervalJob(0, 0, 1), IntervalJob(1, 0, 1)), 1)
-        with pytest.raises(InvariantError, match="capacity"):
-            IntervalSchedule(inst, ((0, 0, 0), (1, 0, 0)))
+        inst = IntervalInstance((IntervalJob(0, 0, 2), IntervalJob(1, 1, 3)), 1)
+        with pytest.raises(InvariantError, match=r"slots \[1, 2\): 2 jobs exceed capacity"):
+            IntervalSchedule(inst, ((0, 0, 0, 2), (1, 0, 1, 3)))
 
     def test_placement_outside_interval_rejected(self):
         inst = IntervalInstance((IntervalJob(0, 0, 1),), 1)
         with pytest.raises(InvariantError, match="outside"):
-            IntervalSchedule(inst, ((0, 0, 0), (0, 0, 1)))
+            IntervalSchedule(inst, ((0, 0, 0, 2),))
 
     def test_duplicate_placement_rejected(self):
         inst = IntervalInstance((IntervalJob(0, 0, 2),), 2)
-        with pytest.raises(InvariantError, match="twice"):
-            IntervalSchedule(inst, ((0, 0, 0), (0, 1, 0), (0, 0, 1)))
+        with pytest.raises(InvariantError, match=r"twice in slots \[0, 1\)"):
+            IntervalSchedule(inst, ((0, 0, 0, 1), (0, 1, 0, 2)))
+
+    def test_unknown_job_rejected(self):
+        inst = IntervalInstance((IntervalJob(0, 0, 1),), 1)
+        with pytest.raises(InvariantError, match="unknown job 7"):
+            IntervalSchedule(inst, ((0, 0, 0, 1), (7, 0, 0, 1)))
+
+    @pytest.mark.parametrize(
+        "stint", [([0], 0, 0, 2), (0.0, 0, 0, 2), (0, -1, 0, 2), (0, 0, 1, 1), (0, 0, 0, 2.0)]
+    )
+    def test_malformed_stint_is_a_violation(self, stint):
+        # A job id that is not an int (even one that cannot be hashed), a
+        # negative machine, an empty or non-int slot range.
+        inst = IntervalInstance((IntervalJob(0, 0, 2), IntervalJob(1, 0, 2)), 2)
+        with pytest.raises(InvariantError):
+            IntervalSchedule(inst, ((1, 0, 0, 2), stint))
+
+    def test_stints_kept_in_canonical_order(self):
+        inst = IntervalInstance((IntervalJob(0, 0, 2), IntervalJob(1, 0, 3)), 2)
+        sched = IntervalSchedule(inst, ((1, 1, 1, 3), (0, 0, 0, 2), (1, 0, 0, 1)))
+        assert sched.stints == ((0, 0, 0, 2), (1, 0, 0, 1), (1, 1, 1, 3))
+        assert sched.migrations == 1
+        assert sched.machines_per_slot() == (1, 2, 1)
+        assert sched.total_power_on_time() == 4
+
+    def test_split_stint_on_one_machine_is_no_migration(self):
+        inst = IntervalInstance((IntervalJob(0, 0, 4),), 1)
+        sched = IntervalSchedule(inst, ((0, 0, 2, 4), (0, 0, 0, 2)))
+        assert sched.migrations == 0
+        assert sched.total_power_on_time() == 4
 
     def test_job_invariants(self):
         with pytest.raises(InvariantError):

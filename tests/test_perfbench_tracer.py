@@ -43,8 +43,11 @@ def test_tracer_counts_every_layer(tmp_path, fixtures_dir, capsys):
         "instances.parse",
         "core.validate",
         "core.schedule",
+        "mintpt.lbm",
+        "mintpt.lower_bound",
         "mintpt.validate",
         "mintpt.schedule",
+        "mintpt.schedule_query",
         "report.render",
     ):
         assert tracer.counts[name + "_calls"] > 0, name
