@@ -2,9 +2,10 @@
 
 These are the ground truth that the approximation and optimality claims are
 measured against. Both searches are deterministic, refuse inputs above their
-configured limits, and are written independently of the production solvers:
-their internal greedy upper bounds are self-contained so a bug in a solver
-cannot leak into the oracle that checks it.
+configured limits, and are written independently of the production solvers,
+so a bug in a solver cannot leak into the oracle that checks it:
+exact_minms seeds its bound with its own greedy, and exact_mintpt has no
+separate seed, since its first leaf is already first fit by start time.
 """
 
 from __future__ import annotations
@@ -104,61 +105,48 @@ def exact_mintpt(instance: IntervalInstance, limits: OracleLimits = MINTPT_LIMIT
     """Minimum total power-on time over all non-migratory assignments.
 
     Enumerates job-to-machine assignments (each job keeps one machine for its
-    whole interval) with machine-index symmetry breaking: a job may only open
-    the next unused machine. Capacity g is enforced per slot; cost counts
-    each machine's busy slots. Branches at or above the best known total are
-    cut. At most n machines are ever needed.
+    whole interval), jobs in start order, with machine-index symmetry
+    breaking: a job may only open the next unused machine. The jobs' start
+    and end slots cut time into at most 2n-1 pieces; each machine keeps a job
+    count per piece, capacity g holds per piece, and a job costs the widths
+    of its pieces where its machine is idle. Branches at or above the best
+    total are cut; the first leaf reached is first fit by start time.
     """
     n = len(instance.jobs)
     if n > limits.max_jobs:
         raise InstanceTooLargeError(f"{n} jobs exceed the oracle limit of {limits.max_jobs}")
-    if n == 0:
-        return 0
 
     g = instance.capacity
     jobs = sorted(instance.jobs, key=lambda j: (j.start_slot, j.id))
-    masks = [sum(1 << s for s in job.slots) for job in jobs]
-
-    # Self-contained first-fit by start time seeds the upper bound.
-    occupancy: list[list[int]] = []
-    horizon = instance.horizon
-    fit_busy: list[int] = []
-    for job, mask in zip(jobs, masks):
-        k = 0
-        while k < len(occupancy) and any(occupancy[k][s] >= g for s in job.slots):
-            k += 1
-        if k == len(occupancy):
-            occupancy.append([0] * horizon)
-            fit_busy.append(0)
-        for s in job.slots:
-            occupancy[k][s] += 1
-        fit_busy[k] |= mask
-    best = sum(busy.bit_count() for busy in fit_busy)
-
-    busy = [0] * n
-    counts = [[0] * horizon for _ in range(n)]
+    cuts = sorted({slot for job in jobs for slot in job.interval})
+    widths = [t - s for s, t in zip(cuts, cuts[1:])]
+    piece = {slot: p for p, slot in enumerate(cuts)}
+    spans = [range(piece[job.start_slot], piece[job.end_slot]) for job in jobs]
+    counts = [[0] * len(widths) for _ in range(n)]
+    # No seed: the first leaf is always reached (at once when n is 0) and replaces it.
+    best = math.inf
 
     def place(k: int, used: int, cost: int) -> None:
         nonlocal best
         if k == n:
-            best = min(best, cost)
+            best = cost  # a leaf is reached only below the best so far
             return
-        mask = masks[k]
-        slots = jobs[k].slots
-        for i in range(min(used + 1, n)):
-            if any(counts[i][s] >= g for s in slots):
-                continue
-            added = (mask & ~busy[i]).bit_count()
-            if cost + added >= best:
-                continue
-            busy[i] |= mask
-            for s in slots:
-                counts[i][s] += 1
-            place(k + 1, max(used, i + 1), cost + added)
-            for s in slots:
-                counts[i][s] -= 1
-                if counts[i][s] == 0:
-                    busy[i] &= ~(1 << s)
+        span = spans[k]
+        for i in range(used + 1):
+            count = counts[i]
+            total = cost
+            for p in span:
+                if count[p] >= g:
+                    break
+                if not count[p]:
+                    total += widths[p]
+            else:  # machine i has room in every piece of the job
+                if total < best:
+                    for p in span:
+                        count[p] += 1
+                    place(k + 1, max(used, i + 1), total)
+                    for p in span:
+                        count[p] -= 1
 
     place(0, 0, 0)
     return best

@@ -176,7 +176,7 @@ class TestVerify:
         run(capsys, "solve", intervals, "--algorithm", "lbm", "--dump", str(dump))
         code, out, _ = run(capsys, "verify", intervals, str(dump))
         assert code == 0
-        assert "per-slot machines = [1, 2, 1]" in out
+        assert "ok: power-on time 4 = floor 4" in out
 
     def test_moved_placement_fails(self, capsys, intervals, tmp_path):
         dump = tmp_path / "lbm.json"
@@ -227,6 +227,25 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("error: dump version ")
+
+    @pytest.mark.parametrize(
+        "algorithm", [None, "pam", "bogus", "exact", 3, ["lbm"], "missing"]
+    )
+    def test_algorithm_without_a_certificate_is_an_input_error(
+        self, capsys, intervals, tmp_path, algorithm
+    ):
+        dump = tmp_path / "lbm.json"
+        run(capsys, "solve", intervals, "--algorithm", "lbm", "--dump", str(dump))
+        payload = json.loads(dump.read_text())
+        if algorithm == "missing":
+            del payload["algorithm"]
+        else:
+            payload["algorithm"] = algorithm
+        dump.write_text(json.dumps(payload, indent=2) + "\n")
+        code, out, err = run(capsys, "verify", intervals, str(dump))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: dump algorithm ")
 
     def test_not_a_dump(self, capsys, graham10, tmp_path):
         bogus = tmp_path / "x.json"
@@ -412,25 +431,30 @@ def test_file_and_number_errors_are_input_errors(capsys, tmp_path, fixtures_dir,
 
 @pytest.mark.parametrize("algorithm", ["estf", "lbm"])
 def test_solve_does_not_scale_with_the_horizon(capsys, tmp_path, algorithm):
-    # One job a million slots long: a schedule of stints holds one record,
-    # where one record per slot would take tens of megabytes.
-    instance = _put(tmp_path / "long.inst", "mintpt 1\ncapacity 1\njob 0 0 1000000 1\n")
-    dump = tmp_path / "d.json"
-    tracemalloc.start()
-    try:
-        argv = ["solve", instance, "--algorithm", algorithm, "--oracle-limit", "0"]
-        code = main(argv + ["--dump", str(dump)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 0
-    (row,) = parse_csv(capsys.readouterr().out)
-    assert (row["optimum"], row["objective"], row["ratio"]) == ("1000000", "1000000", "1")
-    assert (row["migrations"], row["oracle"]) == ("0", "")
-    assert json.loads(dump.read_text())["stints"] == [
-        {"job": 0, "machine": 0, "start": 0, "end": 1000000}
-    ]
-    assert peak < 5 * 2**20
+    # One job a million or ten billion slots long: a schedule of stints holds
+    # one record, the oracle one piece, and verify compares totals, where one
+    # entry per slot would take megabytes or terabytes.
+    for end, oracle_limit in ((1000000, ["--oracle-limit", "0"]), (10000000000, [])):
+        instance = _put(tmp_path / "long.inst", f"mintpt 1\ncapacity 1\njob 0 0 {end} 1\n")
+        dump = tmp_path / "d.json"
+        tracemalloc.start()
+        try:
+            argv = ["solve", instance, "--algorithm", algorithm, *oracle_limit]
+            solved = main(argv + ["--dump", str(dump)])
+            report = capsys.readouterr().out
+            verified = main(["verify", instance, str(dump)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (solved, verified) == (0, 0)
+        assert capsys.readouterr().out.endswith("verification passed\n")
+        (row,) = parse_csv(report)
+        assert (row["optimum"], row["objective"], row["ratio"]) == (str(end), str(end), "1")
+        assert (row["migrations"], row["oracle"]) == ("0", str(end) if not oracle_limit else "")
+        assert json.loads(dump.read_text())["stints"] == [
+            {"job": 0, "machine": 0, "start": 0, "end": end}
+        ]
+        assert peak < 5 * 2**20
 
 
 class TestBench:

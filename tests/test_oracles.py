@@ -140,6 +140,12 @@ class TestExactMinTpt:
                 rng.randint(1, 5), rng.randint(1, 8), rng.randint(1, 3), seed=seed
             )
             assert exact_mintpt(inst) == naive_mintpt(inst)
+            # Every slot times 7: pieces wider than one slot, 7 times the cost.
+            wide = IntervalInstance(
+                tuple(IntervalJob(j.id, 7 * j.start_slot, 7 * j.end_slot) for j in inst.jobs),
+                inst.capacity,
+            )
+            assert exact_mintpt(wide) == 7 * naive_mintpt(inst)
 
     def test_too_many_jobs_refused(self):
         inst = gen_random_mintpt(9, 10, 2, seed=0)

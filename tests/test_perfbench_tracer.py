@@ -26,6 +26,9 @@ def test_tracer_counts_every_layer(tmp_path, fixtures_dir, capsys):
     spans = _load_spans()
     modules = {layer: importlib.import_module(f"migsched.{layer}") for layer in spans.LAYERS}
     cli = modules["cli"]
+    # An untraced command first, as perfbench's passes run: the parser it
+    # builds must still dispatch to the commands the tracer wraps.
+    assert cli.main(["gen", "--family", "graham", "--out", str(tmp_path / "g.inst")]) == 0
     tracer = spans.Tracer()
     tracer.install(modules)
     try:
@@ -40,6 +43,9 @@ def test_tracer_counts_every_layer(tmp_path, fixtures_dir, capsys):
     capsys.readouterr()
 
     for name in (
+        "cli.main",
+        "cli.solve",
+        "cli.verify",
         "instances.parse",
         "core.validate",
         "core.schedule",
