@@ -3,13 +3,21 @@ segment-level schedules for load balancing across identical machines.
 
 All continuous quantities (process times, loads, makespans) are exact
 rationals, never floats, so "load equals the balanced optimum" can be
-asserted as a true equality with no tolerance.
+asserted as a true equality with no tolerance. The API speaks `Fraction`;
+the arithmetic runs on Python ints. Each instance has one cached `TickView`:
+one tick is 1/(lcm of the process-time denominators x machine count), so
+every process time and the balanced load W/m are whole numbers of ticks.
+Schedule checks and loads add amounts as ticks, and only an amount off that
+grid (a dump's 1/7 where the instance's times are halves) is added as a
+`Fraction`, per job or per machine.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -19,6 +27,7 @@ __all__ = [
     "as_time",
     "Job",
     "MinMsInstance",
+    "TickView",
     "JobSegment",
     "MigrationSchedule",
     "segment_violations",
@@ -75,6 +84,40 @@ class Job:
             raise InvariantError(f"job {self.id}: process time must be positive")
 
 
+class TickView:
+    """An instance's process times as whole numbers of ticks.
+
+    `unit` is the number of ticks per time unit: the lcm of the process-time
+    denominators times the machine count, so that the total `total` is a
+    multiple of the machine count and W/m is `total // machine_count` ticks.
+    `sizes` maps each job id to its process time in ticks, in instance order.
+    """
+
+    __slots__ = ("unit", "sizes", "total")
+
+    def __init__(self, jobs: tuple[Job, ...], machine_count: int) -> None:
+        unit = math.lcm(*(job.process_time.denominator for job in jobs)) * machine_count
+        self.unit = unit
+        self.sizes = {
+            job.id: job.process_time.numerator * (unit // job.process_time.denominator)
+            for job in jobs
+        }
+        self.total = sum(self.sizes.values())
+
+    def of(self, amount: int | Fraction) -> int | None:
+        """`amount` in ticks, or None when it is not a whole number of ticks."""
+        if isinstance(amount, int):
+            return amount * self.unit
+        den = amount.denominator
+        if self.unit % den:
+            return None
+        return amount.numerator * (self.unit // den)
+
+    def time(self, ticks: int) -> TimeValue:
+        """A tick count as a time value."""
+        return Fraction(ticks, self.unit)
+
+
 @dataclass(frozen=True)
 class MinMsInstance:
     """Sized jobs to be placed on a fixed number of identical machines.
@@ -99,9 +142,14 @@ class MinMsInstance:
                 raise InvariantError(f"duplicate job id {job.id}")
             seen.add(job.id)
 
+    @cached_property
+    def ticks(self) -> TickView:
+        """The integer view of the process times, computed on first use."""
+        return TickView(self.jobs, self.machine_count)
+
     def total_load(self) -> TimeValue:
         """Exact sum of all process times."""
-        return sum((j.process_time for j in self.jobs), Fraction(0))
+        return self.ticks.time(self.ticks.total)
 
     def jobs_by_id(self) -> dict[int, Job]:
         return {j.id: j for j in self.jobs}
@@ -128,10 +176,11 @@ def segment_violations(
     the process time).
     """
     problems: list[str] = []
-    by_id = instance.jobs_by_id()
-    totals: dict[int, Fraction] = {jid: Fraction(0) for jid in by_id}
+    view = instance.ticks
+    totals = dict.fromkeys(view.sizes, 0)  # per job, its amounts on the tick grid
+    off_grid: dict[int, Fraction] = {}  # per job, the sum of its other amounts
     for job_id, machine_id, amount in segments:
-        if not isinstance(job_id, int) or job_id not in by_id:
+        if not isinstance(job_id, int) or job_id not in totals:
             problems.append(f"segment references unknown job {job_id!r}")
             continue
         if not isinstance(machine_id, int) or not 0 <= machine_id < instance.machine_count:
@@ -141,13 +190,22 @@ def segment_violations(
         if not isinstance(amount, (int, Fraction)):
             problems.append(f"job {job_id}: segment amount {amount!r} is not an int or Fraction")
             continue
-        if amount <= 0:
+        ticks = view.of(amount)
+        if ticks is None:
+            off_grid[job_id] = off_grid.get(job_id, 0) + amount
+            positive = amount > 0
+        else:
+            totals[job_id] += ticks
+            positive = ticks > 0
+        if not positive:
             problems.append(f"job {job_id}: non-positive segment amount {amount}")
-        totals[job_id] += amount
     for job in instance.jobs:
-        if totals[job.id] != job.process_time:
+        if job.id not in off_grid and totals[job.id] == view.sizes[job.id]:
+            continue
+        total = view.time(totals[job.id]) + off_grid.get(job.id, 0)
+        if total != job.process_time:
             problems.append(
-                f"conservation: job {job.id} segments sum to {totals[job.id]}, "
+                f"conservation: job {job.id} segments sum to {total}, "
                 f"process time is {job.process_time}"
             )
     return problems
@@ -183,13 +241,37 @@ class MigrationSchedule:
         """Count of segments beyond one per job."""
         return len(self.segments) - len(self.instance.jobs)
 
+    def _loads(self) -> tuple[dict[int, int], dict[int, Fraction]]:
+        """Per loaded machine: its amounts on the tick grid, summed in ticks,
+        and the sum of its other amounts."""
+        view = self.instance.ticks
+        ticks: dict[int, int] = {}
+        off_grid: dict[int, Fraction] = {}
+        for _, machine, amount in self.segments:
+            t = view.of(amount)
+            if t is None:
+                off_grid[machine] = off_grid.get(machine, 0) + amount
+            else:
+                ticks[machine] = ticks.get(machine, 0) + t
+        return ticks, off_grid
+
     def machine_loads(self) -> tuple[TimeValue, ...]:
         """Exact load per machine, indexed 0..machine_count-1."""
+        ticks, off_grid = self._loads()
+        time = self.instance.ticks.time
         loads = [Fraction(0)] * self.instance.machine_count
-        for seg in self.segments:
-            loads[seg.machine_id] += seg.amount
+        for machine, t in ticks.items():
+            loads[machine] = time(t)
+        for machine, amount in off_grid.items():
+            loads[machine] += amount
         return tuple(loads)
 
     def makespan(self) -> TimeValue:
-        """Maximum machine load."""
-        return max(self.machine_loads())
+        """Maximum machine load, taken over the machines that hold a segment."""
+        ticks, off_grid = self._loads()
+        time = self.instance.ticks.time
+        if not off_grid:
+            return time(max(ticks.values()))
+        return max(
+            time(ticks.get(i, 0)) + off_grid.get(i, 0) for i in ticks.keys() | off_grid.keys()
+        )

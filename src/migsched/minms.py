@@ -13,6 +13,12 @@ Four routes, from classical to exact:
     never run on two machines at once; laying jobs end-to-end and wrapping at
     max(longest job, ideal load) yields a preemptive timetable that respects
     both.
+
+All of them, and timeline, compute on the instance's integer ticks
+(core.TickView) and make a Fraction only for what they return; a segment
+that holds a whole job carries the job's own process time. Apart from pam,
+whose output has a segment per machine, their cost does not grow with the
+machine count beyond the job count.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import JobSegment, MigrationSchedule, MinMsInstance, TimeValue
+from .core import Job, JobSegment, MigrationSchedule, MinMsInstance, TimeValue
 
 __all__ = [
     "PamTrace",
@@ -36,20 +42,25 @@ __all__ = [
 
 def opt_balance(instance: MinMsInstance) -> TimeValue:
     """Ideal balanced load: total process time spread evenly over machines."""
-    return instance.total_load() / instance.machine_count
+    ticks = instance.ticks
+    return ticks.time(ticks.total // instance.machine_count)
 
 
-def _lpt_greedy(instance: MinMsInstance) -> list[tuple[int, int, TimeValue]]:
-    """The greedy of lpt_schedule: (job_id, machine, amount) in allocation order."""
-    order = sorted(instance.jobs, key=lambda j: (-j.process_time, j.id))
-    heap: list[tuple[Fraction, int]] = [
-        (Fraction(0), i) for i in range(instance.machine_count)
-    ]
+def _lpt_greedy(instance: MinMsInstance) -> list[tuple[Job, int, int]]:
+    """The greedy of lpt_schedule: (job, machine, size in ticks) in allocation order.
+
+    The heap holds min(n, m) machines: an idle machine beats every loaded
+    one and ties go to the lowest index, so machines n.. never take a job.
+    """
+    sizes = instance.ticks.sizes
+    order = sorted(instance.jobs, key=lambda j: (-sizes[j.id], j.id))
+    heap = [(0, i) for i in range(min(len(order), instance.machine_count))]
     placed = []
     for job in order:
-        load, i = heapq.heappop(heap)
-        placed.append((job.id, i, job.process_time))
-        heapq.heappush(heap, (load + job.process_time, i))
+        load, i = heap[0]
+        size = sizes[job.id]
+        placed.append((job, i, size))
+        heapq.heapreplace(heap, (load + size, i))
     return placed
 
 
@@ -61,7 +72,7 @@ def lpt_schedule(instance: MinMsInstance) -> MigrationSchedule:
     equal process times are ordered by job id. No job is split, so the result
     has zero migrations.
     """
-    segments = tuple(JobSegment(*p) for p in _lpt_greedy(instance))
+    segments = tuple(JobSegment(job.id, i, job.process_time) for job, i, _ in _lpt_greedy(instance))
     return MigrationSchedule(instance, segments)
 
 
@@ -82,6 +93,13 @@ class PamTrace:
     schedule: MigrationSchedule
 
 
+def _piece(instance: MinMsInstance, job: Job, ticks: int) -> TimeValue:
+    """The amount of `ticks` of `job`: its own process time when it is whole."""
+    if ticks == instance.ticks.sizes[job.id]:
+        return job.process_time
+    return instance.ticks.time(ticks)
+
+
 def pam_schedule(instance: MinMsInstance) -> PamTrace:
     """Balance every machine to exactly the ideal load by splitting jobs.
 
@@ -90,29 +108,26 @@ def pam_schedule(instance: MinMsInstance) -> PamTrace:
     repeatedly moves min(current excess, current deficit) from the most
     loaded machine to the least loaded one, splitting the most recently
     allocated jobs on the source machine first. Always feasible: load is
-    treated as divisible.
+    treated as divisible. Its cost grows with the machine count, since every
+    machine ends with at least one segment.
     """
-    opt = opt_balance(instance)
+    ticks = instance.ticks
     m = instance.machine_count
+    opt = ticks.total // m
 
-    # Per-machine [job_id, amount] entries in allocation order; the transfer
+    # Per-machine [job, ticks] entries in allocation order; the transfer
     # carves from the tail (most recently allocated first).
     stacks: list[list[list]] = [[] for _ in range(m)]
-    for job_id, machine, amount in _lpt_greedy(instance):
-        stacks[machine].append([job_id, amount])
-    lpt_loads = tuple(sum((amount for _, amount in stack), Fraction(0)) for stack in stacks)
-    received: list[list[tuple[int, Fraction]]] = [[] for _ in range(m)]
+    loads = [0] * m
+    for job, machine, size in _lpt_greedy(instance):
+        stacks[machine].append([job, size])
+        loads[machine] += size
+    received: list[list[tuple[Job, int]]] = [[] for _ in range(m)]
 
-    over = sorted(
-        ((i, load) for i, load in enumerate(lpt_loads) if load > opt),
-        key=lambda t: (-t[1], t[0]),
-    )
-    under = sorted(
-        ((i, load) for i, load in enumerate(lpt_loads) if load < opt),
-        key=lambda t: (t[1], t[0]),
-    )
-    excess = [(i, load - opt) for i, load in over]
-    deficit = [(i, opt - load) for i, load in under]
+    over = sorted((i for i in range(m) if loads[i] > opt), key=lambda i: (-loads[i], i))
+    under = sorted((i for i in range(m) if loads[i] < opt), key=lambda i: (loads[i], i))
+    excess = [(i, loads[i] - opt) for i in over]
+    deficit = [(i, opt - loads[i]) for i in under]
 
     ex_rem = [amount for _, amount in excess]
     de_rem = [amount for _, amount in deficit]
@@ -123,13 +138,13 @@ def pam_schedule(instance: MinMsInstance) -> PamTrace:
         move = min(ex_rem[ei], de_rem[di])
         remaining = move
         while remaining > 0:
-            job_id, amount = stacks[src][-1]
+            job, amount = stacks[src][-1]
             take = amount if amount <= remaining else remaining
             if take == amount:
                 stacks[src].pop()
             else:
                 stacks[src][-1][1] = amount - take
-            received[dst].append((job_id, take))
+            received[dst].append((job, take))
             remaining -= take
         ex_rem[ei] -= move
         de_rem[di] -= move
@@ -140,40 +155,43 @@ def pam_schedule(instance: MinMsInstance) -> PamTrace:
 
     segments = []
     for i in range(m):
-        for job_id, amount in stacks[i]:
-            segments.append(JobSegment(job_id, i, amount))
-        for job_id, amount in received[i]:
-            segments.append(JobSegment(job_id, i, amount))
+        for job, amount in stacks[i]:
+            segments.append(JobSegment(job.id, i, _piece(instance, job, amount)))
+        for job, amount in received[i]:
+            segments.append(JobSegment(job.id, i, _piece(instance, job, amount)))
     schedule = MigrationSchedule(instance, tuple(segments))
-    return PamTrace(lpt_loads, tuple(excess), tuple(deficit), schedule)
+    time = ticks.time
+    return PamTrace(
+        tuple(time(load) for load in loads),
+        tuple((i, time(amount)) for i, amount in excess),
+        tuple((i, time(amount)) for i, amount in deficit),
+        schedule,
+    )
 
 
 def wraparound_schedule(instance: MinMsInstance) -> tuple[MigrationSchedule, TimeValue]:
     """Preemptive timetable with makespan exactly max(longest job, ideal load).
 
     Jobs are laid end-to-end in instance order on machine 0's timeline and
-    cut at the bound, resuming on the next machine at time 0. Because no job
-    exceeds the bound, the two pieces of a wrapped job never overlap in time.
-    Returns (schedule, makespan bound).
+    cut at the bound, resuming on the next machine at time 0 (McNaughton's
+    wrap rule). Because no job exceeds the bound, the two pieces of a wrapped
+    job never overlap in time. Returns (schedule, makespan bound).
     """
-    bound = max(
-        max(j.process_time for j in instance.jobs),
-        opt_balance(instance),
-    )
+    ticks = instance.ticks
+    bound = max(max(ticks.sizes.values()), ticks.total // instance.machine_count)
     segments = []
-    machine = 0
-    clock = Fraction(0)
+    machine = clock = 0
     for job in instance.jobs:
-        remaining = job.process_time
+        remaining = ticks.sizes[job.id]
         while remaining > 0:
             take = min(remaining, bound - clock)
-            segments.append(JobSegment(job.id, machine, take))
+            segments.append(JobSegment(job.id, machine, _piece(instance, job, take)))
             clock += take
             remaining -= take
             if clock == bound:
                 machine += 1
-                clock = Fraction(0)
-    return MigrationSchedule(instance, tuple(segments)), bound
+                clock = 0
+    return MigrationSchedule(instance, tuple(segments)), ticks.time(bound)
 
 
 def lpt_ratio(instance: MinMsInstance) -> TimeValue:
@@ -188,11 +206,20 @@ def timeline(schedule: MigrationSchedule) -> list[tuple[int, int, TimeValue, Tim
     Returns (job_id, machine_id, start, end) per segment. Only meaningful
     for schedules built with that convention (wraparound_schedule).
     """
-    clocks: dict[int, Fraction] = {}
+    ticks = schedule.instance.ticks
+    # Per machine: its clock in ticks (None once an amount off the tick grid
+    # has run there) and as a time value.
+    clocks: dict[int, tuple[int | None, Fraction]] = {}
+    idle = (0, Fraction(0))
     out = []
-    for seg in schedule.segments:
-        start = clocks.get(seg.machine_id, Fraction(0))
-        end = start + seg.amount
-        out.append((seg.job_id, seg.machine_id, start, end))
-        clocks[seg.machine_id] = end
+    for job_id, machine, amount in schedule.segments:
+        clock, start = clocks.get(machine, idle)
+        step = ticks.of(amount)
+        if clock is None or step is None:
+            clock, end = None, start + amount
+        else:
+            clock += step
+            end = ticks.time(clock)
+        out.append((job_id, machine, start, end))
+        clocks[machine] = (clock, end)
     return out

@@ -6,6 +6,8 @@ configured limits, and are written independently of the production solvers,
 so a bug in a solver cannot leak into the oracle that checks it:
 exact_minms seeds its bound with its own greedy, and exact_mintpt has no
 separate seed, since its first leaf is already first fit by start time.
+exact_minms searches the instance's integer tick sizes (core.TickView), the
+same view the solvers read; it has no scaling of its own.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import MinMsInstance, TimeValue
 from .mintpt import IntervalInstance
@@ -53,8 +54,8 @@ def exact_minms(instance: MinMsInstance, limits: OracleLimits = MINMS_LIMITS) ->
 
     Jobs are placed in non-increasing size order; identical intermediate
     loads are explored once (machine symmetry), and branches that already
-    match the best known makespan are cut. Process times are scaled to
-    integers by the common denominator, so all comparisons stay exact.
+    match the best known makespan are cut. The search runs on the
+    instance's integer tick sizes, so all comparisons stay exact.
     """
     n = len(instance.jobs)
     m = instance.machine_count
@@ -65,11 +66,7 @@ def exact_minms(instance: MinMsInstance, limits: OracleLimits = MINMS_LIMITS) ->
             f"{m} machines exceed the oracle limit of {limits.max_machines}"
         )
 
-    scale = math.lcm(*(j.process_time.denominator for j in instance.jobs))
-    sizes = sorted(
-        (j.process_time.numerator * (scale // j.process_time.denominator) for j in instance.jobs),
-        reverse=True,
-    )
+    sizes = sorted(instance.ticks.sizes.values(), reverse=True)
 
     # Self-contained greedy (largest job to least-loaded machine) seeds the
     # upper bound with an achievable makespan.
@@ -98,7 +95,7 @@ def exact_minms(instance: MinMsInstance, limits: OracleLimits = MINMS_LIMITS) ->
             loads[i] = load
 
     place(0)
-    return Fraction(best, scale)
+    return instance.ticks.time(best)
 
 
 def exact_mintpt(instance: IntervalInstance, limits: OracleLimits = MINTPT_LIMITS) -> int:

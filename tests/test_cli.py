@@ -189,6 +189,27 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
 
+    def test_amounts_off_the_tick_grid_pass(self, capsys, graham10, tmp_path):
+        # The instance's times are whole, so a tick is 1/10 here; sevenths are
+        # off that grid and are added as fractions, per job.
+        dump = tmp_path / "pam.json"
+        run(capsys, "solve", graham10, "--algorithm", "pam", "--dump", str(dump))
+        payload = json.loads(dump.read_text())
+        segments = payload["segments"]
+        jobs = [s["job"] for s in segments]
+        k = next(k for k, job in enumerate(jobs) if jobs.count(job) == 1)
+        whole = Fraction(segments[k]["amount"])
+        segments[k : k + 1] = [
+            dict(segments[k], amount=str(whole / 7)),
+            dict(segments[k], amount=str(whole * 6 / 7)),
+        ]
+        payload["migrations"] += 1
+        dump.write_text(json.dumps(payload, indent=2) + "\n")
+        code, out, _ = run(capsys, "verify", graham10, str(dump))
+        assert code == 0, out
+        assert "ok: all loads = 30" in out
+        assert "(21 jobs, 31 segments)" in out
+
     def test_wraparound_dump_passes(self, capsys, graham10, tmp_path):
         dump = tmp_path / "wrap.json"
         run(capsys, "solve", graham10, "--algorithm", "wraparound", "--dump", str(dump))
@@ -455,6 +476,29 @@ def test_solve_does_not_scale_with_the_horizon(capsys, tmp_path, algorithm):
             {"job": 0, "machine": 0, "start": 0, "end": end}
         ]
         assert peak < 5 * 2**20
+
+
+@pytest.mark.parametrize("algorithm", ["lpt", "wraparound"])
+def test_solve_does_not_scale_with_the_machine_count(capsys, tmp_path, algorithm):
+    # Two jobs on 10^12 machines: the greedy heap holds min(n, m) machines,
+    # the makespan is taken over loaded machines, and the oracle column is
+    # refused by its machine gate, so nothing is allocated per machine.
+    instance = _put(tmp_path / "wide.inst", "minms 1\nmachines 1000000000000\njob 0 5\njob 1 7/2\n")
+    dump = tmp_path / "d.json"
+    tracemalloc.start()
+    try:
+        solved = main(["solve", instance, "--algorithm", algorithm, "--dump", str(dump)])
+        report = capsys.readouterr().out
+        verified = main(["verify", instance, str(dump)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (solved, verified) == (0, 0)
+    assert capsys.readouterr().out.endswith("verification passed\n")
+    (row,) = parse_csv(report)
+    assert (row["optimum"], row["objective"], row["oracle"]) == ("17/2000000000000", "5", "")
+    assert [s["amount"] for s in json.loads(dump.read_text())["segments"]] == ["5", "7/2"]
+    assert peak < 5 * 2**20
 
 
 class TestBench:

@@ -1,5 +1,6 @@
 """Core data model: exact arithmetic, instances, segments, load metrics."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -181,3 +182,23 @@ class TestMigrationSchedule:
                 segments.append(JobSegment(job.id, rng.randrange(m), job.process_time / parts))
         sched = MigrationSchedule(inst, tuple(segments))
         assert sched.makespan() >= inst.total_load() / m
+        loads = [Fraction(0)] * m
+        for _, machine, amount in segments:
+            loads[machine] += amount
+        assert sched.machine_loads() == tuple(loads)
+        assert sched.makespan() == max(loads)
+
+        # Moving one amount by an epsilon whose denominator divides no tick
+        # unit of this instance breaks conservation for that job alone.
+        unit = math.lcm(*(j.process_time.denominator for j in inst.jobs)) * m
+        epsilon = Fraction(1, unit + 1)
+        k = rng.randrange(len(segments))
+        job_id, machine, amount = segments[k]
+        segments[k] = JobSegment(job_id, machine, amount + epsilon)
+        process_time = inst.jobs[job_id].process_time
+        with pytest.raises(InvariantError) as excinfo:
+            MigrationSchedule(inst, tuple(segments))
+        assert str(excinfo.value) == (
+            f"conservation: job {job_id} segments sum to {process_time + epsilon}, "
+            f"process time is {process_time}"
+        )

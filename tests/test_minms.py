@@ -1,5 +1,6 @@
 """Makespan solvers: greedy, exact balancing via splits, wrap-around."""
 
+import heapq
 import random
 from fractions import Fraction
 
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from migsched import (
     Job,
+    JobSegment,
+    MigrationSchedule,
     MinMsInstance,
     gen_graham_worst_case,
     lpt_ratio,
@@ -27,6 +30,103 @@ rational_sizes = st.lists(
 
 def make_instance(sizes, m):
     return MinMsInstance(tuple(Job(i, p) for i, p in enumerate(sizes)), m)
+
+
+# The solvers as they were on Fractions, kept to check the integer-tick ones.
+
+
+def reference_lpt(instance):
+    """Fraction lpt: (job_id, machine, amount) triples in allocation order."""
+    order = sorted(instance.jobs, key=lambda j: (-j.process_time, j.id))
+    heap = [(Fraction(0), i) for i in range(instance.machine_count)]
+    placed = []
+    for job in order:
+        load, i = heapq.heappop(heap)
+        placed.append(JobSegment(job.id, i, job.process_time))
+        heapq.heappush(heap, (load + job.process_time, i))
+    return placed
+
+
+def reference_pam(instance):
+    """Fraction pam: (lpt_loads, excess, deficit, segments)."""
+    m = instance.machine_count
+    opt = sum(j.process_time for j in instance.jobs) / Fraction(m)
+    stacks = [[] for _ in range(m)]
+    for job_id, machine, amount in reference_lpt(instance):
+        stacks[machine].append([job_id, amount])
+    lpt_loads = tuple(sum((a for _, a in stack), Fraction(0)) for stack in stacks)
+    received = [[] for _ in range(m)]
+    over = sorted(((i, x) for i, x in enumerate(lpt_loads) if x > opt), key=lambda t: (-t[1], t[0]))
+    under = sorted(((i, x) for i, x in enumerate(lpt_loads) if x < opt), key=lambda t: (t[1], t[0]))
+    excess = [(i, x - opt) for i, x in over]
+    deficit = [(i, opt - x) for i, x in under]
+    ex_rem = [a for _, a in excess]
+    de_rem = [a for _, a in deficit]
+    ei = di = 0
+    while ei < len(excess) and di < len(deficit):
+        src, dst = excess[ei][0], deficit[di][0]
+        move = min(ex_rem[ei], de_rem[di])
+        remaining = move
+        while remaining > 0:
+            job_id, amount = stacks[src][-1]
+            take = min(amount, remaining)
+            if take == amount:
+                stacks[src].pop()
+            else:
+                stacks[src][-1][1] = amount - take
+            received[dst].append((job_id, take))
+            remaining -= take
+        ex_rem[ei] -= move
+        de_rem[di] -= move
+        if ex_rem[ei] == 0:
+            ei += 1
+        if de_rem[di] == 0:
+            di += 1
+    segments = [
+        JobSegment(job_id, i, amount)
+        for i in range(m)
+        for job_id, amount in stacks[i] + received[i]
+    ]
+    return lpt_loads, tuple(excess), tuple(deficit), tuple(segments)
+
+
+def reference_wraparound(instance):
+    """Fraction wraparound: (segments, bound)."""
+    bound = max(
+        max(j.process_time for j in instance.jobs),
+        sum(j.process_time for j in instance.jobs) / Fraction(instance.machine_count),
+    )
+    segments = []
+    machine, clock = 0, Fraction(0)
+    for job in instance.jobs:
+        remaining = job.process_time
+        while remaining > 0:
+            take = min(remaining, bound - clock)
+            segments.append(JobSegment(job.id, machine, take))
+            clock += take
+            remaining -= take
+            if clock == bound:
+                machine, clock = machine + 1, Fraction(0)
+    return tuple(segments), bound
+
+
+def reference_timeline(segments):
+    """Fraction timeline: (job_id, machine_id, start, end) per segment."""
+    clocks = {}
+    out = []
+    for job_id, machine, amount in segments:
+        start = clocks.get(machine, Fraction(0))
+        out.append((job_id, machine, start, start + amount))
+        clocks[machine] = start + amount
+    return out
+
+
+# Coprime denominators, so the tick unit's lcm has several prime factors.
+coprime_sizes = st.lists(
+    st.builds(Fraction, st.integers(1, 60), st.sampled_from([1, 2, 3, 5, 7, 11, 13, 30])),
+    min_size=1,
+    max_size=16,
+)
 
 
 class TestOptBalance:
@@ -186,6 +286,50 @@ class TestLptRatio:
 
     def test_balanced_instance(self):
         assert lpt_ratio(make_instance([6, 6], 2)) == 1
+
+
+def all_fractions(values):
+    return all(type(v) is Fraction for v in values)
+
+
+class TestTicksMatchFractionReference:
+    @settings(max_examples=300, deadline=None)
+    @given(coprime_sizes | rational_sizes, st.integers(min_value=1, max_value=8))
+    def test_solvers_match_the_fraction_solvers(self, sizes, m):
+        inst = make_instance(sizes, m)
+        assert opt_balance(inst) == sum(sizes, Fraction(0)) / m
+
+        lpt = lpt_schedule(inst)
+        assert lpt.segments == tuple(reference_lpt(inst))
+        assert lpt.makespan() == max(reference_pam(inst)[0])
+
+        trace = pam_schedule(inst)
+        got = (trace.lpt_loads, trace.excess, trace.deficit, trace.schedule.segments)
+        assert got == reference_pam(inst)
+        assert all_fractions(trace.lpt_loads)
+        assert all_fractions(a for _, a in trace.excess + trace.deficit)
+
+        sched, bound = wraparound_schedule(inst)
+        ref_segments, ref_bound = reference_wraparound(inst)
+        assert (sched.segments, bound) == (ref_segments, ref_bound)
+        assert type(bound) is Fraction
+        assert timeline(sched) == reference_timeline(ref_segments)
+
+        for schedule in (lpt, trace.schedule, sched):
+            assert all_fractions(s.amount for s in schedule.segments)
+            assert all_fractions(schedule.machine_loads() + (schedule.makespan(),))
+
+    @settings(max_examples=100, deadline=None)
+    @given(coprime_sizes, st.integers(min_value=1, max_value=8), st.randoms(use_true_random=False))
+    def test_timeline_of_amounts_off_the_tick_grid(self, sizes, m, rng):
+        # A caller's job.process_time / 3 need not be a whole number of ticks.
+        inst = make_instance(sizes, m)
+        segments = []
+        for job in inst.jobs:
+            for _ in range(3):
+                segments.append(JobSegment(job.id, rng.randrange(m), job.process_time / 3))
+        sched = MigrationSchedule(inst, tuple(segments))
+        assert timeline(sched) == reference_timeline(segments)
 
 
 @settings(max_examples=60)
