@@ -22,7 +22,6 @@ from .core import (
     JobSegment,
     MigrationSchedule,
     MinMsInstance,
-    TimeValue,
     as_time,
 )
 from .instances import (
@@ -32,7 +31,6 @@ from .instances import (
     gen_random_mintpt,
     load_instance,
     parse_instance,
-    save_instance,
     serialize_instance,
 )
 from .minms import (
@@ -57,16 +55,14 @@ from .mintpt import (
     slot_profile,
 )
 from .oracles import (
-    MINMS_LIMITS,
-    MINTPT_LIMITS,
+    MINMS_MAX_JOBS,
+    MINTPT_MAX_JOBS,
     InstanceTooLargeError,
-    OracleLimits,
     exact_minms,
     exact_mintpt,
 )
 
 __all__ = [
-    "TimeValue",
     "InvariantError",
     "as_time",
     "Job",
@@ -90,10 +86,9 @@ __all__ = [
     "mintpt_lower_bound",
     "estf_schedule",
     "lbm_schedule",
-    "OracleLimits",
     "InstanceTooLargeError",
-    "MINMS_LIMITS",
-    "MINTPT_LIMITS",
+    "MINMS_MAX_JOBS",
+    "MINTPT_MAX_JOBS",
     "exact_minms",
     "exact_mintpt",
     "InstanceFormatError",
@@ -103,7 +98,6 @@ __all__ = [
     "parse_instance",
     "serialize_instance",
     "load_instance",
-    "save_instance",
 ]
 
 __version__ = "0.1.0"

@@ -36,10 +36,9 @@ from .instances import (
 )
 from .mintpt import IntervalInstance, IntervalSchedule, placement_violations
 from .oracles import (
-    MINMS_LIMITS,
-    MINTPT_LIMITS,
+    MINMS_MAX_JOBS,
+    MINTPT_MAX_JOBS,
     InstanceTooLargeError,
-    OracleLimits,
     exact_minms,
     exact_mintpt,
 )
@@ -106,34 +105,33 @@ def _kind(instance) -> str:
     return "minms" if isinstance(instance, MinMsInstance) else "mintpt"
 
 
-def _limits_for(args, instance) -> OracleLimits | None:
+def _max_jobs_for(args, instance) -> int | None:
+    """The oracle's job gate: --oracle-limit, the oracle's default, or None (0 disables)."""
     override = args.oracle_limit
     if override is None:
-        return MINMS_LIMITS if _kind(instance) == "minms" else MINTPT_LIMITS
-    if override == 0:
-        return None
+        return MINMS_MAX_JOBS if _kind(instance) == "minms" else MINTPT_MAX_JOBS
     if override < 0:
         raise CliError("--oracle-limit must be >= 0")
-    return OracleLimits(max_jobs=override, max_machines=override)
+    return override or None
 
 
-def _oracle(instance, limits: OracleLimits):
+def _oracle(instance, max_jobs: int):
     if _kind(instance) == "minms":
-        return exact_minms(instance, limits)
-    return exact_mintpt(instance, limits)
+        return exact_minms(instance, max_jobs)
+    return exact_mintpt(instance, max_jobs)
 
 
-def _oracle_column(instance, limits: OracleLimits | None):
-    """Oracle value when the instance is within limits, else None."""
-    if limits is None:
+def _oracle_column(instance, max_jobs: int | None):
+    """Oracle value when the instance is within the job gate, else None."""
+    if max_jobs is None:
         return None
     try:
-        return _oracle(instance, limits)
+        return _oracle(instance, max_jobs)
     except InstanceTooLargeError:
         return None
 
 
-def _solve_one(instance, name: str, algorithm: str, limits, oracle_value, timings: bool):
+def _solve_one(instance, name: str, algorithm: str, max_jobs, oracle_value, timings: bool):
     """Run one algorithm; returns (ReportRow, schedule or None).
 
     An exact row calls the oracle itself, and its value fills both the
@@ -150,11 +148,11 @@ def _solve_one(instance, name: str, algorithm: str, limits, oracle_value, timing
         param, optimum = instance.capacity, mintpt.mintpt_lower_bound(instance)
     if solver is not None:
         schedule, objective = solver(instance)
-    elif limits is None:
+    elif max_jobs is None:
         raise CliError("exact solve requested but the oracle is disabled")
     else:
         try:
-            schedule, objective = None, _oracle(instance, limits)
+            schedule, objective = None, _oracle(instance, max_jobs)
         except InstanceTooLargeError as exc:
             raise CliError(str(exc)) from exc
         oracle_value = objective
@@ -221,10 +219,10 @@ def _write(text: str, out: str | None) -> None:
 
 def cmd_solve(args) -> int:
     instance = _load(args.instance)
-    limits = _limits_for(args, instance)
-    oracle_value = None if args.algorithm == "exact" else _oracle_column(instance, limits)
+    max_jobs = _max_jobs_for(args, instance)
+    oracle_value = None if args.algorithm == "exact" else _oracle_column(instance, max_jobs)
     row, schedule = _solve_one(
-        instance, args.instance, args.algorithm, limits, oracle_value, args.timings
+        instance, args.instance, args.algorithm, max_jobs, oracle_value, args.timings
     )
     _write(_render([row], args.format, single=True), args.out)
     if args.dump:
@@ -275,10 +273,10 @@ def cmd_bench(args) -> int:
 
     rows = []
     for name, instance in instances:
-        limits = _limits_for(args, instance)
-        oracle_value = _oracle_column(instance, limits)
+        max_jobs = _max_jobs_for(args, instance)
+        oracle_value = _oracle_column(instance, max_jobs)
         for algorithm in algorithms:
-            row, _ = _solve_one(instance, name, algorithm, limits, oracle_value, args.timings)
+            row, _ = _solve_one(instance, name, algorithm, max_jobs, oracle_value, args.timings)
             rows.append(row)
     _write(_render(rows, args.format), args.out)
     return 0

@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 __all__ = [
-    "TimeValue",
     "InvariantError",
     "as_time",
     "Job",
@@ -33,13 +32,6 @@ __all__ = [
     "segment_violations",
 ]
 
-# Exact non-negative rational time quantity. Fraction keeps numerator and
-# denominator in canonical reduced form (gcd 1, positive denominator) after
-# every operation; addition, subtraction, multiplication, division, and
-# ordering are all exact.
-TimeValue = Fraction
-
-
 class InvariantError(ValueError):
     """A structural invariant of an instance or schedule is violated."""
 
@@ -47,8 +39,8 @@ class InvariantError(ValueError):
 _RATIONAL = re.compile(r"(\d+)(?:/(\d+))?")
 
 
-def as_time(value: int | str | Fraction) -> TimeValue:
-    """Coerce an int, exact string ("7" or "7/2"), or Fraction to a TimeValue.
+def as_time(value: int | str | Fraction) -> Fraction:
+    """Coerce an int, exact string ("7" or "7/2"), or Fraction to an exact time.
 
     The one time grammar, for instance files and schedule dumps: a string is
     "n" or "n/d" in digits with d != 0 (no sign, space, point or exponent, so
@@ -74,7 +66,7 @@ class Job:
     """A request with a positive processing time."""
 
     id: int
-    process_time: TimeValue
+    process_time: Fraction
 
     def __post_init__(self) -> None:
         if not isinstance(self.id, int) or self.id < 0:
@@ -113,7 +105,7 @@ class TickView:
             return None
         return amount.numerator * (self.unit // den)
 
-    def time(self, ticks: int) -> TimeValue:
+    def time(self, ticks: int) -> Fraction:
         """A tick count as a time value."""
         return Fraction(ticks, self.unit)
 
@@ -147,12 +139,9 @@ class MinMsInstance:
         """The integer view of the process times, computed on first use."""
         return TickView(self.jobs, self.machine_count)
 
-    def total_load(self) -> TimeValue:
+    def total_load(self) -> Fraction:
         """Exact sum of all process times."""
         return self.ticks.time(self.ticks.total)
-
-    def jobs_by_id(self) -> dict[int, Job]:
-        return {j.id: j for j in self.jobs}
 
 
 class JobSegment(NamedTuple):
@@ -160,7 +149,7 @@ class JobSegment(NamedTuple):
 
     job_id: int
     machine_id: int
-    amount: TimeValue
+    amount: Fraction
 
 
 def segment_violations(
@@ -255,7 +244,7 @@ class MigrationSchedule:
                 ticks[machine] = ticks.get(machine, 0) + t
         return ticks, off_grid
 
-    def machine_loads(self) -> tuple[TimeValue, ...]:
+    def machine_loads(self) -> tuple[Fraction, ...]:
         """Exact load per machine, indexed 0..machine_count-1."""
         ticks, off_grid = self._loads()
         time = self.instance.ticks.time
@@ -266,7 +255,7 @@ class MigrationSchedule:
             loads[machine] += amount
         return tuple(loads)
 
-    def makespan(self) -> TimeValue:
+    def makespan(self) -> Fraction:
         """Maximum machine load, taken over the machines that hold a segment."""
         ticks, off_grid = self._loads()
         time = self.instance.ticks.time

@@ -30,7 +30,6 @@ __all__ = [
     "parse_instance",
     "serialize_instance",
     "load_instance",
-    "save_instance",
 ]
 
 FORMAT_VERSION = 1
@@ -181,7 +180,3 @@ def serialize_instance(instance: MinMsInstance | IntervalInstance) -> str:
 
 def load_instance(path: str | Path) -> MinMsInstance | IntervalInstance:
     return parse_instance(Path(path).read_text(encoding="utf-8"))
-
-
-def save_instance(instance: MinMsInstance | IntervalInstance, path: str | Path) -> None:
-    Path(path).write_text(serialize_instance(instance), encoding="utf-8")

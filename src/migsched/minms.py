@@ -27,7 +27,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Job, JobSegment, MigrationSchedule, MinMsInstance, TimeValue
+from .core import Job, JobSegment, MigrationSchedule, MinMsInstance
 
 __all__ = [
     "PamTrace",
@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 
-def opt_balance(instance: MinMsInstance) -> TimeValue:
+def opt_balance(instance: MinMsInstance) -> Fraction:
     """Ideal balanced load: total process time spread evenly over machines."""
     ticks = instance.ticks
     return ticks.time(ticks.total // instance.machine_count)
@@ -87,13 +87,13 @@ class PamTrace:
     balanced optimum exactly.
     """
 
-    lpt_loads: tuple[TimeValue, ...]
-    excess: tuple[tuple[int, TimeValue], ...]
-    deficit: tuple[tuple[int, TimeValue], ...]
+    lpt_loads: tuple[Fraction, ...]
+    excess: tuple[tuple[int, Fraction], ...]
+    deficit: tuple[tuple[int, Fraction], ...]
     schedule: MigrationSchedule
 
 
-def _piece(instance: MinMsInstance, job: Job, ticks: int) -> TimeValue:
+def _piece(instance: MinMsInstance, job: Job, ticks: int) -> Fraction:
     """The amount of `ticks` of `job`: its own process time when it is whole."""
     if ticks == instance.ticks.sizes[job.id]:
         return job.process_time
@@ -169,7 +169,7 @@ def pam_schedule(instance: MinMsInstance) -> PamTrace:
     )
 
 
-def wraparound_schedule(instance: MinMsInstance) -> tuple[MigrationSchedule, TimeValue]:
+def wraparound_schedule(instance: MinMsInstance) -> tuple[MigrationSchedule, Fraction]:
     """Preemptive timetable with makespan exactly max(longest job, ideal load).
 
     Jobs are laid end-to-end in instance order on machine 0's timeline and
@@ -194,12 +194,12 @@ def wraparound_schedule(instance: MinMsInstance) -> tuple[MigrationSchedule, Tim
     return MigrationSchedule(instance, tuple(segments)), ticks.time(bound)
 
 
-def lpt_ratio(instance: MinMsInstance) -> TimeValue:
+def lpt_ratio(instance: MinMsInstance) -> Fraction:
     """Exact ratio of the greedy makespan to the balanced optimum."""
     return lpt_schedule(instance).makespan() / opt_balance(instance)
 
 
-def timeline(schedule: MigrationSchedule) -> list[tuple[int, int, TimeValue, TimeValue]]:
+def timeline(schedule: MigrationSchedule) -> list[tuple[int, int, Fraction, Fraction]]:
     """Read a schedule as a timetable: back-to-back execution from time 0.
 
     Segments run consecutively on each machine in segment tuple order.

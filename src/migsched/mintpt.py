@@ -17,7 +17,7 @@ A schedule is run-length: each (job, machine, start, end) stint places a job
 on one machine for the slots [start, end). The floor, both solvers and the
 schedule's checks and totals work from the sorted start and end events, so
 their cost does not grow with the horizon; only the per-slot views
-(slot_profile, machines_per_slot, machine_assignment) walk every slot.
+(slot_profile, machines_per_slot) walk every slot.
 """
 
 from __future__ import annotations
@@ -65,10 +65,6 @@ class IntervalJob:
             )
         if self.demand != 1:
             raise InvariantError(f"job {self.id}: only unit demand is supported")
-
-    @property
-    def slots(self) -> range:
-        return range(self.start_slot, self.end_slot)
 
     @property
     def interval(self) -> tuple[int, int]:
@@ -269,13 +265,6 @@ class IntervalSchedule:
     def migrations(self) -> int:
         # Canonical order puts a job's stints side by side, each ending where the next starts.
         return sum(a[0] == b[0] and a[1] != b[1] for a, b in zip(self.stints, self.stints[1:]))
-
-    def machine_assignment(self) -> dict[int, dict[int, int]]:
-        """Per job: slot -> machine mapping."""
-        out: dict[int, dict[int, int]] = {}
-        for job_id, machine_id, start, end in self.stints:
-            out.setdefault(job_id, {}).update(dict.fromkeys(range(start, end), machine_id))
-        return out
 
     def _machine_intervals(self) -> dict[int, list[tuple[int, int]]]:
         out: dict[int, list[tuple[int, int]]] = {}

@@ -1,70 +1,56 @@
 """Exhaustive exact solvers on small instances.
 
 These are the ground truth that the approximation and optimality claims are
-measured against. Both searches are deterministic, refuse inputs above their
-configured limits, and are written independently of the production solvers,
-so a bug in a solver cannot leak into the oracle that checks it:
-exact_minms seeds its bound with its own greedy, and exact_mintpt has no
-separate seed, since its first leaf is already first fit by start time.
-exact_minms searches the instance's integer tick sizes (core.TickView), the
-same view the solvers read; it has no scaling of its own.
+measured against. Both searches are deterministic, refuse instances with
+more jobs than their gate (`max_jobs`; their cost grows with the job count
+alone), and are written independently of the production solvers, so a bug
+in a solver cannot leak into the oracle that checks it: exact_minms seeds
+its bound with its own greedy, and exact_mintpt has no separate seed, since
+its first leaf is already first fit by start time. exact_minms searches the
+instance's integer tick sizes (core.TickView), the same view the solvers
+read; it has no scaling of its own.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from fractions import Fraction
 
-from .core import MinMsInstance, TimeValue
+from .core import MinMsInstance
 from .mintpt import IntervalInstance
 
 __all__ = [
-    "OracleLimits",
     "InstanceTooLargeError",
-    "MINMS_LIMITS",
-    "MINTPT_LIMITS",
+    "MINMS_MAX_JOBS",
+    "MINTPT_MAX_JOBS",
     "exact_minms",
     "exact_mintpt",
 ]
 
+# Default job gates.
+MINMS_MAX_JOBS = 10
+MINTPT_MAX_JOBS = 8
+
 
 class InstanceTooLargeError(ValueError):
-    """Exhaustive search refused: the instance exceeds the oracle limits."""
+    """Exhaustive search refused: the instance has more jobs than the gate."""
 
 
-@dataclass(frozen=True)
-class OracleLimits:
-    """Size gate for the exhaustive solvers."""
-
-    max_jobs: int
-    max_machines: int = 4
-
-    def __post_init__(self) -> None:
-        if self.max_jobs < 1 or self.max_machines < 1:
-            raise ValueError("oracle limits must be positive")
-
-
-MINMS_LIMITS = OracleLimits(max_jobs=10, max_machines=4)
-MINTPT_LIMITS = OracleLimits(max_jobs=8, max_machines=4)
-
-
-def exact_minms(instance: MinMsInstance, limits: OracleLimits = MINMS_LIMITS) -> TimeValue:
+def exact_minms(instance: MinMsInstance, max_jobs: int = MINMS_MAX_JOBS) -> Fraction:
     """Minimum makespan over all whole-job assignments, by branch and bound.
 
     Jobs are placed in non-increasing size order; identical intermediate
     loads are explored once (machine symmetry), and branches that already
-    match the best known makespan are cut. The search runs on the
+    match the best known makespan are cut. Only min(m, n) machines are
+    searched: n jobs load at most n identical machines, so the optimum is the
+    same and nothing grows with the machine count. The search runs on the
     instance's integer tick sizes, so all comparisons stay exact.
     """
     n = len(instance.jobs)
-    m = instance.machine_count
-    if n > limits.max_jobs:
-        raise InstanceTooLargeError(f"{n} jobs exceed the oracle limit of {limits.max_jobs}")
-    if m > limits.max_machines:
-        raise InstanceTooLargeError(
-            f"{m} machines exceed the oracle limit of {limits.max_machines}"
-        )
+    if n > max_jobs:
+        raise InstanceTooLargeError(f"{n} jobs exceed the oracle limit of {max_jobs}")
+    m = min(instance.machine_count, n)
 
     sizes = sorted(instance.ticks.sizes.values(), reverse=True)
 
@@ -98,7 +84,7 @@ def exact_minms(instance: MinMsInstance, limits: OracleLimits = MINMS_LIMITS) ->
     return instance.ticks.time(best)
 
 
-def exact_mintpt(instance: IntervalInstance, limits: OracleLimits = MINTPT_LIMITS) -> int:
+def exact_mintpt(instance: IntervalInstance, max_jobs: int = MINTPT_MAX_JOBS) -> int:
     """Minimum total power-on time over all non-migratory assignments.
 
     Enumerates job-to-machine assignments (each job keeps one machine for its
@@ -110,8 +96,8 @@ def exact_mintpt(instance: IntervalInstance, limits: OracleLimits = MINTPT_LIMIT
     total are cut; the first leaf reached is first fit by start time.
     """
     n = len(instance.jobs)
-    if n > limits.max_jobs:
-        raise InstanceTooLargeError(f"{n} jobs exceed the oracle limit of {limits.max_jobs}")
+    if n > max_jobs:
+        raise InstanceTooLargeError(f"{n} jobs exceed the oracle limit of {max_jobs}")
 
     g = instance.capacity
     jobs = sorted(instance.jobs, key=lambda j: (j.start_slot, j.id))

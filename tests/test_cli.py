@@ -478,26 +478,28 @@ def test_solve_does_not_scale_with_the_horizon(capsys, tmp_path, algorithm):
         assert peak < 5 * 2**20
 
 
-@pytest.mark.parametrize("algorithm", ["lpt", "wraparound"])
+@pytest.mark.parametrize("algorithm", ["lpt", "wraparound", "exact"])
 def test_solve_does_not_scale_with_the_machine_count(capsys, tmp_path, algorithm):
     # Two jobs on 10^12 machines: the greedy heap holds min(n, m) machines,
-    # the makespan is taken over loaded machines, and the oracle column is
-    # refused by its machine gate, so nothing is allocated per machine.
+    # the makespan is taken over loaded machines, and the oracle searches
+    # min(n, m) machines, so nothing is allocated per machine.
     instance = _put(tmp_path / "wide.inst", "minms 1\nmachines 1000000000000\njob 0 5\njob 1 7/2\n")
     dump = tmp_path / "d.json"
+    dump_argv = [] if algorithm == "exact" else ["--dump", str(dump)]
     tracemalloc.start()
     try:
-        solved = main(["solve", instance, "--algorithm", algorithm, "--dump", str(dump)])
+        solved = main(["solve", instance, "--algorithm", algorithm, *dump_argv])
         report = capsys.readouterr().out
-        verified = main(["verify", instance, str(dump)])
+        verified = main(["verify", instance, str(dump)]) if dump_argv else 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert (solved, verified) == (0, 0)
-    assert capsys.readouterr().out.endswith("verification passed\n")
     (row,) = parse_csv(report)
-    assert (row["optimum"], row["objective"], row["oracle"]) == ("17/2000000000000", "5", "")
-    assert [s["amount"] for s in json.loads(dump.read_text())["segments"]] == ["5", "7/2"]
+    assert (row["optimum"], row["objective"], row["oracle"]) == ("17/2000000000000", "5", "5")
+    if dump_argv:
+        assert capsys.readouterr().out.endswith("verification passed\n")
+        assert [s["amount"] for s in json.loads(dump.read_text())["segments"]] == ["5", "7/2"]
     assert peak < 5 * 2**20
 
 

@@ -39,6 +39,14 @@ def overlaps(intervals):
     return any(b_start < a_end for (_, a_end), (b_start, _) in zip(ordered, ordered[1:]))
 
 
+def machine_assignment(schedule):
+    """Per job: slot -> machine, expanded from the schedule's stints."""
+    out = {}
+    for job_id, machine_id, start, end in schedule.stints:
+        out.setdefault(job_id, {}).update(dict.fromkeys(range(start, end), machine_id))
+    return out
+
+
 def reference_estf(instance):
     """Per-slot estf: (job, machine, slot) placements, one per active slot."""
     g = instance.capacity
@@ -46,9 +54,9 @@ def reference_estf(instance):
     placements = []
     for job in sorted(instance.jobs, key=lambda j: (j.start_slot, j.id)):
         machine = 0
-        while any(occupancy.get((machine, s), 0) >= g for s in job.slots):
+        while any(occupancy.get((machine, s), 0) >= g for s in range(*job.interval)):
             machine += 1
-        for s in job.slots:
+        for s in range(*job.interval):
             occupancy[(machine, s)] = occupancy.get((machine, s), 0) + 1
             placements.append((job.id, machine, s))
     return placements
@@ -116,7 +124,7 @@ class TestStintsMatchPerSlotReference:
     def test_estf_and_lbm_match_the_per_slot_sweeps(self, inst):
         for solver, reference in ((estf_schedule, reference_estf), (lbm_schedule, reference_lbm)):
             sched = solver(inst)
-            got = (sched.machine_assignment(), sched.migrations, sched.total_power_on_time())
+            got = (machine_assignment(sched), sched.migrations, sched.total_power_on_time())
             assert got == reference_queries(reference(inst))
 
     @settings(max_examples=100, deadline=None)
@@ -124,7 +132,7 @@ class TestStintsMatchPerSlotReference:
     def test_lower_bound_and_machines_per_slot_match_slot_counts(self, inst):
         loads = [0] * inst.horizon
         for job in inst.jobs:
-            for s in job.slots:
+            for s in range(*job.interval):
                 loads[s] += 1
         assert slot_profile(inst).loads == tuple(loads)
         assert mintpt_lower_bound(inst) == sum(-(-load // inst.capacity) for load in loads)
@@ -206,7 +214,7 @@ class TestEstf:
 
     def test_four_job_instance_assignment(self):
         # earliest starts first: jobs 0, 1, 3 fill machine 0; job 2 opens machine 1
-        assignment = estf_schedule(four_job_instance()).machine_assignment()
+        assignment = machine_assignment(estf_schedule(four_job_instance()))
         assert set(assignment[0].values()) == {0}
         assert set(assignment[1].values()) == {0}
         assert set(assignment[3].values()) == {0}
@@ -226,7 +234,7 @@ class TestEstf:
         inst = gen_random_mintpt(25, 20, 2, seed=5)
         sched = estf_schedule(inst)
         assert sched.migrations == 0
-        for slots in sched.machine_assignment().values():
+        for slots in machine_assignment(sched).values():
             assert len(set(slots.values())) == 1
 
 
@@ -239,7 +247,7 @@ class TestLbm:
 
     def test_four_job_instance_migration_path(self):
         # the late starter runs on machine 1 in slot 1, then moves to machine 0
-        assignment = lbm_schedule(four_job_instance()).machine_assignment()
+        assignment = machine_assignment(lbm_schedule(four_job_instance()))
         assert assignment[2] == {1: 1, 2: 0}
 
     def test_non_overlapping_jobs_share_one_machine(self):

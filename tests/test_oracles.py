@@ -12,7 +12,6 @@ from migsched import (
     IntervalJob,
     Job,
     MinMsInstance,
-    OracleLimits,
     estf_schedule,
     exact_minms,
     exact_mintpt,
@@ -62,7 +61,7 @@ def naive_mintpt(instance):
         per_slot: dict[tuple[int, int], int] = {}
         feasible = True
         for job, machine in zip(jobs, assignment):
-            for s in job.slots:
+            for s in range(*job.interval):
                 key = (machine, s)
                 per_slot[key] = per_slot.get(key, 0) + 1
                 if per_slot[key] > g:
@@ -102,23 +101,29 @@ class TestExactMinMs:
             rng = random.Random(seed)
             inst = gen_random_minms(rng.randint(1, 7), rng.randint(1, 3), (1, 12), seed=seed)
             assert exact_minms(inst) == naive_minms(inst)
+        # More machines than jobs: only min(m, n) machines are searched.
+        for seed in range(40):
+            rng = random.Random(500 + seed)
+            n = rng.randint(1, 4)
+            inst = gen_random_minms(n, rng.randint(1, n + 3), (1, 12), seed=seed)
+            assert exact_minms(inst) == naive_minms(inst)
 
     def test_too_many_jobs_refused(self):
         inst = gen_random_minms(11, 2, (1, 5), seed=0)
         with pytest.raises(InstanceTooLargeError):
             exact_minms(inst)
 
-    def test_too_many_machines_refused(self):
-        inst = gen_random_minms(4, 5, (1, 5), seed=0)
-        with pytest.raises(InstanceTooLargeError):
-            exact_minms(inst)
+    def test_machine_count_is_not_gated(self):
+        # More machines than jobs: every job gets a machine of its own.
+        assert exact_minms(make_instance([5, Fraction(7, 2), 1], 10**12)) == 5
 
-    def test_limits_are_configurable(self):
+    def test_job_gate_is_an_int(self):
         many_jobs = gen_random_minms(11, 2, (1, 5), seed=0)
-        limits = OracleLimits(max_jobs=12, max_machines=6)
-        assert exact_minms(many_jobs, limits) == naive_minms(many_jobs)
-        many_machines = gen_random_minms(4, 5, (1, 5), seed=1)
-        assert exact_minms(many_machines, limits) == naive_minms(many_machines)
+        assert exact_minms(many_jobs, 11) == naive_minms(many_jobs)
+        with pytest.raises(InstanceTooLargeError, match="11 jobs exceed the oracle limit of 10"):
+            exact_minms(many_jobs, max_jobs=10)
+        with pytest.raises(InstanceTooLargeError):
+            exact_minms(make_instance([1], 2), max_jobs=0)
 
 
 class TestExactMinTpt:
@@ -155,9 +160,14 @@ class TestExactMinTpt:
     def test_empty_instance(self):
         assert exact_mintpt(IntervalInstance((), 1)) == 0
 
-    def test_limits_validation(self):
-        with pytest.raises(ValueError):
-            OracleLimits(max_jobs=0)
+    def test_job_gate_is_an_int(self):
+        # Nine unit jobs in a row on capacity 1: one machine, on for 9 slots.
+        chain = IntervalInstance(tuple(IntervalJob(i, i, i + 1) for i in range(9)), 1)
+        assert exact_mintpt(chain, max_jobs=9) == 9
+        with pytest.raises(InstanceTooLargeError, match="9 jobs exceed the oracle limit of 8"):
+            exact_mintpt(chain)
+        with pytest.raises(InstanceTooLargeError):
+            exact_mintpt(four_job_instance(), max_jobs=3)
 
 
 class TestSandwiches:
