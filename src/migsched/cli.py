@@ -105,74 +105,64 @@ def _kind(instance) -> str:
     return "minms" if isinstance(instance, MinMsInstance) else "mintpt"
 
 
-def _max_jobs_for(args, instance) -> int | None:
-    """The oracle's job gate: --oracle-limit, the oracle's default, or None (0 disables)."""
-    override = args.oracle_limit
-    if override is None:
-        return MINMS_MAX_JOBS if _kind(instance) == "minms" else MINTPT_MAX_JOBS
-    if override < 0:
-        raise CliError("--oracle-limit must be >= 0")
-    return override or None
+def _report(args, name: str, instance, algorithms: list[str]) -> list[tuple]:
+    """One (ReportRow, schedule or None) per algorithm name, for one instance.
 
-
-def _oracle(instance, max_jobs: int):
-    if _kind(instance) == "minms":
-        return exact_minms(instance, max_jobs)
-    return exact_mintpt(instance, max_jobs)
-
-
-def _oracle_column(instance, max_jobs: int | None):
-    """Oracle value when the instance is within the job gate, else None."""
-    if max_jobs is None:
-        return None
-    try:
-        return _oracle(instance, max_jobs)
-    except InstanceTooLargeError:
-        return None
-
-
-def _solve_one(instance, name: str, algorithm: str, max_jobs, oracle_value, timings: bool):
-    """Run one algorithm; returns (ReportRow, schedule or None).
-
-    An exact row calls the oracle itself, and its value fills both the
-    objective and the oracle column.
+    The kind check, `param`, `optimum` and the oracle run once per instance.
+    The oracle fills the oracle column of every row and is the objective of
+    an "exact" row, which raises its refusal when it has no value. `ms` is
+    the solver's own time, or the oracle's for an "exact" row.
     """
-    applies_to, solver = ALGORITHMS[algorithm]
+    limit = args.oracle_limit
+    if limit is not None and limit < 0:
+        raise CliError("--oracle-limit must be >= 0")
     kind = _kind(instance)
-    if applies_to not in (None, kind):
-        raise CliError(f"algorithm {algorithm!r} does not apply to {kind} instances")
-    started = time.perf_counter()
+    for algorithm in algorithms:
+        if ALGORITHMS[algorithm][0] not in (None, kind):
+            raise CliError(f"algorithm {algorithm!r} does not apply to {kind} instances")
     if kind == "minms":
         param, optimum = instance.machine_count, minms.opt_balance(instance)
+        oracle, max_jobs = exact_minms, MINMS_MAX_JOBS
     else:
         param, optimum = instance.capacity, mintpt.mintpt_lower_bound(instance)
-    if solver is not None:
-        schedule, objective = solver(instance)
-    elif max_jobs is None:
-        raise CliError("exact solve requested but the oracle is disabled")
-    else:
-        try:
-            schedule, objective = None, _oracle(instance, max_jobs)
-        except InstanceTooLargeError as exc:
-            raise CliError(str(exc)) from exc
-        oracle_value = objective
+        oracle, max_jobs = exact_mintpt, MINTPT_MAX_JOBS
 
-    elapsed = (time.perf_counter() - started) * 1000.0
-    ratio = Fraction(objective) / Fraction(optimum) if optimum > 0 else None
-    row = ReportRow(
-        instance=name,
-        kind=kind,
-        n=len(instance.jobs),
-        param=param,
-        optimum=optimum,
-        algorithm=algorithm,
-        objective=objective,
-        ratio=ratio,
-        migrations=schedule.migrations if schedule is not None else 0,
-        oracle=oracle_value,
-        ms=elapsed if timings else None,
-    )
-    return row, schedule
+    oracle_value, oracle_ms = None, None
+    refusal = "exact solve requested but the oracle is disabled"
+    if limit != 0:
+        started = time.perf_counter()
+        try:
+            oracle_value = oracle(instance, limit or max_jobs)
+        except InstanceTooLargeError as exc:
+            refusal = str(exc)
+        oracle_ms = (time.perf_counter() - started) * 1000.0
+
+    rows = []
+    for algorithm in algorithms:
+        solver = ALGORITHMS[algorithm][1]
+        if solver is not None:
+            started = time.perf_counter()
+            schedule, objective = solver(instance)
+            ms = (time.perf_counter() - started) * 1000.0
+        elif oracle_value is None:
+            raise CliError(refusal)
+        else:
+            schedule, objective, ms = None, oracle_value, oracle_ms
+        row = ReportRow(
+            instance=name,
+            kind=kind,
+            n=len(instance.jobs),
+            param=param,
+            optimum=optimum,
+            algorithm=algorithm,
+            objective=objective,
+            ratio=Fraction(objective) / Fraction(optimum) if optimum > 0 else None,
+            migrations=schedule.migrations if schedule is not None else 0,
+            oracle=oracle_value,
+            ms=ms if args.timings else None,
+        )
+        rows.append((row, schedule))
+    return rows
 
 
 def _dump_payload(schedule, algorithm: str) -> dict:
@@ -218,12 +208,7 @@ def _write(text: str, out: str | None) -> None:
 
 
 def cmd_solve(args) -> int:
-    instance = _load(args.instance)
-    max_jobs = _max_jobs_for(args, instance)
-    oracle_value = None if args.algorithm == "exact" else _oracle_column(instance, max_jobs)
-    row, schedule = _solve_one(
-        instance, args.instance, args.algorithm, max_jobs, oracle_value, args.timings
-    )
+    [(row, schedule)] = _report(args, args.instance, _load(args.instance), [args.algorithm])
     _write(_render([row], args.format, single=True), args.out)
     if args.dump:
         if schedule is None:
@@ -273,11 +258,7 @@ def cmd_bench(args) -> int:
 
     rows = []
     for name, instance in instances:
-        max_jobs = _max_jobs_for(args, instance)
-        oracle_value = _oracle_column(instance, max_jobs)
-        for algorithm in algorithms:
-            row, _ = _solve_one(instance, name, algorithm, max_jobs, oracle_value, args.timings)
-            rows.append(row)
+        rows.extend(row for row, _ in _report(args, name, instance, algorithms))
     _write(_render(rows, args.format), args.out)
     return 0
 
@@ -344,10 +325,11 @@ def _verify_minms(instance: MinMsInstance, dump: dict, issues: list, notes: list
 
     algorithm = dump.get("algorithm")
     if algorithm == "pam":
-        opt = minms.opt_balance(instance)
-        off = [i for i, load in enumerate(schedule.machine_loads()) if load != opt]
-        if off:
-            issues.append(f"machines {off} deviate from the balanced optimum {opt}")
+        # Conservation holds, so the loads sum to m x opt: they all equal opt
+        # exactly when the largest does, and no per-machine list is needed.
+        opt, makespan = minms.opt_balance(instance), schedule.makespan()
+        if makespan != opt:
+            issues.append(f"makespan {makespan} exceeds the balanced optimum {opt}")
         else:
             notes.append(f"all loads = {opt}")
     elif algorithm == "lpt":

@@ -5,6 +5,7 @@ import copy
 import csv
 import io
 import json
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from migsched import cli
 from migsched.cli import main
 from migsched.instances import load_instance
 from migsched.report import CSV_COLUMNS
@@ -82,6 +84,25 @@ class TestSolve:
         (row,) = parse_csv(out)
         assert row["objective"] == "5"
         assert row["oracle"] == "5"
+
+    def test_timings_fill_ms_for_exact_and_solver_rows(self, capsys, intervals, monkeypatch):
+        # The exact row's ms is the oracle's own time; a solver row's is the
+        # solver's alone, without the oracle that fills its column.
+        oracle = cli.exact_mintpt
+
+        def slow_oracle(instance, max_jobs):
+            time.sleep(0.1)
+            return oracle(instance, max_jobs)
+
+        monkeypatch.setattr(cli, "exact_mintpt", slow_oracle)
+        ms = {}
+        for algorithm in ("exact", "lbm"):
+            code, out, _ = run(capsys, "solve", intervals, "--algorithm", algorithm, "--timings")
+            assert code == 0
+            (row,) = parse_csv(out)
+            ms[algorithm] = float(row["ms"])
+        assert ms["exact"] >= 100
+        assert 0 <= ms["lbm"] < 100
 
     def test_ratio_parses_back_exactly(self, capsys, graham10):
         _, out, _ = run(capsys, "solve", graham10, "--algorithm", "lpt")
@@ -503,6 +524,31 @@ def test_solve_does_not_scale_with_the_machine_count(capsys, tmp_path, algorithm
     assert peak < 5 * 2**20
 
 
+@pytest.mark.parametrize("machines", [1000000, 1000000000000])
+def test_verify_pam_does_not_scale_with_the_machine_count(capsys, tmp_path, machines):
+    # One segment on a million or 10^12 machines: the pam certificate
+    # compares the makespan with W/m, where a load per machine would take
+    # megabytes or end in a MemoryError.
+    instance = _put(tmp_path / "wide.inst", f"minms 1\nmachines {machines}\njob 0 5\n")
+    dump = tmp_path / "d.json"
+    dump.write_text(json.dumps({
+        "format": "migsched-dump", "version": 2, "kind": "minms", "algorithm": "pam",
+        "machine_count": machines, "migrations": 0,
+        "segments": [{"job": 0, "machine": 0, "amount": "5"}],
+    }))
+    tracemalloc.start()
+    try:
+        code = main(["verify", instance, str(dump)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL:")]
+    assert fails == [f"FAIL: makespan 5 exceeds the balanced optimum 1/{machines // 5}"]
+    assert peak < 5 * 2**20
+
+
 class TestBench:
     def test_graham_sweep_ratio_column(self, capsys):
         code, out, _ = run(
@@ -548,6 +594,41 @@ class TestBench:
         for row in rows:
             if row["algorithm"] == "pam":
                 assert row["ratio"] == "1"
+
+    @pytest.mark.parametrize(
+        "oracle, argv",
+        [
+            ("exact_minms", ("--family", "random-minms", "--n", "6", "--m", "3",
+                             "--seeds", "1:4", "--algorithms", "lpt,exact,pam")),
+            ("exact_mintpt", ("--family", "random-mintpt", "--n", "6", "--horizon", "8",
+                              "--g", "2", "--seeds", "0:9", "--algorithms", "exact,estf,lbm")),
+        ],
+    )
+    def test_oracle_runs_once_per_instance(self, capsys, monkeypatch, oracle, argv):
+        # The exact row takes the value that fills the oracle column.
+        calls = {"exact_minms": 0, "exact_mintpt": 0}
+
+        def counting(name):
+            wrapped = getattr(cli, name)
+
+            def count(*args, **kwargs):
+                calls[name] += 1
+                return wrapped(*args, **kwargs)
+
+            return count
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counting(name))
+        code, out, _ = run(capsys, "bench", *argv)
+        assert code == 0
+        rows = parse_csv(out)
+        instances = len(rows) // 3
+        assert instances == len({row["instance"] for row in rows})
+        assert calls == {name: instances if name == oracle else 0 for name in calls}
+        for row in rows:
+            assert row["oracle"] != ""
+            if row["algorithm"] == "exact":
+                assert row["objective"] == row["oracle"]
 
     def test_empty_seed_list_yields_header_only(self, capsys):
         code, out, _ = run(
