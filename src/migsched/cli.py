@@ -15,6 +15,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import minms, mintpt
@@ -189,6 +190,34 @@ def _dump_payload(schedule, algorithm: str) -> dict:
     }
 
 
+# One record of each kind as json.dumps(payload, indent=2) lays it out.
+_SEGMENT = '    {\n      "job": %d,\n      "machine": %d,\n      "amount": %s\n    }'
+_STINT = '    {\n      "job": %d,\n      "machine": %d,\n      "start": %d,\n      "end": %d\n    }'
+
+
+def _dump_text(payload: dict) -> str:
+    """The dump file's text: `json.dumps(payload, indent=2) + "\n"`, byte for byte.
+
+    `payload` is `_dump_payload`'s shape: header fields, then its record list
+    last. The header goes through `json.dumps`; with `indent` set that is the
+    stdlib's pure-Python encoder, too slow for thousands of records, so each
+    record is formatted from its kind's template instead: ids, machines and
+    slots are ints (`%d`), and `amount` is a string escaped as `json` does.
+    """
+    *header, (key, records) = payload.items()
+    head = json.dumps(dict(header), indent=2)[:-2]  # without its closing "\n}"
+    if not records:
+        return f'{head},\n  "{key}": []\n}}\n'
+    if key == "segments":
+        lines = [
+            _SEGMENT % (r["job"], r["machine"], encode_basestring_ascii(r["amount"]))
+            for r in records
+        ]
+    else:
+        lines = [_STINT % (r["job"], r["machine"], r["start"], r["end"]) for r in records]
+    return f'{head},\n  "{key}": [\n' + ",\n".join(lines) + "\n  ]\n}\n"
+
+
 def _render(rows, fmt: str, single: bool = False) -> str:
     if fmt == "csv":
         return render_csv(rows)
@@ -213,8 +242,7 @@ def cmd_solve(args) -> int:
     if args.dump:
         if schedule is None:
             raise CliError("the exact solver produces a value, not a schedule; nothing to dump")
-        payload = _dump_payload(schedule, args.algorithm)
-        _write(json.dumps(payload, indent=2) + "\n", args.dump)
+        _write(_dump_text(_dump_payload(schedule, args.algorithm)), args.dump)
     return 0
 
 

@@ -55,8 +55,8 @@ def as_time(value: int | str | Fraction) -> Fraction:
         return Fraction(int(match[1]), int(match[2] or 1))
     if isinstance(value, float):
         raise TypeError(f"refusing inexact float time value {value!r}")
-    tv = Fraction(value)
-    if tv < 0:
+    tv = value if type(value) is Fraction else Fraction(value)
+    if tv.numerator < 0:
         raise ValueError(f"time values must be non-negative, got {tv}")
     return tv
 
@@ -72,7 +72,7 @@ class Job:
         if not isinstance(self.id, int) or self.id < 0:
             raise InvariantError(f"job id must be a non-negative integer, got {self.id!r}")
         object.__setattr__(self, "process_time", as_time(self.process_time))
-        if self.process_time <= 0:
+        if self.process_time.numerator <= 0:
             raise InvariantError(f"job {self.id}: process time must be positive")
 
 
@@ -200,6 +200,21 @@ def segment_violations(
     return problems
 
 
+def _pairwise_sum(amounts: list[Fraction]) -> Fraction:
+    """The exact sum of `amounts`, added as a balanced tree.
+
+    Adding one amount at a time to a running sum makes every addition carry
+    the denominator of all amounts so far; pairing neighbours keeps the
+    operands of each addition about the same size.
+    """
+    while len(amounts) > 1:
+        pairs = [a + b for a, b in zip(amounts[::2], amounts[1::2])]
+        if len(amounts) % 2:
+            pairs.append(amounts[-1])
+        amounts = pairs
+    return amounts[0]
+
+
 @dataclass(frozen=True)
 class MigrationSchedule:
     """Per-machine placement of job load, allowing jobs to be split.
@@ -235,14 +250,14 @@ class MigrationSchedule:
         and the sum of its other amounts."""
         view = self.instance.ticks
         ticks: dict[int, int] = {}
-        off_grid: dict[int, Fraction] = {}
+        off_grid: dict[int, list[Fraction]] = {}
         for _, machine, amount in self.segments:
             t = view.of(amount)
             if t is None:
-                off_grid[machine] = off_grid.get(machine, 0) + amount
+                off_grid.setdefault(machine, []).append(amount)
             else:
                 ticks[machine] = ticks.get(machine, 0) + t
-        return ticks, off_grid
+        return ticks, {machine: _pairwise_sum(amounts) for machine, amounts in off_grid.items()}
 
     def machine_loads(self) -> tuple[Fraction, ...]:
         """Exact load per machine, indexed 0..machine_count-1."""

@@ -99,9 +99,9 @@ def _parse_int(token: str, what: str, line: int) -> int:
 def parse_instance(text: str) -> MinMsInstance | IntervalInstance:
     """Parse an instance document; raises InstanceFormatError with the line."""
     rows = [
-        (i + 1, line.strip())
-        for i, line in enumerate(text.splitlines())
-        if line.strip() and not line.strip().startswith("#")
+        (i, row)
+        for i, line in enumerate(text.splitlines(), 1)
+        if (row := line.strip()) and not row.startswith("#")
     ]
     if not rows:
         raise InstanceFormatError("empty document")

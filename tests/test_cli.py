@@ -11,12 +11,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from migsched import cli
+from migsched import Job, JobSegment, MigrationSchedule, MinMsInstance, cli, minms, mintpt
 from migsched.cli import main
 from migsched.instances import load_instance
+from migsched.mintpt import IntervalInstance, IntervalJob
 from migsched.report import CSV_COLUMNS
 
 
@@ -731,3 +732,47 @@ class TestDeterminism:
                 "--seed", "13", "--out", str(path),
             )
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@st.composite
+def solved_schedules(draw):
+    """(schedule, algorithm) from a solver on a drawn instance of either kind."""
+    if draw(st.booleans()):
+        sizes = draw(
+            st.lists(st.fractions(min_value=Fraction(1, 9), max_value=40), min_size=1, max_size=16)
+        )
+        ids = draw(
+            st.lists(st.integers(0, 10**20), min_size=len(sizes), max_size=len(sizes), unique=True)
+        )
+        instance = MinMsInstance(tuple(map(Job, ids, sizes)), draw(st.integers(1, 6)))
+        algorithm = draw(st.sampled_from(["lpt", "pam", "wraparound"]))
+    else:
+        jobs = []
+        for i in range(draw(st.integers(0, 20))):
+            start = draw(st.integers(0, 30))
+            jobs.append(IntervalJob(i, start, draw(st.integers(start + 1, 40))))
+        instance = IntervalInstance(tuple(jobs), draw(st.integers(1, 5)))
+        algorithm = draw(st.sampled_from(["estf", "lbm"]))
+    return cli.ALGORITHMS[algorithm][1](instance)[0], algorithm
+
+
+def _pam_with_off_grid_amounts():
+    """A pam schedule of halves whose first segment is cut into 1/7 and the rest."""
+    instance = MinMsInstance(tuple(Job(i, Fraction(p, 2)) for i, p in enumerate((9, 7, 5, 3))), 3)
+    segments = list(minms.pam_schedule(instance).schedule.segments)
+    job, machine, amount = segments[0]
+    segments[:1] = [
+        JobSegment(job, machine, Fraction(1, 7)),
+        JobSegment(job, machine, amount - Fraction(1, 7)),
+    ]
+    return MigrationSchedule(instance, tuple(segments))
+
+
+@settings(max_examples=300, deadline=None)
+@given(solved_schedules())
+@example((mintpt.lbm_schedule(IntervalInstance((), 1)), "lbm"))
+@example((_pam_with_off_grid_amounts(), "pam"))
+def test_dump_writer_matches_json_dumps(case):
+    schedule, algorithm = case
+    payload = cli._dump_payload(schedule, algorithm)
+    assert cli._dump_text(payload) == json.dumps(payload, indent=2) + "\n"

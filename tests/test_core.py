@@ -42,6 +42,14 @@ class TestTimeValue:
         with pytest.raises(ValueError):
             as_time(-1)
 
+    def test_rejects_negative_fraction(self):
+        with pytest.raises(ValueError, match="time values must be non-negative, got -1/2"):
+            as_time(Fraction(-1, 2))
+
+    def test_keeps_a_fraction(self):
+        value = Fraction(7, 2)
+        assert as_time(value) is value
+
     @pytest.mark.parametrize("text", ["1e3", "1.5", " 2", "-1", "3/0", "2\n", "+2", "", "1/2/3"])
     def test_rejects_other_strings(self, text):
         with pytest.raises(ValueError):
@@ -64,6 +72,11 @@ class TestJobAndInstance:
     def test_zero_process_time_rejected(self):
         with pytest.raises(InvariantError):
             Job(0, 0)
+
+    @pytest.mark.parametrize("process_time", ["0", "0/5", Fraction(0)])
+    def test_zero_process_time_message(self, process_time):
+        with pytest.raises(InvariantError, match="^job 3: process time must be positive$"):
+            Job(3, process_time)
 
     def test_negative_id_rejected(self):
         with pytest.raises(InvariantError):
@@ -161,6 +174,28 @@ class TestMigrationSchedule:
         # JobSegment is a plain triple; the schedule checks it.
         with pytest.raises(InvariantError):
             MigrationSchedule(make_instance([5], 1), (JobSegment(*fields),))
+
+    def test_off_grid_loads_equal_a_plain_sum(self):
+        # Integer sizes on 2 machines (half ticks): every amount but job 3's
+        # is off that grid. Machine 0 holds two of them and machine 1 five,
+        # so the pairwise sum carries an odd amount over two levels.
+        inst = make_instance([3, 3, 3, 3], 2)
+        segments = (
+            JobSegment(0, 0, Fraction(1, 7)),
+            JobSegment(0, 1, Fraction(2, 11)),
+            JobSegment(0, 1, Fraction(206, 77)),
+            JobSegment(1, 1, Fraction(3, 13)),
+            JobSegment(1, 0, Fraction(36, 13)),
+            JobSegment(2, 1, Fraction(1, 11)),
+            JobSegment(2, 1, Fraction(32, 11)),
+            JobSegment(3, 0, Fraction(3)),
+        )
+        sched = MigrationSchedule(inst, segments)
+        loads = [Fraction(0)] * 2
+        for _, machine, amount in segments:
+            loads[machine] += amount
+        assert sched.machine_loads() == tuple(loads) == (Fraction(538, 91), Fraction(554, 91))
+        assert sched.makespan() == Fraction(554, 91)
 
     def test_segment_is_a_named_triple(self):
         segment = JobSegment(3, 1, Fraction(1, 2))
