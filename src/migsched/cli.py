@@ -296,11 +296,33 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _json_int(value) -> int:
-    """A JSON integer as it is; a float, a string or a boolean is malformed."""
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
+def _not_an_int(value) -> TypeError:
+    """The error for a field that must be a JSON integer: a float, a string
+    or a boolean is malformed."""
+    return TypeError(f"expected an integer, got {value!r}")
+
+
+def _segment(record) -> JobSegment:
+    """A dump record as a segment. Fields are checked in the order the dump
+    writes them, so the first bad one is the one reported."""
+    if type(job := record["job"]) is not int:
+        raise _not_an_int(job)
+    if type(machine := record["machine"]) is not int:
+        raise _not_an_int(machine)
+    return JobSegment(job, machine, as_time(record["amount"]))
+
+
+def _stint(record) -> tuple[int, int, int, int]:
+    """A dump record as a (job, machine, start, end) stint, checked like `_segment`."""
+    if type(job := record["job"]) is not int:
+        raise _not_an_int(job)
+    if type(machine := record["machine"]) is not int:
+        raise _not_an_int(machine)
+    if type(start := record["start"]) is not int:
+        raise _not_an_int(start)
+    if type(end := record["end"]) is not int:
+        raise _not_an_int(end)
+    return job, machine, start, end
 
 
 def _records(dump: dict, key: str, decode, issues: list[str]) -> list[tuple]:
@@ -327,12 +349,7 @@ def _verify_minms(instance: MinMsInstance, dump: dict, issues: list, notes: list
             f"machine_count {dump.get('machine_count')!r} does not match instance "
             f"{instance.machine_count}"
         )
-    raw = _records(
-        dump,
-        "segments",
-        lambda s: JobSegment(_json_int(s["job"]), _json_int(s["machine"]), as_time(s["amount"])),
-        issues,
-    )
+    raw = _records(dump, "segments", _segment, issues)
     try:
         schedule, problems = MigrationSchedule(instance, tuple(raw)), []
     except InvariantError:
@@ -367,10 +384,7 @@ def _verify_minms(instance: MinMsInstance, dump: dict, issues: list, notes: list
         else:
             notes.append("every job is whole on one machine")
     elif algorithm == "wraparound":
-        bound = max(
-            max(j.process_time for j in instance.jobs),
-            minms.opt_balance(instance),
-        )
+        bound = instance.ticks.time(minms.wrap_bound_ticks(instance))
         makespan = schedule.makespan()
         if makespan != bound:
             issues.append(f"makespan {makespan} differs from wrap bound {bound}")
@@ -391,12 +405,7 @@ def _verify_minms(instance: MinMsInstance, dump: dict, issues: list, notes: list
 
 
 def _verify_mintpt(instance: IntervalInstance, dump: dict, issues: list, notes: list) -> None:
-    raw = _records(
-        dump,
-        "stints",
-        lambda s: tuple(_json_int(s[field]) for field in ("job", "machine", "start", "end")),
-        issues,
-    )
+    raw = _records(dump, "stints", _stint, issues)
     try:
         schedule, problems = IntervalSchedule(instance, tuple(raw)), []
     except InvariantError:

@@ -15,7 +15,6 @@ grid (a dump's 1/7 where the instance's times are halves) is added as a
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -36,23 +35,25 @@ class InvariantError(ValueError):
     """A structural invariant of an instance or schedule is violated."""
 
 
-_RATIONAL = re.compile(r"(\d+)(?:/(\d+))?")
-
-
 def as_time(value: int | str | Fraction) -> Fraction:
     """Coerce an int, exact string ("7" or "7/2"), or Fraction to an exact time.
 
     The one time grammar, for instance files and schedule dumps: a string is
-    "n" or "n/d" in digits with d != 0 (no sign, space, point or exponent, so
-    the value's size is bounded by the string's). Floats are rejected
-    outright: a float that has already drifted cannot be recovered, and
-    exact-equality guarantees downstream depend on never letting one in.
+    "n" or "n/d" in decimal digits (any Unicode decimal digit, as `int` reads
+    them) with d != 0: no sign, space, point or exponent, so the value's size
+    is bounded by the string's. The denominator is converted first. Floats
+    are rejected outright: a float that has already drifted cannot be
+    recovered, and exact-equality guarantees downstream depend on never
+    letting one in.
     """
     if isinstance(value, str):
-        match = _RATIONAL.fullmatch(value)
-        if match is None or match[2] and int(match[2]) == 0:
-            raise ValueError(f"time must be n or num/den with a nonzero denominator, got {value!r}")
-        return Fraction(int(match[1]), int(match[2] or 1))
+        num, slash, den = value.partition("/")
+        if num.isdecimal():
+            if not slash:
+                return Fraction(int(num))
+            if den.isdecimal() and (d := int(den)):
+                return Fraction(int(num), d)
+        raise ValueError(f"time must be n or num/den with a nonzero denominator, got {value!r}")
     if isinstance(value, float):
         raise TypeError(f"refusing inexact float time value {value!r}")
     tv = value if type(value) is Fraction else Fraction(value)

@@ -15,7 +15,6 @@ Blank lines and '#' comment lines are accepted on input and never emitted.
 from __future__ import annotations
 
 import random
-import re
 from pathlib import Path
 
 from .core import InvariantError, Job, MinMsInstance
@@ -33,8 +32,6 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
-
-_INTEGER = re.compile(r"^\d+$")
 
 
 class InstanceFormatError(ValueError):
@@ -88,7 +85,7 @@ def gen_random_mintpt(n: int, horizon: int, capacity: int, seed: int = 0) -> Int
 
 
 def _parse_int(token: str, what: str, line: int) -> int:
-    if not _INTEGER.match(token):
+    if not token.isdecimal():
         raise InstanceFormatError(f"{what} must be a non-negative integer, got {token!r}", line)
     try:
         return int(token)

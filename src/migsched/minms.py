@@ -34,6 +34,7 @@ __all__ = [
     "opt_balance",
     "lpt_schedule",
     "pam_schedule",
+    "wrap_bound_ticks",
     "wraparound_schedule",
     "lpt_ratio",
     "timeline",
@@ -169,6 +170,12 @@ def pam_schedule(instance: MinMsInstance) -> PamTrace:
     )
 
 
+def wrap_bound_ticks(instance: MinMsInstance) -> int:
+    """max(longest job, ideal load) in ticks: the makespan of wraparound_schedule."""
+    ticks = instance.ticks
+    return max(max(ticks.sizes.values()), ticks.total // instance.machine_count)
+
+
 def wraparound_schedule(instance: MinMsInstance) -> tuple[MigrationSchedule, Fraction]:
     """Preemptive timetable with makespan exactly max(longest job, ideal load).
 
@@ -178,7 +185,7 @@ def wraparound_schedule(instance: MinMsInstance) -> tuple[MigrationSchedule, Fra
     job never overlap in time. Returns (schedule, makespan bound).
     """
     ticks = instance.ticks
-    bound = max(max(ticks.sizes.values()), ticks.total // instance.machine_count)
+    bound = wrap_bound_ticks(instance)
     segments = []
     machine = clock = 0
     for job in instance.jobs:

@@ -396,6 +396,39 @@ class TestVerifyMalformedDumps:
         else:
             assert f"FAIL: {keys[0]} malformed" in out
 
+    @pytest.mark.parametrize(
+        "algorithm, changes, line",
+        [
+            (
+                "pam",
+                {"job": 0.9, "machine": None},
+                "FAIL: segment 0 malformed: expected an integer, got 0.9",
+            ),
+            (
+                "lbm",
+                {"start": "1", "end": None},
+                "FAIL: stint 0 malformed: expected an integer, got '1'",
+            ),
+        ],
+        ids=["segment-job-then-machine", "stint-start-then-end"],
+    )
+    def test_first_bad_field_in_record_order_is_reported(
+        self, capsys, valid_dumps, algorithm, changes, line
+    ):
+        tmp, dumps = valid_dumps
+        instance, dump = copy.deepcopy(dumps[algorithm])
+        record = dump["segments" if "segments" in dump else "stints"][0]
+        for field, value in changes.items():  # None deletes the field
+            if value is None:
+                del record[field]
+            else:
+                record[field] = value
+        path = tmp / "tampered.json"
+        path.write_text(json.dumps(dump))
+        code, out, _ = run(capsys, "verify", instance, str(path))
+        assert code == 1
+        assert line in out.splitlines()
+
     @pytest.mark.parametrize("amount", ["1e10000000", "19.0", 19.5])
     def test_amount_outside_the_time_grammar_is_malformed(
         self, capsys, valid_dumps, amount

@@ -1,10 +1,11 @@
 """Core data model: exact arithmetic, instances, segments, load metrics."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from migsched import (
@@ -17,6 +18,28 @@ from migsched import (
 )
 
 nonneg_rationals = st.fractions(min_value=0, max_value=10**6)
+
+
+# The time grammar as a regex: the reference that as_time's string path must
+# agree with. `\d` in a str pattern is any Unicode decimal digit (category Nd).
+REFERENCE_TIME = re.compile(r"(\d+)(?:/(\d+))?")
+# Digits and the separator; a sign, point, space, exponent and newline; two
+# non-ASCII decimal digits (Arabic-Indic three, fullwidth three), which are
+# accepted; and superscript two, a digit that is not decimal, which is not.
+GRAMMAR_ALPHABET = "0123456789/+-. e\n" + "\u0663\uff13\u00b2"
+
+
+def reference_time(text):
+    """The value the regex grammar reads from `text`, or None when it rejects it.
+
+    The denominator is converted first, so of two numbers too long for `int`
+    the denominator's is the one reported.
+    """
+    match = REFERENCE_TIME.fullmatch(text)
+    if match is None:
+        return None
+    den = int(match[2] or 1)
+    return Fraction(int(match[1]), den) if den else None
 
 
 def make_instance(sizes, m):
@@ -54,6 +77,27 @@ class TestTimeValue:
     def test_rejects_other_strings(self, text):
         with pytest.raises(ValueError):
             as_time(text)
+
+    @settings(max_examples=500, deadline=None)
+    @example("1" * 5000 + "/" + "7" * 4400)
+    @example("\u0663/\uff13")
+    @given(
+        st.text(alphabet=GRAMMAR_ALPHABET, max_size=12)
+        | st.from_regex(r"[0-9\u0663\uff13]{1,6}(/[0-9\u0663\uff13]{1,6})?", fullmatch=True)
+    )
+    def test_string_grammar_matches_the_reference_regex(self, text):
+        try:
+            expected = reference_time(text)
+        except ValueError as exc:  # more digits than int converts
+            with pytest.raises(ValueError) as err:
+                as_time(text)
+            assert str(err.value) == str(exc)
+            return
+        if expected is None:
+            with pytest.raises(ValueError, match="time must be n or num/den"):
+                as_time(text)
+        else:
+            assert as_time(text) == expected
 
     @given(nonneg_rationals, nonneg_rationals)
     def test_addition_round_trip_is_exact(self, a, b):

@@ -1,5 +1,6 @@
 """Generators and the instance file format."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from migsched import (
     parse_instance,
     serialize_instance,
 )
-from migsched.instances import load_instance
+from migsched.instances import _parse_int, load_instance
 
 
 class TestGrahamFamily:
@@ -166,6 +167,32 @@ class TestParseErrors:
     def test_missing_parameter_line(self):
         with pytest.raises(InstanceFormatError):
             parse_instance("minms 1\n")
+
+
+# The integer grammar as a regex, the reference for _parse_int: one or more
+# Unicode decimal digits. (With `match` and `$`, a trailing newline also got
+# through; no token from str.split() carries one.)
+REFERENCE_INTEGER = re.compile(r"^\d+$")
+
+
+class TestIntegerGrammar:
+    @settings(max_examples=500, deadline=None)
+    @example("1" * 5000)
+    @example("\u0663\uff13")
+    @given(st.text(alphabet="0123456789/+-. e\n" + "\u0663\uff13\u00b2", max_size=12))
+    def test_parse_int_matches_the_reference_regex(self, token):
+        if REFERENCE_INTEGER.fullmatch(token) is None:
+            with pytest.raises(InstanceFormatError, match="must be a non-negative integer"):
+                _parse_int(token, "job id", 3)
+            return
+        try:
+            expected = int(token)
+        except ValueError as exc:  # more digits than int converts
+            with pytest.raises(InstanceFormatError) as err:
+                _parse_int(token, "job id", 3)
+            assert str(err.value) == f"line 3: job id: {exc}"
+            return
+        assert _parse_int(token, "job id", 3) == expected
 
 
 VALID_DOCUMENTS = (
