@@ -409,7 +409,7 @@ def _verify_mintpt(instance: IntervalInstance, dump: dict, issues: list, notes: 
     try:
         schedule, problems = IntervalSchedule(instance, tuple(raw)), []
     except InvariantError:
-        # Listed in dump order, which the schedule's canonical order would lose.
+        # Checked again for the problems as a list: the error joins them into one message.
         schedule, problems = None, placement_violations(instance, raw)
     issues.extend(problems)
     if not problems:
@@ -539,7 +539,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, InstanceFormatError) as exc:
+    except (CliError, InstanceFormatError, InstanceTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

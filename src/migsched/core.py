@@ -7,9 +7,9 @@ asserted as a true equality with no tolerance. The API speaks `Fraction`;
 the arithmetic runs on Python ints. Each instance has one cached `TickView`:
 one tick is 1/(lcm of the process-time denominators x machine count), so
 every process time and the balanced load W/m are whole numbers of ticks.
-Schedule checks and loads add amounts as ticks, and only an amount off that
-grid (a dump's 1/7 where the instance's times are halves) is added as a
-`Fraction`, per job or per machine.
+Schedule checks and loads add every amount as ticks: an amount on that grid
+is an int count, and one off it (a dump's 1/7 where the instance's times are
+halves) is a `Fraction` of a tick, added into the same sums.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 __all__ = [
+    "InstanceTooLargeError",
     "InvariantError",
     "as_time",
     "Job",
@@ -33,6 +34,10 @@ __all__ = [
 
 class InvariantError(ValueError):
     """A structural invariant of an instance or schedule is violated."""
+
+
+class InstanceTooLargeError(ValueError):
+    """A solver or oracle refused an instance above its size gate."""
 
 
 def as_time(value: int | str | Fraction) -> Fraction:
@@ -97,18 +102,21 @@ class TickView:
         }
         self.total = sum(self.sizes.values())
 
-    def of(self, amount: int | Fraction) -> int | None:
-        """`amount` in ticks, or None when it is not a whole number of ticks."""
+    def of(self, amount: int | Fraction) -> int | Fraction:
+        """`amount` in ticks: an int on the tick grid, a Fraction of a tick off it."""
         if isinstance(amount, int):
             return amount * self.unit
         den = amount.denominator
         if self.unit % den:
-            return None
+            return amount * self.unit
         return amount.numerator * (self.unit // den)
 
-    def time(self, ticks: int) -> Fraction:
-        """A tick count as a time value."""
-        return Fraction(ticks, self.unit)
+    def time(self, ticks: int | Fraction) -> Fraction:
+        """A tick count as a time value. A Fraction count is divided by the unit:
+        `Fraction(ticks, unit)` would take a gcd of its own (maybe huge) terms."""
+        if isinstance(ticks, int):
+            return Fraction(ticks, self.unit)
+        return ticks / self.unit
 
 
 @dataclass(frozen=True)
@@ -167,8 +175,7 @@ def segment_violations(
     """
     problems: list[str] = []
     view = instance.ticks
-    totals = dict.fromkeys(view.sizes, 0)  # per job, its amounts on the tick grid
-    off_grid: dict[int, Fraction] = {}  # per job, the sum of its other amounts
+    totals: dict[int, int | Fraction] = dict.fromkeys(view.sizes, 0)  # per job, in ticks
     for job_id, machine_id, amount in segments:
         if not isinstance(job_id, int) or job_id not in totals:
             problems.append(f"segment references unknown job {job_id!r}")
@@ -181,21 +188,13 @@ def segment_violations(
             problems.append(f"job {job_id}: segment amount {amount!r} is not an int or Fraction")
             continue
         ticks = view.of(amount)
-        if ticks is None:
-            off_grid[job_id] = off_grid.get(job_id, 0) + amount
-            positive = amount > 0
-        else:
-            totals[job_id] += ticks
-            positive = ticks > 0
-        if not positive:
+        if ticks <= 0:
             problems.append(f"job {job_id}: non-positive segment amount {amount}")
+        totals[job_id] += ticks
     for job in instance.jobs:
-        if job.id not in off_grid and totals[job.id] == view.sizes[job.id]:
-            continue
-        total = view.time(totals[job.id]) + off_grid.get(job.id, 0)
-        if total != job.process_time:
+        if totals[job.id] != view.sizes[job.id]:
             problems.append(
-                f"conservation: job {job.id} segments sum to {total}, "
+                f"conservation: job {job.id} segments sum to {view.time(totals[job.id])}, "
                 f"process time is {job.process_time}"
             )
     return problems
@@ -246,37 +245,30 @@ class MigrationSchedule:
         """Count of segments beyond one per job."""
         return len(self.segments) - len(self.instance.jobs)
 
-    def _loads(self) -> tuple[dict[int, int], dict[int, Fraction]]:
-        """Per loaded machine: its amounts on the tick grid, summed in ticks,
-        and the sum of its other amounts."""
+    def _loads(self) -> dict[int, int | Fraction]:
+        """Per loaded machine, its load in ticks: the sum of its int ticks plus
+        the pairwise sum of its off-grid (Fraction) ticks."""
         view = self.instance.ticks
-        ticks: dict[int, int] = {}
+        loads: dict[int, int | Fraction] = {}
         off_grid: dict[int, list[Fraction]] = {}
         for _, machine, amount in self.segments:
             t = view.of(amount)
-            if t is None:
-                off_grid.setdefault(machine, []).append(amount)
+            if type(t) is int:
+                loads[machine] = loads.get(machine, 0) + t
             else:
-                ticks[machine] = ticks.get(machine, 0) + t
-        return ticks, {machine: _pairwise_sum(amounts) for machine, amounts in off_grid.items()}
+                off_grid.setdefault(machine, []).append(t)
+        for machine, amounts in off_grid.items():
+            loads[machine] = loads.get(machine, 0) + _pairwise_sum(amounts)
+        return loads
 
     def machine_loads(self) -> tuple[Fraction, ...]:
         """Exact load per machine, indexed 0..machine_count-1."""
-        ticks, off_grid = self._loads()
         time = self.instance.ticks.time
         loads = [Fraction(0)] * self.instance.machine_count
-        for machine, t in ticks.items():
+        for machine, t in self._loads().items():
             loads[machine] = time(t)
-        for machine, amount in off_grid.items():
-            loads[machine] += amount
         return tuple(loads)
 
     def makespan(self) -> Fraction:
         """Maximum machine load, taken over the machines that hold a segment."""
-        ticks, off_grid = self._loads()
-        time = self.instance.ticks.time
-        if not off_grid:
-            return time(max(ticks.values()))
-        return max(
-            time(ticks.get(i, 0)) + off_grid.get(i, 0) for i in ticks.keys() | off_grid.keys()
-        )
+        return self.instance.ticks.time(max(self._loads().values()))

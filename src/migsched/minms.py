@@ -27,9 +27,10 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Job, JobSegment, MigrationSchedule, MinMsInstance
+from .core import InstanceTooLargeError, Job, JobSegment, MigrationSchedule, MinMsInstance
 
 __all__ = [
+    "PAM_MAX_MACHINES",
     "PamTrace",
     "opt_balance",
     "lpt_schedule",
@@ -39,6 +40,8 @@ __all__ = [
     "lpt_ratio",
     "timeline",
 ]
+
+PAM_MAX_MACHINES = 1_000_000  # pam's time and memory grow linearly with m
 
 
 def opt_balance(instance: MinMsInstance) -> Fraction:
@@ -110,10 +113,13 @@ def pam_schedule(instance: MinMsInstance) -> PamTrace:
     loaded machine to the least loaded one, splitting the most recently
     allocated jobs on the source machine first. Always feasible: load is
     treated as divisible. Its cost grows with the machine count, since every
-    machine ends with at least one segment.
+    machine ends with at least one segment, so more than PAM_MAX_MACHINES
+    machines raise InstanceTooLargeError before anything is allocated.
     """
     ticks = instance.ticks
     m = instance.machine_count
+    if m > PAM_MAX_MACHINES:
+        raise InstanceTooLargeError(f"{m} machines exceed the pam limit of {PAM_MAX_MACHINES}")
     opt = ticks.total // m
 
     # Per-machine [job, ticks] entries in allocation order; the transfer
@@ -214,19 +220,15 @@ def timeline(schedule: MigrationSchedule) -> list[tuple[int, int, Fraction, Frac
     for schedules built with that convention (wraparound_schedule).
     """
     ticks = schedule.instance.ticks
-    # Per machine: its clock in ticks (None once an amount off the tick grid
-    # has run there) and as a time value.
-    clocks: dict[int, tuple[int | None, Fraction]] = {}
+    # Per machine: its clock in ticks (a Fraction once an amount off the tick
+    # grid has run there) and as a time value.
+    clocks: dict[int, tuple[int | Fraction, Fraction]] = {}
     idle = (0, Fraction(0))
     out = []
     for job_id, machine, amount in schedule.segments:
         clock, start = clocks.get(machine, idle)
-        step = ticks.of(amount)
-        if clock is None or step is None:
-            clock, end = None, start + amount
-        else:
-            clock += step
-            end = ticks.time(clock)
+        clock += ticks.of(amount)
+        end = ticks.time(clock)
         out.append((job_id, machine, start, end))
         clocks[machine] = (clock, end)
     return out

@@ -17,7 +17,7 @@ import heapq
 import math
 from fractions import Fraction
 
-from .core import MinMsInstance
+from .core import InstanceTooLargeError, MinMsInstance
 from .mintpt import IntervalInstance
 
 __all__ = [
@@ -31,10 +31,6 @@ __all__ = [
 # Default job gates.
 MINMS_MAX_JOBS = 10
 MINTPT_MAX_JOBS = 8
-
-
-class InstanceTooLargeError(ValueError):
-    """Exhaustive search refused: the instance has more jobs than the gate."""
 
 
 def exact_minms(instance: MinMsInstance, max_jobs: int = MINMS_MAX_JOBS) -> Fraction:

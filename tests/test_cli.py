@@ -558,6 +558,23 @@ def test_solve_does_not_scale_with_the_machine_count(capsys, tmp_path, algorithm
     assert peak < 5 * 2**20
 
 
+def test_solve_pam_refuses_more_machines_than_its_gate(capsys, tmp_path):
+    # pam ends with a segment on every machine, so above its gate it refuses
+    # with one error line before allocating anything per machine.
+    instance = _put(tmp_path / "wide.inst", "minms 1\nmachines 1000000000000\njob 0 5\njob 1 7/2\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "solve", instance, "--algorithm", "pam")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: 1000000000000 machines exceed the pam limit of {minms.PAM_MAX_MACHINES}\n"
+    )
+    assert peak < 5 * 2**20
+
+
 @pytest.mark.parametrize("machines", [1000000, 1000000000000])
 def test_verify_pam_does_not_scale_with_the_machine_count(capsys, tmp_path, machines):
     # One segment on a million or 10^12 machines: the pam certificate

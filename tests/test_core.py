@@ -16,6 +16,7 @@ from migsched import (
     MinMsInstance,
     as_time,
 )
+from migsched.core import segment_violations
 
 nonneg_rationals = st.fractions(min_value=0, max_value=10**6)
 
@@ -218,6 +219,12 @@ class TestMigrationSchedule:
         # JobSegment is a plain triple; the schedule checks it.
         with pytest.raises(InvariantError):
             MigrationSchedule(make_instance([5], 1), (JobSegment(*fields),))
+
+    def test_negative_off_grid_amount_is_its_only_violation(self):
+        # -1/7 + 36/7 = 5 conserves the job, so the sign is the one problem.
+        inst = make_instance([5], 1)
+        segments = [(0, 0, Fraction(-1, 7)), (0, 0, Fraction(36, 7))]
+        assert segment_violations(inst, segments) == ["job 0: non-positive segment amount -1/7"]
 
     def test_off_grid_loads_equal_a_plain_sum(self):
         # Integer sizes on 2 machines (half ticks): every amount but job 3's

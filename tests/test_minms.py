@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from migsched import (
@@ -21,6 +21,8 @@ from migsched import (
     timeline,
     wraparound_schedule,
 )
+from migsched import core, oracles
+from migsched.minms import PAM_MAX_MACHINES
 
 job_sizes = st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=24)
 rational_sizes = st.lists(
@@ -187,6 +189,12 @@ class TestPam:
             trace = pam_schedule(gen_graham_worst_case(m))
             assert trace.schedule.migrations <= m - 1
 
+    def test_refuses_more_machines_than_its_gate(self):
+        # One error class for every size gate; oracles still exports it.
+        assert oracles.InstanceTooLargeError is core.InstanceTooLargeError
+        with pytest.raises(core.InstanceTooLargeError, match="pam limit"):
+            pam_schedule(make_instance([5, 1], PAM_MAX_MACHINES + 1))
+
     def test_already_balanced_zero_migrations(self):
         trace = pam_schedule(make_instance([6, 6], 2))
         assert trace.excess == ()
@@ -274,6 +282,7 @@ class TestWraparound:
         expected = max(max(sizes), Fraction(sum(sizes), m))
         assert makespan == expected
         assert sched.makespan() == expected
+        assert sched.migrations <= m - 1  # McNaughton: at most one wrap per machine boundary
         self.assert_no_self_overlap(sched)
 
 
@@ -321,6 +330,8 @@ class TestTicksMatchFractionReference:
 
     @settings(max_examples=100, deadline=None)
     @given(coprime_sizes, st.integers(min_value=1, max_value=8), st.randoms(use_true_random=False))
+    # One machine whose whole load 1 is reached only through off-grid thirds.
+    @example([Fraction(1)], 1, random.Random(0))
     def test_timeline_of_amounts_off_the_tick_grid(self, sizes, m, rng):
         # A caller's job.process_time / 3 need not be a whole number of ticks.
         inst = make_instance(sizes, m)
@@ -329,7 +340,10 @@ class TestTicksMatchFractionReference:
             for _ in range(3):
                 segments.append(JobSegment(job.id, rng.randrange(m), job.process_time / 3))
         sched = MigrationSchedule(inst, tuple(segments))
-        assert timeline(sched) == reference_timeline(segments)
+        times = timeline(sched)
+        assert times == reference_timeline(segments)
+        assert all_fractions(t for _, _, start, end in times for t in (start, end))
+        assert all_fractions(sched.machine_loads() + (sched.makespan(),))
 
 
 @settings(max_examples=60)
