@@ -302,14 +302,21 @@ def _not_an_int(value) -> TypeError:
     return TypeError(f"expected an integer, got {value!r}")
 
 
-def _segment(record) -> JobSegment:
+def _segment(record, amounts: dict[str, Fraction]) -> JobSegment:
     """A dump record as a segment. Fields are checked in the order the dump
-    writes them, so the first bad one is the one reported."""
+    writes them, so the first bad one is the one reported. `amounts` memoizes
+    the amount strings read so far; a string that fails is never stored, so
+    each record that repeats it fails on its own."""
     if type(job := record["job"]) is not int:
         raise _not_an_int(job)
     if type(machine := record["machine"]) is not int:
         raise _not_an_int(machine)
-    return JobSegment(job, machine, as_time(record["amount"]))
+    amount = record["amount"]
+    if type(amount) is not str:  # a JSON number, or a malformed value as_time reports
+        return JobSegment(job, machine, as_time(amount))
+    if (value := amounts.get(amount)) is None:
+        value = amounts[amount] = as_time(amount)
+    return JobSegment(job, machine, value)
 
 
 def _stint(record) -> tuple[int, int, int, int]:
@@ -349,7 +356,7 @@ def _verify_minms(instance: MinMsInstance, dump: dict, issues: list, notes: list
             f"machine_count {dump.get('machine_count')!r} does not match instance "
             f"{instance.machine_count}"
         )
-    raw = _records(dump, "segments", _segment, issues)
+    raw = _records(dump, "segments", functools.partial(_segment, amounts={}), issues)
     try:
         schedule, problems = MigrationSchedule(instance, tuple(raw)), []
     except InvariantError:
@@ -384,20 +391,25 @@ def _verify_minms(instance: MinMsInstance, dump: dict, issues: list, notes: list
         else:
             notes.append("every job is whole on one machine")
     elif algorithm == "wraparound":
-        bound = instance.ticks.time(minms.wrap_bound_ticks(instance))
-        makespan = schedule.makespan()
+        # One tick walk gives both facts: its latest end is the makespan, and
+        # each job's windows are compared as tick clocks.
+        walk = minms.timeline_ticks(schedule)
+        bound = minms.wrap_bound_ticks(instance)
+        makespan = max(end for _, _, _, end in walk)
+        time = instance.ticks.time
         if makespan != bound:
-            issues.append(f"makespan {makespan} differs from wrap bound {bound}")
+            issues.append(f"makespan {time(makespan)} differs from wrap bound {time(bound)}")
         else:
-            notes.append(f"makespan = {bound} (wrap bound)")
-        windows: dict[int, list[tuple[Fraction, Fraction]]] = {}
-        for job, _, start, end in minms.timeline(schedule):
+            notes.append(f"makespan = {time(bound)} (wrap bound)")
+        windows: dict[int, list[tuple[int | Fraction, int | Fraction]]] = {}
+        for job, _, start, end in walk:
             windows.setdefault(job, []).append((start, end))
         overlapping = []
         for job, spans in windows.items():
-            spans.sort()
-            if any(spans[i][1] > spans[i + 1][0] for i in range(len(spans) - 1)):
-                overlapping.append(job)
+            if len(spans) > 1:
+                spans.sort()
+                if any(a[1] > b[0] for a, b in zip(spans, spans[1:])):
+                    overlapping.append(job)
         if overlapping:
             issues.append(f"jobs {sorted(overlapping)} overlap themselves in time")
         else:

@@ -75,7 +75,7 @@ class Job:
     process_time: Fraction
 
     def __post_init__(self) -> None:
-        if not isinstance(self.id, int) or self.id < 0:
+        if type(self.id) is not int or self.id < 0:  # a bool is no id
             raise InvariantError(f"job id must be a non-negative integer, got {self.id!r}")
         object.__setattr__(self, "process_time", as_time(self.process_time))
         if self.process_time.numerator <= 0:
@@ -133,15 +133,36 @@ class MinMsInstance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "jobs", tuple(self.jobs))
-        if not self.jobs:
-            raise InvariantError("instance needs at least one job")
-        if not isinstance(self.machine_count, int) or self.machine_count < 1:
-            raise InvariantError(f"machine count must be a positive integer, got {self.machine_count!r}")
+        self._check_shape()
         seen: set[int] = set()
         for job in self.jobs:
             if job.id in seen:
                 raise InvariantError(f"duplicate job id {job.id}")
             seen.add(job.id)
+
+    def _check_shape(self) -> None:
+        if not self.jobs:
+            raise InvariantError("instance needs at least one job")
+        count = self.machine_count
+        if type(count) is not int or count < 1:  # a bool is no count
+            raise InvariantError(f"machine count must be a positive integer, got {count!r}")
+
+    @classmethod
+    def _trusted(cls, times: Iterable[tuple[int, Fraction]], machine_count: int) -> MinMsInstance:
+        """The instance of `(job id, process time)` pairs that a reader has
+        already checked: unique non-negative int ids and positive `Fraction`
+        times. `Job`'s checks and the duplicate scan are skipped; the shape
+        checks (at least one job, a positive machine count) still run."""
+        new = object.__new__
+        jobs = []
+        for job_id, time in times:
+            job = new(Job)
+            job.__dict__.update(id=job_id, process_time=time)  # past the frozen __setattr__
+            jobs.append(job)
+        instance = new(cls)
+        instance.__dict__.update(jobs=tuple(jobs), machine_count=machine_count)
+        instance._check_shape()
+        return instance
 
     @cached_property
     def ticks(self) -> TickView:
@@ -176,15 +197,16 @@ def segment_violations(
     problems: list[str] = []
     view = instance.ticks
     totals: dict[int, int | Fraction] = dict.fromkeys(view.sizes, 0)  # per job, in ticks
+    # Ids are exactly int: a bool is an int to isinstance, and True a key of `totals`.
     for job_id, machine_id, amount in segments:
-        if not isinstance(job_id, int) or job_id not in totals:
+        if type(job_id) is not int or job_id not in totals:
             problems.append(f"segment references unknown job {job_id!r}")
             continue
-        if not isinstance(machine_id, int) or not 0 <= machine_id < instance.machine_count:
+        if type(machine_id) is not int or not 0 <= machine_id < instance.machine_count:
             problems.append(
                 f"job {job_id}: machine {machine_id!r} out of range 0..{instance.machine_count - 1}"
             )
-        if not isinstance(amount, (int, Fraction)):
+        if type(amount) is not int and not isinstance(amount, Fraction):
             problems.append(f"job {job_id}: segment amount {amount!r} is not an int or Fraction")
             continue
         ticks = view.of(amount)

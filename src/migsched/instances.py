@@ -15,9 +15,10 @@ Blank lines and '#' comment lines are accepted on input and never emitted.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from pathlib import Path
 
-from .core import InvariantError, Job, MinMsInstance
+from .core import InvariantError, Job, MinMsInstance, as_time
 from .mintpt import IntervalInstance, IntervalJob
 
 __all__ = [
@@ -122,7 +123,10 @@ def parse_instance(text: str) -> MinMsInstance | IntervalInstance:
 
     seen: set[int] = set()
     if kind == "minms":
-        jobs: list[Job] = []
+        # Each distinct time token is read once; a token in the memo is a
+        # positive time, so the instance is built without Job's checks.
+        memo: dict[str, Fraction] = {}
+        times: list[tuple[int, Fraction]] = []
         for line, row in rows[2:]:
             tokens = row.split()
             if len(tokens) != 3 or tokens[0] != "job":
@@ -131,12 +135,19 @@ def parse_instance(text: str) -> MinMsInstance | IntervalInstance:
             if job_id in seen:
                 raise InstanceFormatError(f"duplicate job id {job_id}", line)
             seen.add(job_id)
-            try:
-                jobs.append(Job(job_id, tokens[2]))  # as_time parses the time token
-            except ValueError as exc:  # InvariantError included
-                raise InstanceFormatError(str(exc), line) from exc
+            token = tokens[2]
+            time = memo.get(token)
+            if time is None:
+                try:
+                    time = as_time(token)
+                except ValueError as exc:
+                    raise InstanceFormatError(str(exc), line) from exc
+                if not time:
+                    raise InstanceFormatError(f"job {job_id}: process time must be positive", line)
+                memo[token] = time
+            times.append((job_id, time))
         try:
-            return MinMsInstance(tuple(jobs), param_value)
+            return MinMsInstance._trusted(times, param_value)
         except InvariantError as exc:
             raise InstanceFormatError(str(exc)) from exc
 

@@ -14,7 +14,7 @@ Four routes, from classical to exact:
     max(longest job, ideal load) yields a preemptive timetable that respects
     both.
 
-All of them, and timeline, compute on the instance's integer ticks
+All of them, and timeline_ticks, compute on the instance's integer ticks
 (core.TickView) and make a Fraction only for what they return; a segment
 that holds a whole job carries the job's own process time. Apart from pam,
 whose output has a segment per machine, their cost does not grow with the
@@ -39,6 +39,7 @@ __all__ = [
     "wraparound_schedule",
     "lpt_ratio",
     "timeline",
+    "timeline_ticks",
 ]
 
 PAM_MAX_MACHINES = 1_000_000  # pam's time and memory grow linearly with m
@@ -212,23 +213,31 @@ def lpt_ratio(instance: MinMsInstance) -> Fraction:
     return lpt_schedule(instance).makespan() / opt_balance(instance)
 
 
-def timeline(schedule: MigrationSchedule) -> list[tuple[int, int, Fraction, Fraction]]:
-    """Read a schedule as a timetable: back-to-back execution from time 0.
+def timeline_ticks(
+    schedule: MigrationSchedule,
+) -> list[tuple[int, int, int | Fraction, int | Fraction]]:
+    """Read a schedule as a timetable in ticks: back-to-back execution from 0.
 
     Segments run consecutively on each machine in segment tuple order.
-    Returns (job_id, machine_id, start, end) per segment. Only meaningful
-    for schedules built with that convention (wraparound_schedule).
+    Returns (job_id, machine_id, start, end) per segment, as tick clocks: an
+    int while every amount on the machine so far is on the tick grid, a
+    Fraction of a tick once one is off it. Only meaningful for schedules
+    built with that convention (wraparound_schedule).
     """
-    ticks = schedule.instance.ticks
-    # Per machine: its clock in ticks (a Fraction once an amount off the tick
-    # grid has run there) and as a time value.
-    clocks: dict[int, tuple[int | Fraction, Fraction]] = {}
-    idle = (0, Fraction(0))
+    of = schedule.instance.ticks.of
+    clocks: dict[int, int | Fraction] = {}
     out = []
     for job_id, machine, amount in schedule.segments:
-        clock, start = clocks.get(machine, idle)
-        clock += ticks.of(amount)
-        end = ticks.time(clock)
+        start = clocks.get(machine, 0)
+        clocks[machine] = end = start + of(amount)
         out.append((job_id, machine, start, end))
-        clocks[machine] = (clock, end)
     return out
+
+
+def timeline(schedule: MigrationSchedule) -> list[tuple[int, int, Fraction, Fraction]]:
+    """timeline_ticks as time values: (job_id, machine_id, start, end) per segment."""
+    time = schedule.instance.ticks.time
+    return [
+        (job, machine, time(start), time(end))
+        for job, machine, start, end in timeline_ticks(schedule)
+    ]

@@ -54,16 +54,17 @@ class IntervalJob:
     demand: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.id, int) or self.id < 0:
+        # Exactly int: a bool is an int to isinstance, but never an id, slot or demand.
+        if type(self.id) is not int or self.id < 0:
             raise InvariantError(f"job id must be a non-negative integer, got {self.id!r}")
-        if not isinstance(self.start_slot, int) or self.start_slot < 0:
+        if type(self.start_slot) is not int or self.start_slot < 0:
             raise InvariantError(f"job {self.id}: start slot must be a non-negative integer")
-        if not isinstance(self.end_slot, int) or self.end_slot <= self.start_slot:
+        if type(self.end_slot) is not int or self.end_slot <= self.start_slot:
             raise InvariantError(
                 f"job {self.id}: end slot must exceed start slot, "
                 f"got [{self.start_slot}, {self.end_slot})"
             )
-        if self.demand != 1:
+        if type(self.demand) is not int or self.demand != 1:
             raise InvariantError(f"job {self.id}: only unit demand is supported")
 
     @property
@@ -84,7 +85,7 @@ class IntervalInstance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "jobs", tuple(self.jobs))
-        if not isinstance(self.capacity, int) or self.capacity < 1:
+        if type(self.capacity) is not int or self.capacity < 1:
             raise InvariantError(f"capacity must be a positive integer, got {self.capacity!r}")
         seen: set[int] = set()
         for job in self.jobs:
@@ -195,13 +196,13 @@ def placement_violations(
     covered: dict[int, list[tuple[int, int]]] = {jid: [] for jid in by_id}
     per_machine: dict[int, list[tuple[int, int]]] = {}
     for job_id, machine_id, start, end in stints:
-        if not isinstance(job_id, int) or job_id not in by_id:
+        if type(job_id) is not int or job_id not in by_id:
             problems.append(f"stint references unknown job {job_id!r}")
             continue
-        if not isinstance(machine_id, int) or machine_id < 0:
+        if type(machine_id) is not int or machine_id < 0:
             problems.append(f"job {job_id}: machine id {machine_id!r} invalid")
             continue
-        if not isinstance(start, int) or not isinstance(end, int) or start >= end:
+        if type(start) is not int or type(end) is not int or start >= end:
             problems.append(f"job {job_id}: stint [{start!r}, {end!r}) is not a slot range")
             continue
         covered[job_id].append((start, end))

@@ -3,8 +3,9 @@
 These are the ground truth that the approximation and optimality claims are
 measured against. Both searches are deterministic, refuse instances with
 more jobs than their gate (`max_jobs`; their cost grows with the job count
-alone), and are written independently of the production solvers, so a bug
-in a solver cannot leak into the oracle that checks it: exact_minms seeds
+alone) or than SEARCH_MAX_JOBS (their recursion depth is the job count),
+and are written independently of the production solvers, so a bug in a
+solver cannot leak into the oracle that checks it: exact_minms seeds
 its bound with its own greedy, and exact_mintpt has no separate seed, since
 its first leaf is already first fit by start time. exact_minms searches the
 instance's integer tick sizes (core.TickView), the same view the solvers
@@ -24,6 +25,7 @@ __all__ = [
     "InstanceTooLargeError",
     "MINMS_MAX_JOBS",
     "MINTPT_MAX_JOBS",
+    "SEARCH_MAX_JOBS",
     "exact_minms",
     "exact_mintpt",
 ]
@@ -31,6 +33,16 @@ __all__ = [
 # Default job gates.
 MINMS_MAX_JOBS = 10
 MINTPT_MAX_JOBS = 8
+# Both searches recurse once per job, so above this many jobs they refuse
+# whatever their gate: a raised gate must not reach the interpreter's
+# recursion limit (1000 frames by default).
+SEARCH_MAX_JOBS = 500
+
+
+def _refuse_above(n: int, max_jobs: int) -> None:
+    limit = min(max_jobs, SEARCH_MAX_JOBS)
+    if n > limit:
+        raise InstanceTooLargeError(f"{n} jobs exceed the oracle limit of {limit}")
 
 
 def exact_minms(instance: MinMsInstance, max_jobs: int = MINMS_MAX_JOBS) -> Fraction:
@@ -44,8 +56,7 @@ def exact_minms(instance: MinMsInstance, max_jobs: int = MINMS_MAX_JOBS) -> Frac
     instance's integer tick sizes, so all comparisons stay exact.
     """
     n = len(instance.jobs)
-    if n > max_jobs:
-        raise InstanceTooLargeError(f"{n} jobs exceed the oracle limit of {max_jobs}")
+    _refuse_above(n, max_jobs)
     m = min(instance.machine_count, n)
 
     sizes = sorted(instance.ticks.sizes.values(), reverse=True)
@@ -92,8 +103,7 @@ def exact_mintpt(instance: IntervalInstance, max_jobs: int = MINTPT_MAX_JOBS) ->
     total are cut; the first leaf reached is first fit by start time.
     """
     n = len(instance.jobs)
-    if n > max_jobs:
-        raise InstanceTooLargeError(f"{n} jobs exceed the oracle limit of {max_jobs}")
+    _refuse_above(n, max_jobs)
 
     g = instance.capacity
     jobs = sorted(instance.jobs, key=lambda j: (j.start_slot, j.id))

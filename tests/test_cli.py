@@ -232,6 +232,69 @@ class TestVerify:
         assert "ok: all loads = 30" in out
         assert "(21 jobs, 31 segments)" in out
 
+    @pytest.mark.parametrize("algorithm", ["lpt", "pam", "wraparound"])
+    def test_non_reduced_amounts_verify_as_their_reduced_forms(self, capsys, tmp_path, algorithm):
+        # Halves on 2 machines: a tick is 1/4. 6/4, 2/2 and 4/2 are on that
+        # grid, and 2/6 and 4/6 (a third, two thirds) are off it.
+        text = "minms 1\nmachines 2\njob 0 3/2\njob 1 2\njob 2 1\njob 3 5/2\n"
+        instance = _put(tmp_path / "h.inst", text)
+        dump = tmp_path / "d.json"
+        run(capsys, "solve", instance, "--algorithm", algorithm, "--dump", str(dump))
+        payload = json.loads(dump.read_text())
+        segments = payload["segments"]
+        # Split the first segment into a third and two thirds on its machine.
+        first = Fraction(segments[0]["amount"])
+        segments[0:1] = [
+            dict(segments[0], amount=str(first / 3)),
+            dict(segments[0], amount=str(first * 2 / 3)),
+        ]
+        payload["migrations"] += 1
+        reduced = json.dumps(payload)
+        spellings = {"3/2": "6/4", "1": "2/2", "2": "4/2", "1/3": "2/6", "2/3": "4/6"}
+        for segment in segments:
+            segment["amount"] = spellings.get(segment["amount"], segment["amount"])
+        assert {s["amount"] for s in segments} & {"6/4", "2/2", "2/6"}
+        outputs = []
+        for text in (reduced, json.dumps(payload)):
+            dump.write_text(text)
+            outputs.append(run(capsys, "verify", instance, str(dump)))
+        assert outputs[0] == outputs[1]
+        ticks = load_instance(instance).ticks
+        assert [type(ticks.of(Fraction(a))) for a in ("6/4", "2/2", "4/2", "2/6", "4/6")] == [
+            int, int, int, Fraction, Fraction
+        ]
+
+    def test_each_record_with_a_repeated_bad_amount_fails(self, capsys, tmp_path):
+        # Amount strings are read once per verify: a good string repeats
+        # around bad ones, and each bad record is its own FAIL line.
+        jobs = "".join(f"job {i} 1\n" for i in range(5))
+        instance = _put(tmp_path / "ones.inst", "minms 1\nmachines 1\n" + jobs)
+        amounts = ["1", "1/0", "1", "1/0", "1"]
+        dump = _put(tmp_path / "d.json", json.dumps({
+            "format": "migsched-dump", "version": 2, "kind": "minms", "algorithm": "lpt",
+            "machine_count": 1, "migrations": 0,
+            "segments": [{"job": i, "machine": 0, "amount": a} for i, a in enumerate(amounts)],
+        }))
+        code, out, _ = run(capsys, "verify", instance, dump)
+        assert code == 1
+        malformed = [line for line in out.splitlines() if "malformed" in line]
+        bad = "time must be n or num/den with a nonzero denominator, got '1/0'"
+        assert malformed == [f"FAIL: segment {i} malformed: {bad}" for i in (1, 3)]
+
+    def test_wraparound_windows_that_overlap_fail(self, capsys, tmp_path):
+        # Both jobs split across the two machines at the same clock times.
+        instance = _put(tmp_path / "two.inst", "minms 1\nmachines 2\njob 0 2\njob 1 2\n")
+        segments = [(0, 0, "1"), (0, 1, "1"), (1, 0, "1"), (1, 1, "1")]
+        dump = _put(tmp_path / "d.json", json.dumps({
+            "format": "migsched-dump", "version": 2, "kind": "minms", "algorithm": "wraparound",
+            "machine_count": 2, "migrations": 2,
+            "segments": [{"job": j, "machine": m, "amount": a} for j, m, a in segments],
+        }))
+        code, out, _ = run(capsys, "verify", instance, dump)
+        assert code == 1
+        assert "ok: makespan = 2 (wrap bound)" in out.splitlines()
+        assert "FAIL: jobs [0, 1] overlap themselves in time" in out.splitlines()
+
     def test_wraparound_dump_passes(self, capsys, graham10, tmp_path):
         dump = tmp_path / "wrap.json"
         run(capsys, "solve", graham10, "--algorithm", "wraparound", "--dump", str(dump))
@@ -573,6 +636,28 @@ def test_solve_pam_refuses_more_machines_than_its_gate(capsys, tmp_path):
         f"error: 1000000000000 machines exceed the pam limit of {minms.PAM_MAX_MACHINES}\n"
     )
     assert peak < 5 * 2**20
+
+
+@pytest.mark.parametrize(
+    "job_line, algorithm",
+    [("job {i} 1", "lpt"), ("job {i} 0 2 1", "lbm")],
+    ids=["minms", "mintpt"],
+)
+def test_oracle_refuses_jobs_past_its_search_depth(capsys, tmp_path, job_line, algorithm):
+    # The oracles recurse once per job: with the gate raised to 5000, 1500
+    # jobs are refused (an empty oracle column, or an error line for exact),
+    # never a RecursionError traceback.
+    header = "minms 1\nmachines 2\n" if algorithm == "lpt" else "mintpt 1\ncapacity 2\n"
+    lines = "".join(job_line.format(i=i) + "\n" for i in range(1500))
+    instance = _put(tmp_path / "many.inst", header + lines)
+    raised = ("--oracle-limit", "5000")
+    code, out, _ = run(capsys, "solve", instance, "--algorithm", algorithm, *raised)
+    assert code == 0
+    (row,) = parse_csv(out)
+    assert row["oracle"] == ""
+    code, out, err = run(capsys, "solve", instance, "--algorithm", "exact", *raised)
+    assert (code, out) == (2, "")
+    assert err == "error: 1500 jobs exceed the oracle limit of 500\n"
 
 
 @pytest.mark.parametrize("machines", [1000000, 1000000000000])

@@ -135,6 +135,15 @@ class TestJobAndInstance:
         with pytest.raises(InvariantError):
             make_instance([1], 0)
 
+    def test_bools_are_not_ids_or_counts(self):
+        # isinstance(True, int) holds, so a bool once passed as job 1 or one machine.
+        with pytest.raises(InvariantError, match="^job id must be a non-negative integer, got True"):
+            Job(True, 3)
+        with pytest.raises(
+            InvariantError, match="^machine count must be a positive integer, got True$"
+        ):
+            MinMsInstance((Job(0, 3),), True)
+
     def test_duplicate_job_ids_rejected(self):
         with pytest.raises(InvariantError):
             MinMsInstance((Job(0, 1), Job(0, 2)), 2)
@@ -200,7 +209,7 @@ class TestMigrationSchedule:
         with pytest.raises(InvariantError, match="unknown job"):
             MigrationSchedule(inst, (JobSegment(0, 0, 5), JobSegment(9, 0, 1)))
 
-    @pytest.mark.parametrize("job_id", [[0], 0.0, "0", None])
+    @pytest.mark.parametrize("job_id", [[0], 0.0, "0", None, False])
     def test_job_id_not_an_int_rejected(self, job_id):
         # Even an id that cannot be hashed is a violation, not a TypeError.
         inst = make_instance([5], 1)
@@ -213,12 +222,27 @@ class TestMigrationSchedule:
             MigrationSchedule(inst, (JobSegment(0, 1, 5),))
 
     @pytest.mark.parametrize(
-        "fields", [(0, 0, 5.0), (0, 0, "5"), (0, 0, 0), (0, -1, 5), (0, "0", 5), (0, 0.0, 5)]
+        "fields",
+        [(0, 0, 5.0), (0, 0, "5"), (0, 0, 0), (0, -1, 5), (0, "0", 5), (0, 0.0, 5), (0, False, 5)],
     )
     def test_malformed_segment_rejected(self, fields):
         # JobSegment is a plain triple; the schedule checks it.
         with pytest.raises(InvariantError):
             MigrationSchedule(make_instance([5], 1), (JobSegment(*fields),))
+
+    def test_bool_job_id_is_not_job_one(self):
+        inst = make_instance([3, 2], 2)
+        segments = (JobSegment(0, 0, 3), JobSegment(True, 1, 2))
+        with pytest.raises(InvariantError, match="^segment references unknown job True; "):
+            MigrationSchedule(inst, segments)
+
+    def test_bool_machine_and_amount_are_violations(self):
+        inst = make_instance([1, 1], 2)
+        assert segment_violations(inst, [(0, True, 1), (1, 0, True)]) == [
+            "job 0: machine True out of range 0..1",
+            "job 1: segment amount True is not an int or Fraction",
+            "conservation: job 1 segments sum to 0, process time is 1",
+        ]
 
     def test_negative_off_grid_amount_is_its_only_violation(self):
         # -1/7 + 36/7 = 5 conserves the job, so the sign is the one problem.

@@ -11,6 +11,7 @@ from migsched import (
     InstanceFormatError,
     IntervalInstance,
     IntervalJob,
+    InvariantError,
     Job,
     MinMsInstance,
     gen_graham_worst_case,
@@ -193,6 +194,60 @@ class TestIntegerGrammar:
             assert str(err.value) == f"line 3: job id: {exc}"
             return
         assert _parse_int(token, "job id", 3) == expected
+
+
+def checked_minms(machines, times):
+    """The minms parser's result by the checked path: every job through Job and
+    the instance through MinMsInstance, each error tagged with its job's line."""
+    jobs = []
+    for line, (job_id, token) in enumerate(times, 3):
+        try:
+            jobs.append(Job(job_id, token))
+        except ValueError as exc:
+            raise InstanceFormatError(str(exc), line) from exc
+    try:
+        return MinMsInstance(tuple(jobs), machines)
+    except InvariantError as exc:
+        raise InstanceFormatError(str(exc)) from exc
+
+
+time_tokens = st.one_of(
+    st.sampled_from(
+        ["3", "7/2", "14/4", "0", "0/5", "3/0", "+3", "-3", "3/-2", "1.5", "\u0663/2", "\u00b2"]
+        + ["9" * 5000, "1/" + "7" * 5000]
+    ),
+    st.text(alphabet="0123456789/+-", min_size=1, max_size=6),
+)
+
+
+class TestParserMatchesTheCheckedPath:
+    """The parser reads each distinct time token once and builds jobs without
+    Job's checks; its instances and errors are those of the checked path."""
+
+    @settings(max_examples=300, deadline=None)
+    @example(2, [(0, "3"), (1, "3"), (2, "0")])  # a repeated token, then a zero time
+    @example(0, [(0, "7/2")])  # the machine count is checked after the jobs
+    @given(
+        st.integers(0, 4),
+        st.lists(time_tokens, max_size=8).flatmap(
+            lambda tokens: st.permutations(range(len(tokens))).map(
+                lambda ids: list(zip(ids, tokens))
+            )
+        ),
+    )
+    def test_same_instance_or_same_error(self, machines, times):
+        text = f"minms 1\nmachines {machines}\n" + "".join(f"job {i} {t}\n" for i, t in times)
+        try:
+            expected = checked_minms(machines, times)
+        except InstanceFormatError as exc:
+            with pytest.raises(InstanceFormatError) as err:
+                parse_instance(text)
+            assert (str(err.value), err.value.line) == (str(exc), exc.line)
+            return
+        got = parse_instance(text)
+        assert got == expected
+        assert all(type(job.process_time) is Fraction for job in got.jobs)
+        assert got.ticks.sizes == expected.ticks.sizes
 
 
 VALID_DOCUMENTS = (

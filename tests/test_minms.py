@@ -21,6 +21,7 @@ from migsched import (
     timeline,
     wraparound_schedule,
 )
+from migsched.minms import timeline_ticks
 from migsched import core, oracles
 from migsched.minms import PAM_MAX_MACHINES
 
@@ -223,6 +224,7 @@ class TestPam:
         trace = pam_schedule(inst)
         opt = opt_balance(inst)
         assert all(load == opt for load in trace.schedule.machine_loads())
+        assert trace.schedule.migrations <= m - 1
 
     @given(rational_sizes, st.integers(min_value=1, max_value=6))
     def test_every_load_equals_optimum_rational_sizes(self, sizes, m):
@@ -230,6 +232,7 @@ class TestPam:
         trace = pam_schedule(inst)
         opt = opt_balance(inst)
         assert all(load == opt for load in trace.schedule.machine_loads())
+        assert trace.schedule.migrations <= m - 1
 
     @given(job_sizes, st.integers(min_value=1, max_value=8))
     def test_excess_matches_deficit(self, sizes, m):
@@ -344,6 +347,34 @@ class TestTicksMatchFractionReference:
         assert times == reference_timeline(segments)
         assert all_fractions(t for _, _, start, end in times for t in (start, end))
         assert all_fractions(sched.machine_loads() + (sched.makespan(),))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        coprime_sizes | rational_sizes,
+        st.integers(min_value=1, max_value=8),
+        st.sampled_from([1, 3, 7]),
+        st.randoms(use_true_random=False),
+    )
+    def test_timeline_is_the_tick_walk_over_the_unit(self, sizes, m, parts, rng):
+        # wraparound's own schedule (on the grid), or every job cut into
+        # `parts` equal pieces on random machines (off it for 3 and 7).
+        inst = make_instance(sizes, m)
+        sched, _ = wraparound_schedule(inst)
+        if parts > 1:
+            segments = [
+                JobSegment(job.id, rng.randrange(m), job.process_time / parts)
+                for job in inst.jobs
+                for _ in range(parts)
+            ]
+            sched = MigrationSchedule(inst, tuple(segments))
+        unit = inst.ticks.unit
+        walk = timeline_ticks(sched)
+        assert timeline(sched) == [
+            (job, machine, Fraction(start) / unit, Fraction(end) / unit)
+            for job, machine, start, end in walk
+        ]
+        if parts == 1:  # every wraparound piece is a whole number of ticks
+            assert all(type(t) is int for _, _, start, end in walk for t in (start, end))
 
 
 @settings(max_examples=60)

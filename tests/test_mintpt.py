@@ -338,6 +338,40 @@ class TestIntervalScheduleValidation:
         with pytest.raises(InvariantError):
             IntervalJob(0, 0, 2, demand=2)
 
+    @pytest.mark.parametrize(
+        "stints",
+        [
+            ((0, 0, 0, 2), (True, 0, 0, 1)),
+            ((0, 0, 0, 2), (1, True, 0, 1)),
+            ((0, 0, False, 2), (1, 0, 0, 1)),
+            ((0, 0, 0, 2), (1, 0, 0, True)),
+        ],
+        ids=["job", "machine", "start", "end"],
+    )
+    def test_bool_in_a_stint_is_a_violation(self, stints):
+        # Each stint set is valid with the bool read as 0 or 1.
+        inst = IntervalInstance((IntervalJob(0, 0, 2), IntervalJob(1, 0, 1)), 2)
+        with pytest.raises(InvariantError):
+            IntervalSchedule(inst, stints)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ((True, 0, 1), "job id must be a non-negative integer, got True"),
+            ((0, False, 1), "job 0: start slot must be a non-negative integer"),
+            ((0, 0, True), r"job 0: end slot must exceed start slot, got \[0, True\)"),
+            ((0, 0, 1, True), "job 0: only unit demand is supported"),
+        ],
+        ids=["id", "start", "end", "demand"],
+    )
+    def test_bools_are_not_job_fields(self, fields, message):
+        with pytest.raises(InvariantError, match=f"^{message}$"):
+            IntervalJob(*fields)
+
+    def test_bool_is_not_a_capacity(self):
+        with pytest.raises(InvariantError, match="^capacity must be a positive integer, got True$"):
+            IntervalInstance((IntervalJob(0, 0, 1),), True)
+
     def test_instance_invariants(self):
         with pytest.raises(InvariantError):
             IntervalInstance((IntervalJob(0, 0, 1),), 0)

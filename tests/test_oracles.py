@@ -22,6 +22,7 @@ from migsched import (
     mintpt_lower_bound,
     opt_balance,
 )
+from migsched.oracles import SEARCH_MAX_JOBS
 
 
 def make_instance(sizes, m):
@@ -168,6 +169,32 @@ class TestExactMinTpt:
             exact_mintpt(chain)
         with pytest.raises(InstanceTooLargeError):
             exact_mintpt(four_job_instance(), max_jobs=3)
+
+
+class TestSearchDepthGate:
+    """Both searches recurse once per job, so a raised gate stops at SEARCH_MAX_JOBS."""
+
+    def test_minms(self):
+        # One machine: the search walks one branch as deep as the job count.
+        limit = SEARCH_MAX_JOBS
+        assert exact_minms(make_instance([1] * limit, 1), max_jobs=10**6) == limit
+        with pytest.raises(
+            InstanceTooLargeError, match=f"^{limit + 1} jobs exceed the oracle limit of {limit}$"
+        ):
+            exact_minms(make_instance([1] * (limit + 1), 1), max_jobs=10**6)
+
+    def test_mintpt(self):
+        # One slot at capacity 1: each job opens a machine, so the one branch
+        # is as deep as the job count.
+        def stack(n):
+            return IntervalInstance(tuple(IntervalJob(i, 0, 1) for i in range(n)), 1)
+
+        limit = SEARCH_MAX_JOBS
+        assert exact_mintpt(stack(limit), max_jobs=10**6) == limit
+        with pytest.raises(
+            InstanceTooLargeError, match=f"^{limit + 1} jobs exceed the oracle limit of {limit}$"
+        ):
+            exact_mintpt(stack(limit + 1), max_jobs=10**6)
 
 
 class TestSandwiches:
