@@ -302,17 +302,20 @@ def _not_an_int(value) -> TypeError:
     return TypeError(f"expected an integer, got {value!r}")
 
 
-def _segment(record, amounts: dict[str, Fraction]) -> JobSegment:
+def _segment(amounts: dict[str, Fraction], record) -> JobSegment:
     """A dump record as a segment. Fields are checked in the order the dump
     writes them, so the first bad one is the one reported. `amounts` memoizes
     the amount strings read so far; a string that fails is never stored, so
-    each record that repeats it fails on its own."""
+    each record that repeats it fails on its own. The memo comes first so a
+    positional `functools.partial` binds it: a keyword one builds a dict on
+    every call."""
     if type(job := record["job"]) is not int:
         raise _not_an_int(job)
     if type(machine := record["machine"]) is not int:
         raise _not_an_int(machine)
     amount = record["amount"]
-    if type(amount) is not str:  # a JSON number, or a malformed value as_time reports
+    # Only strings are keys: 1.0 == 1 would let a float hit an int's entry.
+    if type(amount) is not str:
         return JobSegment(job, machine, as_time(amount))
     if (value := amounts.get(amount)) is None:
         value = amounts[amount] = as_time(amount)
@@ -356,7 +359,7 @@ def _verify_minms(instance: MinMsInstance, dump: dict, issues: list, notes: list
             f"machine_count {dump.get('machine_count')!r} does not match instance "
             f"{instance.machine_count}"
         )
-    raw = _records(dump, "segments", functools.partial(_segment, amounts={}), issues)
+    raw = _records(dump, "segments", functools.partial(_segment, {}), issues)
     try:
         schedule, problems = MigrationSchedule(instance, tuple(raw)), []
     except InvariantError:

@@ -237,7 +237,11 @@ def timeline_ticks(
 def timeline(schedule: MigrationSchedule) -> list[tuple[int, int, Fraction, Fraction]]:
     """timeline_ticks as time values: (job_id, machine_id, start, end) per segment."""
     time = schedule.instance.ticks.time
-    return [
-        (job, machine, time(start), time(end))
-        for job, machine, start, end in timeline_ticks(schedule)
-    ]
+    ends: dict[int, Fraction] = {}  # per machine: its last end, the next start there
+    zero = Fraction(0)
+    out = []
+    for job, machine, _, end in timeline_ticks(schedule):
+        start = ends.get(machine, zero)
+        ends[machine] = end = time(end)
+        out.append((job, machine, start, end))
+    return out

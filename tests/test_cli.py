@@ -266,10 +266,11 @@ class TestVerify:
 
     def test_each_record_with_a_repeated_bad_amount_fails(self, capsys, tmp_path):
         # Amount strings are read once per verify: a good string repeats
-        # around bad ones, and each bad record is its own FAIL line.
-        jobs = "".join(f"job {i} 1\n" for i in range(5))
+        # around bad ones, and each bad record is its own FAIL line. A float
+        # equal to an earlier good int amount is still refused.
+        jobs = "".join(f"job {i} 1\n" for i in range(6))
         instance = _put(tmp_path / "ones.inst", "minms 1\nmachines 1\n" + jobs)
-        amounts = ["1", "1/0", "1", "1/0", "1"]
+        amounts = ["1", "1/0", "1", "1/0", 1, 1.0]
         dump = _put(tmp_path / "d.json", json.dumps({
             "format": "migsched-dump", "version": 2, "kind": "minms", "algorithm": "lpt",
             "machine_count": 1, "migrations": 0,
@@ -279,7 +280,9 @@ class TestVerify:
         assert code == 1
         malformed = [line for line in out.splitlines() if "malformed" in line]
         bad = "time must be n or num/den with a nonzero denominator, got '1/0'"
-        assert malformed == [f"FAIL: segment {i} malformed: {bad}" for i in (1, 3)]
+        assert malformed == [f"FAIL: segment {i} malformed: {bad}" for i in (1, 3)] + [
+            "FAIL: segment 5 malformed: refusing inexact float time value 1.0"
+        ]
 
     def test_wraparound_windows_that_overlap_fail(self, capsys, tmp_path):
         # Both jobs split across the two machines at the same clock times.

@@ -113,6 +113,15 @@ def reference_wraparound(instance):
     return tuple(segments), bound
 
 
+def tick_walk_over_unit(sched):
+    """timeline_ticks with each clock divided by the instance's unit."""
+    unit = sched.instance.ticks.unit
+    return [
+        (job, machine, Fraction(start) / unit, Fraction(end) / unit)
+        for job, machine, start, end in timeline_ticks(sched)
+    ]
+
+
 def reference_timeline(segments):
     """Fraction timeline: (job_id, machine_id, start, end) per segment."""
     clocks = {}
@@ -287,6 +296,10 @@ class TestWraparound:
         assert sched.makespan() == expected
         assert sched.migrations <= m - 1  # McNaughton: at most one wrap per machine boundary
         self.assert_no_self_overlap(sched)
+        # Every wraparound piece is a whole number of ticks, so the walk's clocks are ints.
+        walk = timeline_ticks(sched)
+        assert all(type(t) is int for _, _, start, end in walk for t in (start, end))
+        assert timeline(sched) == tick_walk_over_unit(sched)
 
 
 class TestLptRatio:
@@ -345,36 +358,9 @@ class TestTicksMatchFractionReference:
         sched = MigrationSchedule(inst, tuple(segments))
         times = timeline(sched)
         assert times == reference_timeline(segments)
+        assert times == tick_walk_over_unit(sched)
         assert all_fractions(t for _, _, start, end in times for t in (start, end))
         assert all_fractions(sched.machine_loads() + (sched.makespan(),))
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        coprime_sizes | rational_sizes,
-        st.integers(min_value=1, max_value=8),
-        st.sampled_from([1, 3, 7]),
-        st.randoms(use_true_random=False),
-    )
-    def test_timeline_is_the_tick_walk_over_the_unit(self, sizes, m, parts, rng):
-        # wraparound's own schedule (on the grid), or every job cut into
-        # `parts` equal pieces on random machines (off it for 3 and 7).
-        inst = make_instance(sizes, m)
-        sched, _ = wraparound_schedule(inst)
-        if parts > 1:
-            segments = [
-                JobSegment(job.id, rng.randrange(m), job.process_time / parts)
-                for job in inst.jobs
-                for _ in range(parts)
-            ]
-            sched = MigrationSchedule(inst, tuple(segments))
-        unit = inst.ticks.unit
-        walk = timeline_ticks(sched)
-        assert timeline(sched) == [
-            (job, machine, Fraction(start) / unit, Fraction(end) / unit)
-            for job, machine, start, end in walk
-        ]
-        if parts == 1:  # every wraparound piece is a whole number of ticks
-            assert all(type(t) is int for _, _, start, end in walk for t in (start, end))
 
 
 @settings(max_examples=60)
