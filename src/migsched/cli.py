@@ -316,6 +316,8 @@ def _segment(amounts: dict[str, Fraction], record) -> JobSegment:
     amount = record["amount"]
     # Only strings are keys: 1.0 == 1 would let a float hit an int's entry.
     if type(amount) is not str:
+        if type(amount) is bool:  # as_time reads a JSON true as the int 1
+            raise TypeError(f"expected a time, got {amount!r}")
         return JobSegment(job, machine, as_time(amount))
     if (value := amounts.get(amount)) is None:
         value = amounts[amount] = as_time(amount)

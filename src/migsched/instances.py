@@ -151,26 +151,46 @@ def parse_instance(text: str) -> MinMsInstance | IntervalInstance:
         except InvariantError as exc:
             raise InstanceFormatError(str(exc)) from exc
 
-    interval_jobs: list[IntervalJob] = []
+    # A common line passes one test: decimal tokens, demand "1", a new id and
+    # end > start. Any other line is read again field by field, in the
+    # checked order, and either raises its first error or gives its values.
+    intervals: list[tuple[int, int, int]] = []
     for line, row in rows[2:]:
         tokens = row.split()
         if len(tokens) != 5 or tokens[0] != "job":
             raise InstanceFormatError(f"expected 'job <id> <start> <end> <demand>', got {row!r}", line)
-        job_id = _parse_int(tokens[1], "job id", line)
-        if job_id in seen:
-            raise InstanceFormatError(f"duplicate job id {job_id}", line)
+        _, id_token, start_token, end_token, demand_token = tokens
+        common = demand_token == "1" and (id_token + start_token + end_token).isdecimal()
+        if common:
+            try:
+                job_id, start, end = int(id_token), int(start_token), int(end_token)
+            except ValueError:  # more digits than int() converts
+                common = False
+        if not common or job_id in seen or end <= start:
+            job_id, start, end = _checked_job_line(tokens, seen, line)
         seen.add(job_id)
-        start = _parse_int(tokens[2], "start slot", line)
-        end = _parse_int(tokens[3], "end slot", line)
-        demand = _parse_int(tokens[4], "demand", line)
-        try:
-            interval_jobs.append(IntervalJob(job_id, start, end, demand))
-        except InvariantError as exc:
-            raise InstanceFormatError(str(exc), line) from exc
+        intervals.append((job_id, start, end))
     try:
-        return IntervalInstance(tuple(interval_jobs), param_value)
+        return IntervalInstance._trusted(intervals, param_value)
     except InvariantError as exc:
         raise InstanceFormatError(str(exc)) from exc
+
+
+def _checked_job_line(tokens: list[str], seen: set[int], line: int) -> tuple[int, int, int]:
+    """A `mintpt` job line's (id, start, end), read in the checked order: the
+    id token, a duplicate id, the start, end and demand tokens, then
+    `IntervalJob`'s own checks. The first failing check raises."""
+    job_id = _parse_int(tokens[1], "job id", line)
+    if job_id in seen:
+        raise InstanceFormatError(f"duplicate job id {job_id}", line)
+    start = _parse_int(tokens[2], "start slot", line)
+    end = _parse_int(tokens[3], "end slot", line)
+    demand = _parse_int(tokens[4], "demand", line)
+    try:
+        IntervalJob(job_id, start, end, demand)
+    except InvariantError as exc:
+        raise InstanceFormatError(str(exc), line) from exc
+    return job_id, start, end
 
 
 def serialize_instance(instance: MinMsInstance | IntervalInstance) -> str:

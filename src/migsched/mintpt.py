@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -85,13 +86,40 @@ class IntervalInstance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "jobs", tuple(self.jobs))
-        if type(self.capacity) is not int or self.capacity < 1:
-            raise InvariantError(f"capacity must be a positive integer, got {self.capacity!r}")
+        self._check_capacity()
         seen: set[int] = set()
         for job in self.jobs:
             if job.id in seen:
                 raise InvariantError(f"duplicate job id {job.id}")
             seen.add(job.id)
+
+    def _check_capacity(self) -> None:
+        capacity = self.capacity
+        if type(capacity) is not int or capacity < 1:  # a bool is no capacity
+            raise InvariantError(f"capacity must be a positive integer, got {capacity!r}")
+
+    @classmethod
+    def _trusted(cls, intervals: Iterable[tuple[int, int, int]], capacity: int) -> IntervalInstance:
+        """The instance of `(job id, start slot, end slot)` unit-demand jobs
+        that a reader has already checked: unique non-negative int ids and int
+        slots with 0 <= start < end. `IntervalJob`'s checks and the duplicate
+        scan are skipped; the capacity check still runs."""
+        new, store = object.__new__, object.__setattr__
+        jobs = []
+        for job_id, start, end in intervals:
+            # Stored as the dataclass's own __init__ stores them, past the
+            # frozen __setattr__: reaching for __dict__ instead would give
+            # every job a dict of its own, about 65 bytes more per job.
+            job = new(IntervalJob)
+            store(job, "id", job_id)
+            store(job, "start_slot", start)
+            store(job, "end_slot", end)
+            store(job, "demand", 1)
+            jobs.append(job)
+        instance = new(cls)
+        instance.__dict__.update(jobs=tuple(jobs), capacity=capacity)
+        instance._check_capacity()
+        return instance
 
     @property
     def horizon(self) -> int:
@@ -256,7 +284,7 @@ class IntervalSchedule:
         problems = placement_violations(self.instance, stints)
         if problems:
             raise InvariantError("; ".join(problems))
-        object.__setattr__(self, "stints", tuple(sorted(stints, key=lambda p: (p[0], p[2]))))
+        object.__setattr__(self, "stints", tuple(sorted(stints, key=operator.itemgetter(0, 2))))
 
     @property
     def machines_used(self) -> int:

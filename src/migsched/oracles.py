@@ -7,9 +7,10 @@ alone) or than SEARCH_MAX_JOBS (their recursion depth is the job count),
 and are written independently of the production solvers, so a bug in a
 solver cannot leak into the oracle that checks it: exact_minms seeds
 its bound with its own greedy, and exact_mintpt has no separate seed, since
-its first leaf is already first fit by start time. exact_minms searches the
-instance's integer tick sizes (core.TickView), the same view the solvers
-read; it has no scaling of its own.
+its first leaf is already first fit by start time; it stops at a floor that
+it computes from its own interval pieces, not from mintpt_lower_bound.
+exact_minms searches the instance's integer tick sizes (core.TickView), the
+same view the solvers read; it has no scaling of its own.
 """
 
 from __future__ import annotations
@@ -100,7 +101,10 @@ def exact_mintpt(instance: IntervalInstance, max_jobs: int = MINTPT_MAX_JOBS) ->
     and end slots cut time into at most 2n-1 pieces; each machine keeps a job
     count per piece, capacity g holds per piece, and a job costs the widths
     of its pieces where its machine is idle. Branches at or above the best
-    total are cut; the first leaf reached is first fit by start time.
+    total are cut; the first leaf reached is first fit by start time. The
+    search stops at the first leaf that equals the floor, the sum over pieces
+    of ceil(jobs in the piece / g) x width, computed here from the same
+    pieces.
     """
     n = len(instance.jobs)
     _refuse_above(n, max_jobs)
@@ -112,6 +116,13 @@ def exact_mintpt(instance: IntervalInstance, max_jobs: int = MINTPT_MAX_JOBS) ->
     piece = {slot: p for p, slot in enumerate(cuts)}
     spans = [range(piece[job.start_slot], piece[job.end_slot]) for job in jobs]
     counts = [[0] * len(widths) for _ in range(n)]
+    # The floor: a piece with L jobs keeps at least ceil(L / g) machines on.
+    # No assignment costs less, so a leaf that reaches it ends the search.
+    active = [0] * len(widths)
+    for span in spans:
+        for p in span:
+            active[p] += 1
+    floor = sum(-(-a // g) * width for a, width in zip(active, widths))
     # No seed: the first leaf is always reached (at once when n is 0) and replaces it.
     best = math.inf
 
@@ -136,6 +147,8 @@ def exact_mintpt(instance: IntervalInstance, max_jobs: int = MINTPT_MAX_JOBS) ->
                     place(k + 1, max(used, i + 1), total)
                     for p in span:
                         count[p] -= 1
+                    if best == floor:
+                        return
 
     place(0, 0, 0)
     return best

@@ -284,6 +284,26 @@ class TestVerify:
             "FAIL: segment 5 malformed: refusing inexact float time value 1.0"
         ]
 
+    @pytest.mark.parametrize(
+        "amount, code, line",
+        [
+            (True, 1, "FAIL: segment 0 malformed: expected a time, got True"),
+            (1, 0, "verification passed"),
+            ("1", 0, "verification passed"),
+        ],
+    )
+    def test_boolean_amount_is_malformed(self, capsys, tmp_path, amount, code, line):
+        # as_time reads a JSON true as the int 1, which would conserve this job.
+        instance = _put(tmp_path / "one.inst", "minms 1\nmachines 1\njob 0 1\n")
+        dump = _put(tmp_path / "d.json", json.dumps({
+            "format": "migsched-dump", "version": 2, "kind": "minms", "algorithm": "lpt",
+            "machine_count": 1, "migrations": 0,
+            "segments": [{"job": 0, "machine": 0, "amount": amount}],
+        }))
+        got, out, _ = run(capsys, "verify", instance, dump)
+        assert got == code
+        assert line in out.splitlines()
+
     def test_wraparound_windows_that_overlap_fail(self, capsys, tmp_path):
         # Both jobs split across the two machines at the same clock times.
         instance = _put(tmp_path / "two.inst", "minms 1\nmachines 2\njob 0 2\njob 1 2\n")

@@ -1,6 +1,7 @@
 """Generators and the instance file format."""
 
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -248,6 +249,102 @@ class TestParserMatchesTheCheckedPath:
         assert got == expected
         assert all(type(job.process_time) is Fraction for job in got.jobs)
         assert got.ticks.sizes == expected.ticks.sizes
+
+
+def checked_mintpt(capacity, lines):
+    """The mintpt parser's result by the checked path: each line's tokens read
+    in order, a duplicate id right after the id, every job through IntervalJob
+    and the instance through IntervalInstance, each error with its line."""
+    jobs, seen = [], set()
+    for line, (id_token, start_token, end_token, demand_token) in enumerate(lines, 3):
+        job_id = _parse_int(id_token, "job id", line)
+        if job_id in seen:
+            raise InstanceFormatError(f"duplicate job id {job_id}", line)
+        seen.add(job_id)
+        start = _parse_int(start_token, "start slot", line)
+        end = _parse_int(end_token, "end slot", line)
+        demand = _parse_int(demand_token, "demand", line)
+        try:
+            jobs.append(IntervalJob(job_id, start, end, demand))
+        except InvariantError as exc:
+            raise InstanceFormatError(str(exc), line) from exc
+    try:
+        return IntervalInstance(tuple(jobs), capacity)
+    except InvariantError as exc:
+        raise InstanceFormatError(str(exc)) from exc
+
+
+@st.composite
+def interval_lines(draw):
+    """(id, start, end, demand) tokens of mintpt job lines: permuted ids with
+    now and then a duplicate, intervals with start == end and end < start,
+    and now and then an odd token in any field."""
+    ids = draw(st.permutations(range(draw(st.integers(0, 8)))))
+    odd_tokens = {
+        "id": ["0", "01", "+1", "-1", "1" * 5000],
+        "slot": ["0", "01", "+1", "-1", "1.5", "9" * 5000],
+        "demand": ["0", "2", "01", "+1", "1" * 5000],
+    }
+    lines = []
+    for k, job_id in enumerate(ids):
+        if k and draw(st.integers(0, 9)) == 0:
+            job_id = ids[draw(st.integers(0, k - 1))]
+        start = draw(st.integers(0, 5))
+        end = start + draw(st.sampled_from([0, -1] + [1, 2, 3] * 5))
+        tokens = [str(job_id), str(start), str(end), "1"]
+        for i, kind in enumerate(("id", "slot", "slot", "demand")):
+            if draw(st.integers(0, 11)) == 0:
+                tokens[i] = draw(st.sampled_from(odd_tokens[kind]))
+        lines.append(tokens)
+    return lines
+
+
+class TestIntervalParserMatchesTheCheckedPath:
+    """The mintpt parser checks each job line once and builds the jobs without
+    IntervalJob's checks; its instances and errors are those of the checked path."""
+
+    @settings(max_examples=400, deadline=None)
+    @example(0, [["0", "0", "3", "1"]])  # the capacity is checked after the jobs
+    @example(0, [["0", "3", "3", "1"]])  # a line error comes before the capacity's
+    @example(2, [["1", "0", "3", "1"], ["1", "+1", "9" * 5000, "0"]])  # duplicate id first
+    @example(2, [["0", "0", "9" * 5000, "1"]])  # a 5000-digit end slot
+    @example(2, [["01", "0", "01", "01"], ["2", "2", "1", "2"]])  # end < start before demand
+    @example(1, [["0", "0", "1", "01"], ["1", "\u0663", "\u0664", "1"]])  # odd, valid tokens
+    @given(st.integers(0, 4), interval_lines())
+    def test_same_instance_or_same_error(self, capacity, lines):
+        text = f"mintpt 1\ncapacity {capacity}\n" + "".join(
+            f"job {' '.join(tokens)}\n" for tokens in lines
+        )
+        try:
+            expected = checked_mintpt(capacity, lines)
+        except InstanceFormatError as exc:
+            with pytest.raises(InstanceFormatError) as err:
+                parse_instance(text)
+            assert (str(err.value), err.value.line) == (str(exc), exc.line)
+            return
+        got = parse_instance(text)
+        assert got == expected
+        assert all(type(job) is IntervalJob and job.demand == 1 for job in got.jobs)
+        assert got.horizon == expected.horizon
+
+
+def test_parsed_interval_jobs_take_no_more_memory_than_checked_ones():
+    # The reader's jobs skip IntervalJob's checks but are stored as its
+    # __init__ stores them; a __dict__ of their own would cost about 65 more
+    # bytes per job. Slots 0 and 1 are cached small ints on both sides.
+    n = 20000
+    text = "mintpt 1\ncapacity 2\n" + "".join(f"job {i} 0 1 1\n" for i in range(n))
+
+    def retained(build):
+        tracemalloc.start()
+        try:
+            kept = build()  # held while the memory is read
+            return tracemalloc.get_traced_memory()[0] if kept else 0
+        finally:
+            tracemalloc.stop()
+
+    checked = retained(lambda: IntervalInstance(tuple(IntervalJob(i, 0, 1) for i in range(n)), 2))
+    assert retained(lambda: parse_instance(text)) < checked * 1.1
 
 
 VALID_DOCUMENTS = (

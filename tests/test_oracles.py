@@ -2,9 +2,12 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from migsched import (
     InstanceTooLargeError,
@@ -78,6 +81,32 @@ def naive_mintpt(instance):
         total = sum(len(slots) for slots in busy.values())
         if best is None or total < best:
             best = total
+    return best
+
+
+def partition_mintpt(instance):
+    """Independent oracle: every partition of the jobs into machines, Bell(n)
+    of them, each part checked slot by slot against the capacity."""
+    jobs, g = instance.jobs, instance.capacity
+    best = None
+
+    def assign(k, parts):
+        nonlocal best
+        if k == len(jobs):
+            total = sum(len(set().union(*(range(*j.interval) for j in part))) for part in parts)
+            best = total if best is None else min(best, total)
+            return
+        job = jobs[k]
+        for part in parts:
+            if all(sum(o.start_slot <= s < o.end_slot for o in part) < g for s in range(*job.interval)):
+                part.append(job)
+                assign(k + 1, parts)
+                part.pop()
+        parts.append([job])
+        assign(k + 1, parts)
+        parts.pop()
+
+    assign(0, [])
     return best
 
 
@@ -161,6 +190,15 @@ class TestExactMinTpt:
     def test_empty_instance(self):
         assert exact_mintpt(IntervalInstance((), 1)) == 0
 
+    def test_floor_stop_ends_a_search_of_ties(self):
+        # Fourteen unit jobs in a row on capacity 1: first fit reaches the
+        # floor 14 at the first leaf. Without the floor stop every other
+        # leaf ties with it and is walked, for about a minute.
+        chain = IntervalInstance(tuple(IntervalJob(i, i, i + 1) for i in range(14)), 1)
+        start = time.perf_counter()
+        assert exact_mintpt(chain, max_jobs=14) == 14
+        assert time.perf_counter() - start < 1.0
+
     def test_job_gate_is_an_int(self):
         # Nine unit jobs in a row on capacity 1: one machine, on for 9 slots.
         chain = IntervalInstance(tuple(IntervalJob(i, i, i + 1) for i in range(9)), 1)
@@ -219,6 +257,26 @@ class TestSandwiches:
             exact = exact_mintpt(inst)
             baseline = estf_schedule(inst).total_power_on_time()
             assert bound <= exact <= baseline
+
+    @settings(max_examples=200, deadline=None)
+    @example([(5, 2), (7, 3), (1, 5), (5, 2), (8, 1)], 2)  # first fit ends one above the floor
+    @given(
+        st.lists(st.tuples(st.integers(0, 9), st.integers(1, 5)), max_size=8),
+        st.integers(1, 3),
+    )
+    def test_mintpt_sandwich_property(self, intervals, capacity):
+        # floor <= exact <= estf, and lbm sits on the floor. The oracle's
+        # floor stop must not end above the optimum, which the partition
+        # enumeration checks.
+        inst = IntervalInstance(
+            tuple(IntervalJob(i, s, s + length) for i, (s, length) in enumerate(intervals)),
+            capacity,
+        )
+        floor = mintpt_lower_bound(inst)
+        exact = exact_mintpt(inst)
+        assert floor <= exact <= estf_schedule(inst).total_power_on_time()
+        assert lbm_schedule(inst).total_power_on_time() == floor
+        assert exact == partition_mintpt(inst)
 
     def test_migration_strictly_beats_exact_non_migratory(self):
         inst = four_job_instance()
