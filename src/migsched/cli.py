@@ -302,6 +302,12 @@ def _not_an_int(value) -> TypeError:
     return TypeError(f"expected an integer, got {value!r}")
 
 
+def _same_int(value, expected: int) -> bool:
+    """A dump header field holds `expected` as a JSON integer: `false` and
+    `2.0` compare equal to 0 and 2 but are not integers."""
+    return type(value) is int and value == expected
+
+
 def _segment(amounts: dict[str, Fraction], record) -> JobSegment:
     """A dump record as a segment. Fields are checked in the order the dump
     writes them, so the first bad one is the one reported. `amounts` memoizes
@@ -356,7 +362,7 @@ def _records(dump: dict, key: str, decode, issues: list[str]) -> list[tuple]:
 
 
 def _verify_minms(instance: MinMsInstance, dump: dict, issues: list, notes: list) -> None:
-    if dump.get("machine_count") != instance.machine_count:
+    if not _same_int(dump.get("machine_count"), instance.machine_count):
         issues.append(
             f"machine_count {dump.get('machine_count')!r} does not match instance "
             f"{instance.machine_count}"
@@ -373,7 +379,7 @@ def _verify_minms(instance: MinMsInstance, dump: dict, issues: list, notes: list
         )
 
     migrations = len(raw) - len(instance.jobs)
-    if dump.get("migrations") != migrations:
+    if not _same_int(dump.get("migrations"), migrations):
         issues.append(f"migrations recorded as {dump.get('migrations')!r}, recomputed {migrations}")
     else:
         notes.append(f"migrations = {migrations} as recorded")
@@ -435,19 +441,18 @@ def _verify_mintpt(instance: IntervalInstance, dump: dict, issues: list, notes: 
         )
 
     machines_used = len({machine for _, machine, _, _ in raw})
-    if dump.get("machines_used") != machines_used:
+    if not _same_int(dump.get("machines_used"), machines_used):
         issues.append(
             f"machines_used recorded as {dump.get('machines_used')!r}, recomputed {machines_used}"
         )
     if schedule is None:
         return
 
-    if dump.get("migrations") != schedule.migrations:
-        issues.append(
-            f"migrations recorded as {dump.get('migrations')!r}, recomputed {schedule.migrations}"
-        )
+    migrations = schedule.migrations  # a walk over every stint, so read once
+    if not _same_int(dump.get("migrations"), migrations):
+        issues.append(f"migrations recorded as {dump.get('migrations')!r}, recomputed {migrations}")
     else:
-        notes.append(f"migrations = {schedule.migrations} as recorded")
+        notes.append(f"migrations = {migrations} as recorded")
 
     algorithm = dump.get("algorithm")
     if algorithm == "lbm":
@@ -459,7 +464,7 @@ def _verify_mintpt(instance: IntervalInstance, dump: dict, issues: list, notes: 
         else:
             notes.append(f"power-on time {total} = floor {floor}")
     elif algorithm == "estf":
-        if schedule.migrations:
+        if migrations:
             issues.append("migrations present in a no-migration schedule")
         else:
             notes.append("no migrations, each job keeps one machine")
@@ -473,7 +478,7 @@ def cmd_verify(args) -> int:
         raise CliError(f"cannot read dump {args.dump}: {exc}") from exc
     if not isinstance(dump, dict) or dump.get("format") != DUMP_FORMAT:
         raise CliError("not a schedule dump")
-    if dump.get("version") != DUMP_VERSION:
+    if not _same_int(dump.get("version"), DUMP_VERSION):
         raise CliError(
             f"dump version {dump.get('version')!r} is not supported; "
             f"this verify reads version {DUMP_VERSION}"

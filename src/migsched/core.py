@@ -153,14 +153,19 @@ class MinMsInstance:
         already checked: unique non-negative int ids and positive `Fraction`
         times. `Job`'s checks and the duplicate scan are skipped; the shape
         checks (at least one job, a positive machine count) still run."""
-        new = object.__new__
+        new, store = object.__new__, object.__setattr__
         jobs = []
         for job_id, time in times:
+            # Stored as the dataclass's own __init__ stores them, past the
+            # frozen __setattr__: reaching for __dict__ instead gives every job
+            # a dict of its own, and later checked jobs lose the shared keys too.
             job = new(Job)
-            job.__dict__.update(id=job_id, process_time=time)  # past the frozen __setattr__
+            store(job, "id", job_id)
+            store(job, "process_time", time)
             jobs.append(job)
         instance = new(cls)
-        instance.__dict__.update(jobs=tuple(jobs), machine_count=machine_count)
+        store(instance, "jobs", tuple(jobs))
+        store(instance, "machine_count", machine_count)
         instance._check_shape()
         return instance
 

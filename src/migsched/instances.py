@@ -121,20 +121,25 @@ def parse_instance(text: str) -> MinMsInstance | IntervalInstance:
         raise InstanceFormatError(f"expected '{expected} <int>', got {param!r}", line)
     param_value = _parse_int(ptokens[1], expected, line)
 
+    # One loop for both kinds: shape, id, duplicate id, then the kind's fields.
+    # Each distinct `minms` time token is read once, so a memo hit is a positive
+    # time; a `mintpt` line that is not unit demand with end > start gets its
+    # error from `IntervalJob`. `_trusted` then skips the checks made here.
+    minms = kind == "minms"
+    usage = "job <id> <time>" if minms else "job <id> <start> <end> <demand>"
+    size = len(usage.split())
     seen: set[int] = set()
-    if kind == "minms":
-        # Each distinct time token is read once; a token in the memo is a
-        # positive time, so the instance is built without Job's checks.
-        memo: dict[str, Fraction] = {}
-        times: list[tuple[int, Fraction]] = []
-        for line, row in rows[2:]:
-            tokens = row.split()
-            if len(tokens) != 3 or tokens[0] != "job":
-                raise InstanceFormatError(f"expected 'job <id> <time>', got {row!r}", line)
-            job_id = _parse_int(tokens[1], "job id", line)
-            if job_id in seen:
-                raise InstanceFormatError(f"duplicate job id {job_id}", line)
-            seen.add(job_id)
+    memo: dict[str, Fraction] = {}
+    jobs: list[tuple] = []
+    for line, row in rows[2:]:
+        tokens = row.split()
+        if len(tokens) != size or tokens[0] != "job":
+            raise InstanceFormatError(f"expected '{usage}', got {row!r}", line)
+        job_id = _parse_int(tokens[1], "job id", line)
+        if job_id in seen:
+            raise InstanceFormatError(f"duplicate job id {job_id}", line)
+        seen.add(job_id)
+        if minms:
             token = tokens[2]
             time = memo.get(token)
             if time is None:
@@ -145,52 +150,20 @@ def parse_instance(text: str) -> MinMsInstance | IntervalInstance:
                 if not time:
                     raise InstanceFormatError(f"job {job_id}: process time must be positive", line)
                 memo[token] = time
-            times.append((job_id, time))
-        try:
-            return MinMsInstance._trusted(times, param_value)
-        except InvariantError as exc:
-            raise InstanceFormatError(str(exc)) from exc
-
-    # A common line passes one test: decimal tokens, demand "1", a new id and
-    # end > start. Any other line is read again field by field, in the
-    # checked order, and either raises its first error or gives its values.
-    intervals: list[tuple[int, int, int]] = []
-    for line, row in rows[2:]:
-        tokens = row.split()
-        if len(tokens) != 5 or tokens[0] != "job":
-            raise InstanceFormatError(f"expected 'job <id> <start> <end> <demand>', got {row!r}", line)
-        _, id_token, start_token, end_token, demand_token = tokens
-        common = demand_token == "1" and (id_token + start_token + end_token).isdecimal()
-        if common:
-            try:
-                job_id, start, end = int(id_token), int(start_token), int(end_token)
-            except ValueError:  # more digits than int() converts
-                common = False
-        if not common or job_id in seen or end <= start:
-            job_id, start, end = _checked_job_line(tokens, seen, line)
-        seen.add(job_id)
-        intervals.append((job_id, start, end))
+            jobs.append((job_id, time))
+        else:
+            start = _parse_int(tokens[2], "start slot", line)
+            end = _parse_int(tokens[3], "end slot", line)
+            if tokens[4] != "1" or end <= start:
+                try:
+                    IntervalJob(job_id, start, end, _parse_int(tokens[4], "demand", line))
+                except InvariantError as exc:
+                    raise InstanceFormatError(str(exc), line) from exc
+            jobs.append((job_id, start, end))
     try:
-        return IntervalInstance._trusted(intervals, param_value)
+        return (MinMsInstance if minms else IntervalInstance)._trusted(jobs, param_value)
     except InvariantError as exc:
         raise InstanceFormatError(str(exc)) from exc
-
-
-def _checked_job_line(tokens: list[str], seen: set[int], line: int) -> tuple[int, int, int]:
-    """A `mintpt` job line's (id, start, end), read in the checked order: the
-    id token, a duplicate id, the start, end and demand tokens, then
-    `IntervalJob`'s own checks. The first failing check raises."""
-    job_id = _parse_int(tokens[1], "job id", line)
-    if job_id in seen:
-        raise InstanceFormatError(f"duplicate job id {job_id}", line)
-    start = _parse_int(tokens[2], "start slot", line)
-    end = _parse_int(tokens[3], "end slot", line)
-    demand = _parse_int(tokens[4], "demand", line)
-    try:
-        IntervalJob(job_id, start, end, demand)
-    except InvariantError as exc:
-        raise InstanceFormatError(str(exc), line) from exc
-    return job_id, start, end
 
 
 def serialize_instance(instance: MinMsInstance | IntervalInstance) -> str:

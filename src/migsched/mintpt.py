@@ -117,7 +117,8 @@ class IntervalInstance:
             store(job, "demand", 1)
             jobs.append(job)
         instance = new(cls)
-        instance.__dict__.update(jobs=tuple(jobs), capacity=capacity)
+        store(instance, "jobs", tuple(jobs))
+        store(instance, "capacity", capacity)
         instance._check_capacity()
         return instance
 

@@ -338,6 +338,36 @@ class TestVerify:
         assert code == 2
         assert "does not match" in err
 
+    @pytest.mark.parametrize(
+        "fixture, algorithm, field, value, code, line",
+        [
+            ("graham_m2.inst", "lpt", "machine_count", 2.0, 1,
+             "FAIL: machine_count 2.0 does not match instance 2"),
+            ("graham_m2.inst", "lpt", "migrations", False, 1,
+             "FAIL: migrations recorded as False, recomputed 0"),
+            ("intervals_g3.inst", "estf", "migrations", 0.0, 1,
+             "FAIL: migrations recorded as 0.0, recomputed 0"),
+            ("intervals_g3.inst", "estf", "machines_used", 2.0, 1,
+             "FAIL: machines_used recorded as 2.0, recomputed 2"),
+            ("graham_m2.inst", "lpt", "version", 2.0, 2,
+             "error: dump version 2.0 is not supported; this verify reads version 2"),
+        ],
+        ids=["machine_count", "minms-migrations", "mintpt-migrations", "machines_used", "version"],
+    )
+    def test_header_integers_must_be_json_integers(
+        self, capsys, fixtures_dir, tmp_path, fixture, algorithm, field, value, code, line
+    ):
+        # false == 0 and 2.0 == 2 in Python; a dump writes these fields as integers.
+        instance, dump = str(fixtures_dir / fixture), tmp_path / "d.json"
+        run(capsys, "solve", instance, "--algorithm", algorithm, "--dump", str(dump))
+        payload = json.loads(dump.read_text())
+        assert payload[field] == value and type(payload[field]) is int
+        payload[field] = value
+        dump.write_text(json.dumps(payload))
+        got, out, err = run(capsys, "verify", instance, str(dump))
+        assert got == code
+        assert line in (out + err).splitlines()
+
     @pytest.mark.parametrize("version", [1, None, "2", 3])
     def test_other_dump_versions_are_input_errors(self, capsys, intervals, tmp_path, version):
         dump = tmp_path / "lbm.json"

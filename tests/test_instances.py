@@ -1,13 +1,18 @@
 """Generators and the instance file format."""
 
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import migsched
 from migsched import (
     InstanceFormatError,
     IntervalInstance,
@@ -345,6 +350,49 @@ def test_parsed_interval_jobs_take_no_more_memory_than_checked_ones():
 
     checked = retained(lambda: IntervalInstance(tuple(IntervalJob(i, 0, 1) for i in range(n)), 2))
     assert retained(lambda: parse_instance(text)) < checked * 1.1
+
+
+# Run in a fresh interpreter: how much a Job keeps depends on which Jobs the
+# process built first, so the parse must come before any checked Job.
+JOB_MEMORY = """
+import sys, tracemalloc
+from fractions import Fraction
+from migsched import Job, MinMsInstance, parse_instance
+
+n = 20000
+one = Fraction(1)  # one shared time on both sides, as the parser's memo shares it
+
+def retained(build):
+    tracemalloc.start()
+    try:
+        kept = build()  # held while the memory is read
+        return tracemalloc.get_traced_memory()[0] if kept else 0
+    finally:
+        tracemalloc.stop()
+
+if sys.argv[1] == "parse":
+    text = "minms 1\\nmachines 2\\n" + "".join(f"job {i} 1\\n" for i in range(n))
+    print(retained(lambda: parse_instance(text)))
+print(retained(lambda: MinMsInstance(tuple(Job(i, one) for i in range(n)), 2)))
+"""
+
+
+def test_parsed_minms_jobs_take_no_more_memory_than_checked_ones():
+    # The reader's jobs skip Job's checks but are stored as its __init__
+    # stores them; filled through __dict__ instead, each parsed job kept a
+    # dict of its own, and every checked Job built after them grew as well.
+    env = dict(os.environ, PYTHONPATH=str(Path(migsched.__file__).parents[1]))
+
+    def run(mode):
+        out = subprocess.run(
+            [sys.executable, "-c", JOB_MEMORY, mode], env=env, capture_output=True, text=True, check=True
+        )
+        return [int(value) for value in out.stdout.split()]
+
+    (alone,) = run("checked")
+    parsed, checked_after = run("parse")
+    assert parsed < alone * 1.1
+    assert checked_after < alone * 1.1
 
 
 VALID_DOCUMENTS = (

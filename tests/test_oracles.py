@@ -247,6 +247,24 @@ class TestSandwiches:
             assert ideal <= exact <= greedy
             assert greedy <= (Fraction(4, 3) - Fraction(1, 3 * m)) * exact
 
+    @settings(max_examples=200, deadline=None)
+    @example([Fraction(2), Fraction(2), Fraction(2), Fraction(3), Fraction(3)], 2)  # lpt's worst case
+    @given(
+        st.lists(
+            st.builds(Fraction, st.integers(1, 30), st.integers(1, 6)), min_size=1, max_size=9
+        ),
+        st.integers(1, 4),
+    )
+    def test_minms_sandwich_and_greedy_bound_property(self, sizes, m):
+        # W/m <= exact <= lpt <= (4m-1)/(3m) x exact (Graham 1969), and the
+        # two whole-job oracles agree where plain enumeration is cheap.
+        inst = make_instance(sizes, m)
+        exact = exact_minms(inst)
+        greedy = lpt_schedule(inst).makespan()
+        assert opt_balance(inst) <= exact <= greedy <= Fraction(4 * m - 1, 3 * m) * exact
+        if len(sizes) <= 7 and m <= 3:
+            assert exact == naive_minms(inst)
+
     def test_mintpt_sandwich(self):
         for seed in range(60):
             rng = random.Random(seed)
