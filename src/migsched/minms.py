@@ -4,8 +4,9 @@ Four routes, from classical to exact:
 
   - opt_balance: the ideal per-machine load, total work / machine count.
   - lpt_schedule: longest-processing-time-first greedy, whole jobs only.
-  - pam_schedule: lpt followed by a partition-and-migrate pass that splits
-    load above the ideal and moves it to machines below it, so every machine
+  - pam_schedule: lpt followed by a partition-and-migrate pass that cuts
+    the load above the ideal off each overloaded machine's last job and
+    deals it to machines below it, in at most m - 1 pieces, so every machine
     ends at exactly the ideal. This treats load as divisible: it is a load
     balance, not a timetable.
   - wraparound_schedule: the time-feasible counterpart. Splitting a job can
@@ -110,12 +111,14 @@ def pam_schedule(instance: MinMsInstance) -> PamTrace:
 
     Phase 1 is the lpt greedy. Phase 2 sorts overloaded machines by load
     non-increasing and underloaded machines by load non-decreasing, then
-    repeatedly moves min(current excess, current deficit) from the most
-    loaded machine to the least loaded one, splitting the most recently
-    allocated jobs on the source machine first. Always feasible: load is
-    treated as divisible. Its cost grows with the machine count, since every
-    machine ends with at least one segment, so more than PAM_MAX_MACHINES
-    machines raise InstanceTooLargeError before anything is allocated.
+    cuts each overloaded machine's excess off its last job and deals it to
+    the underloaded machines in order; the greedy gave that job to a machine
+    below the ideal, so it is always larger than the excess. Each piece
+    ends an excess or fills a deficit, so there are at most m - 1 pieces.
+    Always feasible: load is treated as divisible. Its cost grows with the
+    machine count, since every machine ends with at least one segment, so
+    more than PAM_MAX_MACHINES machines raise InstanceTooLargeError before
+    anything is allocated.
     """
     ticks = instance.ticks
     m = instance.machine_count
@@ -123,50 +126,40 @@ def pam_schedule(instance: MinMsInstance) -> PamTrace:
         raise InstanceTooLargeError(f"{m} machines exceed the pam limit of {PAM_MAX_MACHINES}")
     opt = ticks.total // m
 
-    # Per-machine [job, ticks] entries in allocation order; the transfer
-    # carves from the tail (most recently allocated first).
+    # Per-machine [job, ticks] entries in allocation order.
     stacks: list[list[list]] = [[] for _ in range(m)]
     loads = [0] * m
     for job, machine, size in _lpt_greedy(instance):
         stacks[machine].append([job, size])
         loads[machine] += size
-    received: list[list[tuple[Job, int]]] = [[] for _ in range(m)]
 
     over = sorted((i for i in range(m) if loads[i] > opt), key=lambda i: (-loads[i], i))
     under = sorted((i for i in range(m) if loads[i] < opt), key=lambda i: (loads[i], i))
     excess = [(i, loads[i] - opt) for i in over]
     deficit = [(i, opt - loads[i]) for i in under]
 
-    ex_rem = [amount for _, amount in excess]
-    de_rem = [amount for _, amount in deficit]
-    ei = di = 0
-    while ei < len(excess) and di < len(deficit):
-        src = excess[ei][0]
-        dst = deficit[di][0]
-        move = min(ex_rem[ei], de_rem[di])
-        remaining = move
-        while remaining > 0:
-            job, amount = stacks[src][-1]
-            take = amount if amount <= remaining else remaining
-            if take == amount:
-                stacks[src].pop()
-            else:
-                stacks[src][-1][1] = amount - take
-            received[dst].append((job, take))
-            remaining -= take
-        ex_rem[ei] -= move
-        de_rem[di] -= move
-        if ex_rem[ei] == 0:
-            ei += 1
-        if de_rem[di] == 0:
-            di += 1
+    # One cut per source: its last job went to a least-loaded machine, below
+    # opt while that job was unplaced, so the job is larger than the excess.
+    # No machine is both over and under opt, so a piece dealt to one never
+    # becomes a source's last entry.
+    room = [amount for _, amount in deficit]
+    di = 0
+    for src, rest in excess:
+        last = stacks[src][-1]
+        last[1] -= rest
+        while rest:
+            take = min(rest, room[di])
+            stacks[deficit[di][0]].append([last[0], take])
+            rest -= take
+            room[di] -= take
+            if room[di] == 0:
+                di += 1
 
-    segments = []
-    for i in range(m):
-        for job, amount in stacks[i]:
-            segments.append(JobSegment(job.id, i, _piece(instance, job, amount)))
-        for job, amount in received[i]:
-            segments.append(JobSegment(job.id, i, _piece(instance, job, amount)))
+    segments = [
+        JobSegment(job.id, i, _piece(instance, job, amount))
+        for i in range(m)
+        for job, amount in stacks[i]
+    ]
     schedule = MigrationSchedule(instance, tuple(segments))
     time = ticks.time
     return PamTrace(

@@ -126,9 +126,6 @@ class IntervalInstance:
     def horizon(self) -> int:
         return max((j.end_slot for j in self.jobs), default=0)
 
-    def jobs_by_id(self) -> dict[int, IntervalJob]:
-        return {j.id: j for j in self.jobs}
-
 
 @dataclass(frozen=True)
 class SlotProfile:
@@ -221,11 +218,10 @@ def placement_violations(
     Returns violations (empty when valid).
     """
     problems: list[str] = []
-    by_id = instance.jobs_by_id()
-    covered: dict[int, list[tuple[int, int]]] = {jid: [] for jid in by_id}
+    covered: dict[int, list[tuple[int, int]]] = {job.id: [] for job in instance.jobs}
     per_machine: dict[int, list[tuple[int, int]]] = {}
     for job_id, machine_id, start, end in stints:
-        if type(job_id) is not int or job_id not in by_id:
+        if type(job_id) is not int or job_id not in covered:
             problems.append(f"stint references unknown job {job_id!r}")
             continue
         if type(machine_id) is not int or machine_id < 0:
@@ -285,7 +281,11 @@ class IntervalSchedule:
         problems = placement_violations(self.instance, stints)
         if problems:
             raise InvariantError("; ".join(problems))
-        object.__setattr__(self, "stints", tuple(sorted(stints, key=operator.itemgetter(0, 2))))
+        stints = tuple(sorted(stints, key=operator.itemgetter(0, 2)))
+        object.__setattr__(self, "stints", stints)
+        # Canonical order puts a job's stints side by side, each ending where the next starts.
+        migrations = sum(a[0] == b[0] and a[1] != b[1] for a, b in zip(stints, stints[1:]))
+        object.__setattr__(self, "_migrations", migrations)
 
     @property
     def machines_used(self) -> int:
@@ -293,8 +293,7 @@ class IntervalSchedule:
 
     @property
     def migrations(self) -> int:
-        # Canonical order puts a job's stints side by side, each ending where the next starts.
-        return sum(a[0] == b[0] and a[1] != b[1] for a, b in zip(self.stints, self.stints[1:]))
+        return self._migrations
 
     def _machine_intervals(self) -> dict[int, list[tuple[int, int]]]:
         out: dict[int, list[tuple[int, int]]] = {}
@@ -398,6 +397,7 @@ def lbm_schedule(instance: IntervalInstance) -> IntervalSchedule:
             hosted[machine].add(job_id)
             placed[job_id] = (machine, slot)
     # Every job still placed ends at the last event, the horizon.
+    horizon = instance.horizon
     for job_id, (machine, since) in placed.items():
-        stints.append((job_id, machine, since, instance.horizon))
+        stints.append((job_id, machine, since, horizon))
     return IntervalSchedule(instance, tuple(stints))

@@ -255,6 +255,30 @@ class TestPam:
         deficit_loads = [trace.lpt_loads[i] for i, _ in trace.deficit]
         assert deficit_loads == sorted(deficit_loads)
 
+    @given(
+        st.lists(
+            st.builds(Fraction, st.integers(min_value=1, max_value=60), st.integers(1, 6)),
+            min_size=1,
+            max_size=30,
+        ),
+        st.integers(min_value=1, max_value=12),
+    )
+    def test_splits_only_the_last_job_of_each_overloaded_machine(self, sizes, m):
+        inst = make_instance(sizes, m)
+        loads, last = {}, {}
+        for job_id, machine, amount in lpt_schedule(inst).segments:
+            loads[machine] = loads.get(machine, 0) + amount
+            last[machine] = job_id
+        cut = {last[i]: i for i, load in loads.items() if load > opt_balance(inst)}
+        trace = pam_schedule(inst)
+        pieces = {}
+        for job_id, machine, amount in trace.schedule.segments:
+            pieces.setdefault(job_id, []).append((machine, amount))
+        assert {job_id for job_id, got in pieces.items() if len(got) > 1} == set(cut)
+        for job_id, machine in cut.items():
+            assert any(i == machine and amount > 0 for i, amount in pieces[job_id])
+        assert len(trace.excess) == len(cut)
+
 
 class TestWraparound:
     def test_longest_job_dominates(self):

@@ -271,6 +271,23 @@ class TestLbm:
             assert sched.total_power_on_time() == mintpt_lower_bound(inst)
             assert sched.machines_per_slot() == slot_profile(inst).min_machines
 
+    def test_horizon_is_read_once(self, monkeypatch):
+        # The horizon scans every job, so reading it per job still placed after
+        # the sweep makes lbm quadratic in the jobs that end at the horizon.
+        reads = []
+        horizon = IntervalInstance.horizon
+
+        def counted(instance):
+            reads.append(1)
+            return horizon.fget(instance)
+
+        monkeypatch.setattr(IntervalInstance, "horizon", property(counted))
+        n = 2000
+        inst = IntervalInstance(tuple(IntervalJob(i, i, n + 1) for i in range(n)), n)
+        sched = lbm_schedule(inst)
+        assert len(reads) <= 1
+        assert sched.stints == tuple((i, 0, i, n + 1) for i in range(n))
+
     def test_estf_never_beats_lbm(self):
         for seed in range(60):
             inst = gen_random_mintpt(12, 12, 2, seed=seed)
