@@ -311,10 +311,12 @@ def _same_int(value, expected: int) -> bool:
 def _segment(amounts: dict[str, Fraction], record) -> JobSegment:
     """A dump record as a segment. Fields are checked in the order the dump
     writes them, so the first bad one is the one reported. `amounts` memoizes
-    the amount strings read so far; a string that fails is never stored, so
-    each record that repeats it fails on its own. The memo comes first so a
-    positional `functools.partial` binds it: a keyword one builds a dict on
-    every call."""
+    the amount strings read so far, and `verify` seeds it with each instance
+    time under its canonical string, so a whole job's amount decodes to the
+    job's own time object and the schedule check takes its ticks unconverted.
+    A string that fails is never stored, so each record that repeats it fails
+    on its own. The memo comes first so a positional `functools.partial`
+    binds it: a keyword one builds a dict on every call."""
     if type(job := record["job"]) is not int:
         raise _not_an_int(job)
     if type(machine := record["machine"]) is not int:
@@ -322,8 +324,6 @@ def _segment(amounts: dict[str, Fraction], record) -> JobSegment:
     amount = record["amount"]
     # Only strings are keys: 1.0 == 1 would let a float hit an int's entry.
     if type(amount) is not str:
-        if type(amount) is bool:  # as_time reads a JSON true as the int 1
-            raise TypeError(f"expected a time, got {amount!r}")
         return JobSegment(job, machine, as_time(amount))
     if (value := amounts.get(amount)) is None:
         value = amounts[amount] = as_time(amount)
@@ -367,7 +367,8 @@ def _verify_minms(instance: MinMsInstance, dump: dict, issues: list, notes: list
             f"machine_count {dump.get('machine_count')!r} does not match instance "
             f"{instance.machine_count}"
         )
-    raw = _records(dump, "segments", functools.partial(_segment, {}), issues)
+    seed = {str(job.process_time): job.process_time for job in instance.jobs}
+    raw = _records(dump, "segments", functools.partial(_segment, seed), issues)
     try:
         schedule, problems = MigrationSchedule(instance, tuple(raw)), []
     except InvariantError:

@@ -9,13 +9,16 @@ one tick is 1/(lcm of the process-time denominators x machine count), so
 every process time and the balanced load W/m are whole numbers of ticks.
 Schedule checks and loads add every amount as ticks: an amount on that grid
 is an int count, and one off it (a dump's 1/7 where the instance's times are
-halves) is a `Fraction` of a tick, added into the same sums.
+halves) is a `Fraction` of a tick, added into the same sums. The construction
+check of a `MigrationSchedule` converts each amount to ticks once and the
+schedule keeps them, so its loads convert nothing again; a segment that holds
+a job's own process-time object takes the job's size in ticks unconverted.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -49,7 +52,7 @@ def as_time(value: int | str | Fraction) -> Fraction:
     is bounded by the string's. The denominator is converted first. Floats
     are rejected outright: a float that has already drifted cannot be
     recovered, and exact-equality guarantees downstream depend on never
-    letting one in.
+    letting one in. A bool is no time either, though Python counts it an int.
     """
     if isinstance(value, str):
         num, slash, den = value.partition("/")
@@ -61,6 +64,8 @@ def as_time(value: int | str | Fraction) -> Fraction:
         raise ValueError(f"time must be n or num/den with a nonzero denominator, got {value!r}")
     if isinstance(value, float):
         raise TypeError(f"refusing inexact float time value {value!r}")
+    if type(value) is bool:
+        raise TypeError(f"expected a time, got {value!r}")
     tv = value if type(value) is Fraction else Fraction(value)
     if tv.numerator < 0:
         raise ValueError(f"time values must be non-negative, got {tv}")
@@ -88,10 +93,11 @@ class TickView:
     `unit` is the number of ticks per time unit: the lcm of the process-time
     denominators times the machine count, so that the total `total` is a
     multiple of the machine count and W/m is `total // machine_count` ticks.
-    `sizes` maps each job id to its process time in ticks, in instance order.
+    `sizes` maps each job id to its process time in ticks, in instance order,
+    and `times` maps it to the job's own `process_time` object.
     """
 
-    __slots__ = ("unit", "sizes", "total")
+    __slots__ = ("unit", "sizes", "times", "total")
 
     def __init__(self, jobs: tuple[Job, ...], machine_count: int) -> None:
         unit = math.lcm(*(job.process_time.denominator for job in jobs)) * machine_count
@@ -100,6 +106,7 @@ class TickView:
             job.id: job.process_time.numerator * (unit // job.process_time.denominator)
             for job in jobs
         }
+        self.times = {job.id: job.process_time for job in jobs}
         self.total = sum(self.sizes.values())
 
     def of(self, amount: int | Fraction) -> int | Fraction:
@@ -190,6 +197,8 @@ class JobSegment(NamedTuple):
 def segment_violations(
     instance: MinMsInstance,
     segments: Iterable[tuple[int, int, Fraction]],
+    *,
+    ticks: list[int | Fraction] | None = None,
 ) -> list[str]:
     """Check raw (job_id, machine_id, amount) triples against an instance.
 
@@ -198,10 +207,21 @@ def segment_violations(
     not ints or out of range, amounts that are not a positive int or
     Fraction, and per-job conservation failures (segment amounts must sum to
     the process time).
+
+    `ticks`, if given, is an output list: each segment's amount in ticks is
+    appended to it in segment order, so when no violation is found it holds
+    one entry per segment. An amount that is its job's own process-time
+    object takes the job's size in ticks unconverted; that object is a
+    positive Fraction of exactly that size, so every check keeps its meaning.
+    Other amounts are converted, and equal counts share one object: `pam`
+    on many machines deals the same piece to each empty one.
     """
     problems: list[str] = []
     view = instance.ticks
-    totals: dict[int, int | Fraction] = dict.fromkeys(view.sizes, 0)  # per job, in ticks
+    sizes, times = view.sizes, view.times
+    totals: dict[int, int | Fraction] = dict.fromkeys(sizes, 0)  # per job, in ticks
+    out = [] if ticks is None else ticks
+    shared: dict[int | Fraction, int | Fraction] = {}
     # Ids are exactly int: a bool is an int to isinstance, and True a key of `totals`.
     for job_id, machine_id, amount in segments:
         if type(job_id) is not int or job_id not in totals:
@@ -211,15 +231,20 @@ def segment_violations(
             problems.append(
                 f"job {job_id}: machine {machine_id!r} out of range 0..{instance.machine_count - 1}"
             )
-        if type(amount) is not int and not isinstance(amount, Fraction):
-            problems.append(f"job {job_id}: segment amount {amount!r} is not an int or Fraction")
-            continue
-        ticks = view.of(amount)
-        if ticks <= 0:
-            problems.append(f"job {job_id}: non-positive segment amount {amount}")
-        totals[job_id] += ticks
+        if amount is times[job_id]:
+            t = sizes[job_id]
+        else:
+            if type(amount) is not int and not isinstance(amount, Fraction):
+                problems.append(f"job {job_id}: segment amount {amount!r} is not an int or Fraction")
+                continue
+            t = view.of(amount)
+            t = shared.setdefault(t, t)
+            if t <= 0:
+                problems.append(f"job {job_id}: non-positive segment amount {amount}")
+        totals[job_id] += t
+        out.append(t)
     for job in instance.jobs:
-        if totals[job.id] != view.sizes[job.id]:
+        if totals[job.id] != sizes[job.id]:
             problems.append(
                 f"conservation: job {job.id} segments sum to {view.time(totals[job.id])}, "
                 f"process time is {job.process_time}"
@@ -252,6 +277,9 @@ class MigrationSchedule:
       - amounts are positive ints or Fractions,
       - per job, segment amounts sum exactly to its process time.
 
+    The check converts each amount to ticks once, and the schedule keeps
+    those ticks (`_ticks`, one per segment) for its loads and timelines.
+
     A job split into k segments accounts for k-1 migrations; a schedule that
     keeps every job whole has zero migrations. Segment tuple order is
     meaningful: within one machine it is execution order for schedules that
@@ -260,12 +288,15 @@ class MigrationSchedule:
 
     instance: MinMsInstance
     segments: tuple[JobSegment, ...]
+    _ticks: tuple[int | Fraction, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "segments", tuple(self.segments))
-        problems = segment_violations(self.instance, self.segments)
+        ticks: list[int | Fraction] = []
+        problems = segment_violations(self.instance, self.segments, ticks=ticks)
         if problems:
             raise InvariantError("; ".join(problems))
+        object.__setattr__(self, "_ticks", tuple(ticks))
 
     @property
     def migrations(self) -> int:
@@ -275,11 +306,9 @@ class MigrationSchedule:
     def _loads(self) -> dict[int, int | Fraction]:
         """Per loaded machine, its load in ticks: the sum of its int ticks plus
         the pairwise sum of its off-grid (Fraction) ticks."""
-        view = self.instance.ticks
         loads: dict[int, int | Fraction] = {}
         off_grid: dict[int, list[Fraction]] = {}
-        for _, machine, amount in self.segments:
-            t = view.of(amount)
+        for (_, machine, _), t in zip(self.segments, self._ticks):
             if type(t) is int:
                 loads[machine] = loads.get(machine, 0) + t
             else:

@@ -215,14 +215,16 @@ def timeline_ticks(
     Returns (job_id, machine_id, start, end) per segment, as tick clocks: an
     int while every amount on the machine so far is on the tick grid, a
     Fraction of a tick once one is off it. Only meaningful for schedules
-    built with that convention (wraparound_schedule).
+    built with that convention (wraparound_schedule). The ticks are the ones
+    the schedule kept from its construction check, so nothing is converted
+    again; `verify` seeds its amount memo with the instance's own times, so a
+    dump's whole jobs reach that check as those objects.
     """
-    of = schedule.instance.ticks.of
     clocks: dict[int, int | Fraction] = {}
     out = []
-    for job_id, machine, amount in schedule.segments:
+    for (job_id, machine, _), t in zip(schedule.segments, schedule._ticks):
         start = clocks.get(machine, 0)
-        clocks[machine] = end = start + of(amount)
+        clocks[machine] = end = start + t
         out.append((job_id, machine, start, end))
     return out
 

@@ -264,6 +264,22 @@ class TestVerify:
             int, int, int, Fraction, Fraction
         ]
 
+    def test_non_canonical_whole_job_amount_verifies(self, capsys, tmp_path):
+        # "6/2" is not the string verify's amount memo holds for job 0's time
+        # 3, so it is read and converted as any other amount.
+        instance = _put(tmp_path / "t.inst", "minms 1\nmachines 2\njob 0 3\njob 1 2\n")
+        dump = _put(tmp_path / "d.json", json.dumps({
+            "format": "migsched-dump", "version": 2, "kind": "minms", "algorithm": "lpt",
+            "machine_count": 2, "migrations": 0,
+            "segments": [
+                {"job": 0, "machine": 0, "amount": "6/2"},
+                {"job": 1, "machine": 1, "amount": "2"},
+            ],
+        }))
+        code, out, _ = run(capsys, "verify", instance, dump)
+        assert code == 0, out
+        assert "ok: per-job conservation holds (2 jobs, 2 segments)" in out.splitlines()
+
     def test_each_record_with_a_repeated_bad_amount_fails(self, capsys, tmp_path):
         # Amount strings are read once per verify: a good string repeats
         # around bad ones, and each bad record is its own FAIL line. A float

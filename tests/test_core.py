@@ -70,6 +70,12 @@ class TestTimeValue:
         with pytest.raises(ValueError, match="time values must be non-negative, got -1/2"):
             as_time(Fraction(-1, 2))
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_rejects_bools(self, value):
+        # isinstance(True, int) holds, so a bool once read as the time 1 or 0.
+        with pytest.raises(TypeError, match=f"^expected a time, got {value}$"):
+            as_time(value)
+
     def test_keeps_a_fraction(self):
         value = Fraction(7, 2)
         assert as_time(value) is value
@@ -122,6 +128,11 @@ class TestJobAndInstance:
     def test_zero_process_time_message(self, process_time):
         with pytest.raises(InvariantError, match="^job 3: process time must be positive$"):
             Job(3, process_time)
+
+    @pytest.mark.parametrize("process_time", [True, False])
+    def test_bool_process_time_rejected(self, process_time):
+        with pytest.raises(TypeError, match=f"^expected a time, got {process_time}$"):
+            Job(0, process_time)
 
     def test_negative_id_rejected(self):
         with pytest.raises(InvariantError):
@@ -243,6 +254,54 @@ class TestMigrationSchedule:
             "job 1: segment amount True is not an int or Fraction",
             "conservation: job 1 segments sum to 0, process time is 1",
         ]
+
+    def test_job_placed_twice_with_its_own_time_objects(self):
+        # The first segment is job 0's own time object, the second an equal
+        # Fraction of its own: both count, whichever path converts them.
+        inst = make_instance([3, 2], 2)
+        t0, t1 = (job.process_time for job in inst.jobs)
+        for second in (t0, Fraction(3)):
+            assert segment_violations(inst, [(0, 0, t0), (0, 1, second), (1, 1, t1)]) == [
+                "conservation: job 0 segments sum to 6, process time is 3"
+            ]
+
+    def test_another_jobs_time_object_is_converted(self):
+        inst = make_instance([3, 2], 2)
+        t0 = inst.jobs[0].process_time
+        assert segment_violations(inst, [(0, 0, t0), (1, 1, t0)]) == [
+            "conservation: job 1 segments sum to 3, process time is 2"
+        ]
+
+    def test_an_equal_amount_of_another_type_conserves(self):
+        inst = make_instance([3, 2], 2)
+        ticks = []
+        segments = [(0, 0, 3), (1, 1, inst.jobs[1].process_time)]
+        assert segment_violations(inst, segments, ticks=ticks) == []
+        assert ticks == [inst.ticks.of(3), inst.ticks.sizes[1]]
+
+    def test_own_time_object_still_checks_the_machine(self):
+        inst = make_instance([3, 2], 2)
+        t0, t1 = (job.process_time for job in inst.jobs)
+        assert segment_violations(inst, [(0, 5, t0), (1, True, t1)]) == [
+            "job 0: machine 5 out of range 0..1",
+            "job 1: machine True out of range 0..1",
+        ]
+
+    def test_schedule_keeps_one_tick_count_per_segment(self):
+        # Job 0 whole, as its own time object (602 ticks, past the small-int
+        # cache), and job 1 in two thirds off the quarter-tick grid.
+        inst = make_instance([Fraction(301, 2), 2], 2)
+        segments = (
+            JobSegment(0, 0, inst.jobs[0].process_time),
+            JobSegment(1, 1, Fraction(1, 3)),
+            JobSegment(1, 0, Fraction(5, 3)),
+        )
+        sched = MigrationSchedule(inst, segments)
+        view = inst.ticks
+        assert sched._ticks == tuple(view.of(amount) for _, _, amount in segments)
+        assert sched._ticks[0] is view.sizes[0]
+        assert sched == MigrationSchedule(inst, segments)
+        assert "_ticks" not in repr(sched)
 
     def test_negative_off_grid_amount_is_its_only_violation(self):
         # -1/7 + 36/7 = 5 conserves the job, so the sign is the one problem.

@@ -13,6 +13,7 @@ from migsched import (
     JobSegment,
     MigrationSchedule,
     MinMsInstance,
+    as_time,
     gen_graham_worst_case,
     lpt_ratio,
     lpt_schedule,
@@ -23,6 +24,7 @@ from migsched import (
 )
 from migsched.minms import timeline_ticks
 from migsched import core, oracles
+from migsched.core import segment_violations
 from migsched.minms import PAM_MAX_MACHINES
 
 job_sizes = st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=24)
@@ -385,6 +387,55 @@ class TestTicksMatchFractionReference:
         assert times == tick_walk_over_unit(sched)
         assert all_fractions(t for _, _, start, end in times for t in (start, end))
         assert all_fractions(sched.machine_loads() + (sched.makespan(),))
+
+
+def reference_tick_walk(schedule):
+    """Loads and timeline in ticks, each amount converted by `TickView.of`."""
+    of = schedule.instance.ticks.of
+    loads, walk = {}, []
+    for job, machine, amount in schedule.segments:
+        start = loads.get(machine, 0)
+        loads[machine] = start + of(amount)
+        walk.append((job, machine, start, loads[machine]))
+    return loads, walk
+
+
+class TestKeptTicks:
+    @settings(max_examples=200, deadline=None)
+    @given(coprime_sizes | rational_sizes, st.integers(min_value=1, max_value=8))
+    def test_kept_ticks_give_the_loads_and_timelines_of_converting_again(self, sizes, m):
+        inst = make_instance(sizes, m)
+        view = inst.ticks
+        for sched in (lpt_schedule(inst), pam_schedule(inst).schedule, wraparound_schedule(inst)[0]):
+            # The same amounts as fresh objects, which no job's time is.
+            fresh = MigrationSchedule(
+                inst, tuple(JobSegment(j, i, as_time(str(a))) for j, i, a in sched.segments)
+            )
+            assert not any(a is view.times[j] for j, _, a in fresh.segments)
+            for schedule in (sched, fresh):
+                assert schedule._ticks == tuple(view.of(s.amount) for s in schedule.segments)
+                loads, walk = reference_tick_walk(schedule)
+                assert schedule.makespan() == view.time(max(loads.values()))
+                assert schedule.machine_loads() == tuple(
+                    view.time(loads.get(i, 0)) for i in range(m)
+                )
+                assert timeline_ticks(schedule) == walk
+
+    def test_equal_pieces_share_one_tick_count(self):
+        # Two jobs on 1000 machines: pam deals W/m (1802 ticks, past the
+        # small-int cache) to each empty machine, as a Fraction of its own.
+        inst = make_instance([Fraction(1801, 2), Fraction(1, 2)], 1000)
+        sched = pam_schedule(inst).schedule
+        assert len(sched.segments) == 1001
+        assert len({id(t) for t in sched._ticks}) <= 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(job_sizes | coprime_sizes | rational_sizes, st.integers(min_value=1, max_value=8))
+def test_solver_output_has_no_segment_violations(sizes, m):
+    inst = make_instance(sizes, m)
+    for sched in (lpt_schedule(inst), pam_schedule(inst).schedule, wraparound_schedule(inst)[0]):
+        assert segment_violations(inst, sched.segments) == []
 
 
 @settings(max_examples=60)

@@ -19,6 +19,7 @@ from migsched import (
     mintpt_lower_bound,
     slot_profile,
 )
+from migsched.mintpt import placement_violations
 
 intervals_strategy = st.lists(
     st.tuples(st.integers(0, 20), st.integers(1, 10)).map(lambda t: (t[0], t[0] + t[1])),
@@ -126,6 +127,12 @@ class TestStintsMatchPerSlotReference:
             sched = solver(inst)
             got = (machine_assignment(sched), sched.migrations, sched.total_power_on_time())
             assert got == reference_queries(reference(inst))
+
+    @settings(max_examples=200, deadline=None)
+    @given(interval_instances())
+    def test_solver_output_has_no_placement_violations(self, inst):
+        for solver in (estf_schedule, lbm_schedule):
+            assert placement_violations(inst, solver(inst).stints) == []
 
     @settings(max_examples=100, deadline=None)
     @given(interval_instances())
