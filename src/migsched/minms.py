@@ -24,9 +24,11 @@ machine count beyond the job count.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .core import InstanceTooLargeError, Job, JobSegment, MigrationSchedule, MinMsInstance
 
@@ -99,11 +101,14 @@ class PamTrace:
     schedule: MigrationSchedule
 
 
-def _piece(instance: MinMsInstance, job: Job, ticks: int) -> Fraction:
-    """The amount of `ticks` of `job`: its own process time when it is whole."""
+def _piece(
+    instance: MinMsInstance, job: Job, ticks: int, time: Callable[[int], Fraction]
+) -> Fraction:
+    """The amount of `ticks` of `job`: its own process time when it is whole,
+    else `time(ticks)`."""
     if ticks == instance.ticks.sizes[job.id]:
         return job.process_time
-    return instance.ticks.time(ticks)
+    return time(ticks)
 
 
 def pam_schedule(instance: MinMsInstance) -> PamTrace:
@@ -118,7 +123,10 @@ def pam_schedule(instance: MinMsInstance) -> PamTrace:
     Always feasible: load is treated as divisible. Its cost grows with the
     machine count, since every machine ends with at least one segment, so
     more than PAM_MAX_MACHINES machines raise InstanceTooLargeError before
-    anything is allocated.
+    anything is allocated. Equal tick counts share one Fraction, in the
+    pieces and in the trace alike, so the m near-equal loads, deficits and
+    pieces take a few objects, not one each; a whole job still carries its
+    own process time.
     """
     ticks = instance.ticks
     m = instance.machine_count
@@ -155,13 +163,13 @@ def pam_schedule(instance: MinMsInstance) -> PamTrace:
             if room[di] == 0:
                 di += 1
 
+    time = functools.cache(ticks.time)
     segments = [
-        JobSegment(job.id, i, _piece(instance, job, amount))
+        JobSegment(job.id, i, _piece(instance, job, amount, time))
         for i in range(m)
         for job, amount in stacks[i]
     ]
     schedule = MigrationSchedule(instance, tuple(segments))
-    time = ticks.time
     return PamTrace(
         tuple(time(load) for load in loads),
         tuple((i, time(amount)) for i, amount in excess),
@@ -192,7 +200,7 @@ def wraparound_schedule(instance: MinMsInstance) -> tuple[MigrationSchedule, Fra
         remaining = ticks.sizes[job.id]
         while remaining > 0:
             take = min(remaining, bound - clock)
-            segments.append(JobSegment(job.id, machine, _piece(instance, job, take)))
+            segments.append(JobSegment(job.id, machine, _piece(instance, job, take, ticks.time)))
             clock += take
             remaining -= take
             if clock == bound:

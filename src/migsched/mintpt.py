@@ -17,7 +17,11 @@ A schedule is run-length: each (job, machine, start, end) stint places a job
 on one machine for the slots [start, end). The floor, both solvers and the
 schedule's checks and totals work from the sorted start and end events, so
 their cost does not grow with the horizon; only the per-slot views
-(slot_profile, machines_per_slot) walk every slot.
+(slot_profile, machines_per_slot) walk every slot. Both solvers find the
+lowest-indexed machine with room through a min-heap, not a scan of the
+machines, so each job costs O(log machines). The schedule check tests each
+machine's capacity on its sorted stint starts and ends, and the schedule
+keeps the power-on time that the same lists give.
 """
 
 from __future__ import annotations
@@ -208,6 +212,8 @@ def mintpt_lower_bound(instance: IntervalInstance) -> int:
 def placement_violations(
     instance: IntervalInstance,
     stints: Iterable[tuple[int, int, int, int]],
+    *,
+    power_on: list[int] | None = None,
 ) -> list[str]:
     """Check raw (job_id, machine_id, start, end) stints against an instance.
 
@@ -216,6 +222,14 @@ def placement_violations(
     ints, each job's stints cover its interval exactly (no gap, no slot twice,
     nothing outside), and no machine hosts more than g jobs in any slot.
     Returns violations (empty when valid).
+
+    Capacity is tested per machine on its stints' starts and ends, each sorted:
+    more than g of them share a slot exactly when some start[i + g] comes
+    before end[i]. Only a machine that fails this test is walked run by run
+    to word its messages. When `power_on` is given, it receives each
+    machine's busy slots in machine order, from the same sorted lists: the
+    span from the first start to the last end less the gaps where end[i]
+    comes before start[i + 1].
     """
     problems: list[str] = []
     covered: dict[int, list[tuple[int, int]]] = {job.id: [] for job in instance.jobs}
@@ -234,7 +248,10 @@ def placement_violations(
         per_machine.setdefault(machine_id, []).append((start, end))
     for job in instance.jobs:
         cursor = job.start_slot
-        for start, end in sorted(covered[job.id]):
+        spans = covered[job.id]
+        if len(spans) > 1:
+            spans.sort()
+        for start, end in spans:
             if start < job.start_slot or end > job.end_slot:
                 problems.append(
                     f"job {job.id}: stint [{start}, {end}) outside its interval "
@@ -251,13 +268,19 @@ def placement_violations(
             cursor = max(cursor, end)
         if cursor < job.end_slot:
             problems.append(f"job {job.id}: no placement for slots [{cursor}, {job.end_slot})")
+    g = instance.capacity
     for machine_id, intervals in sorted(per_machine.items()):
-        for start, end, count in _runs(intervals):
-            if count > instance.capacity:
-                problems.append(
-                    f"machine {machine_id}, slots [{start}, {end}): {count} jobs exceed "
-                    f"capacity {instance.capacity}"
-                )
+        starts, ends = map(sorted, zip(*intervals))
+        if any(map(operator.lt, starts[g:], ends)):
+            for start, end, count in _runs(intervals):
+                if count > g:
+                    problems.append(
+                        f"machine {machine_id}, slots [{start}, {end}): {count} jobs exceed "
+                        f"capacity {g}"
+                    )
+        if power_on is not None:
+            gaps = sum(map(max, map(operator.sub, starts[1:], ends), itertools.repeat(0)))
+            power_on.append(ends[-1] - starts[0] - gaps)
     return problems
 
 
@@ -270,6 +293,9 @@ class IntervalSchedule:
     exactly, capacity respected in every slot of every machine) and then
     kept in canonical (job_id, start) order. A migration is a boundary inside
     a job where its machine changes.
+
+    The construction check also counts each machine's busy slots, and the
+    schedule keeps their sum as its total power-on time.
     """
 
     instance: IntervalInstance
@@ -277,10 +303,12 @@ class IntervalSchedule:
 
     def __post_init__(self) -> None:
         stints = tuple(self.stints)
+        power_on: list[int] = []
         # Checked before sorting: a malformed id may not compare with the others.
-        problems = placement_violations(self.instance, stints)
+        problems = placement_violations(self.instance, stints, power_on=power_on)
         if problems:
             raise InvariantError("; ".join(problems))
+        object.__setattr__(self, "_power_on", sum(power_on))
         stints = tuple(sorted(stints, key=operator.itemgetter(0, 2)))
         object.__setattr__(self, "stints", stints)
         # Canonical order puts a job's stints side by side, each ending where the next starts.
@@ -313,7 +341,7 @@ class IntervalSchedule:
 
     def total_power_on_time(self) -> int:
         """Total busy machine-slots: slots where a machine hosts >= 1 job."""
-        return sum(interval_span(intervals) for intervals in self._machine_intervals().values())
+        return self._power_on
 
 
 def _allocation_order(instance: IntervalInstance) -> list[IntervalJob]:
@@ -330,23 +358,33 @@ def estf_schedule(instance: IntervalInstance) -> IntervalSchedule:
 
     Jobs arrive in start order, so a machine's busiest slot within a new job's
     interval is the job's first: the machine fits the job exactly when fewer
-    than g of its jobs end after that start. Each machine keeps a min-heap of
-    its jobs' end slots to count them.
+    than g of its jobs end after that start. One min-heap of (end slot,
+    machine) retires the jobs that ended by that start, and a min-heap of the
+    machines with fewer than g live jobs holds the lowest such index at its
+    top: a machine is pushed when it is opened or its count drops to g - 1,
+    and popped when it fills, so each job costs O(log machines).
     """
     g = instance.capacity
-    ends: list[list[int]] = []  # per machine: min-heap of its jobs' end slots
+    live: list[int] = []  # per machine: its jobs that end after the current start
+    room: list[int] = []  # min-heap of the machines with fewer than g live jobs
+    running: list[tuple[int, int]] = []  # min-heap of (end slot, machine) of live jobs
     stints: list[tuple[int, int, int, int]] = []
     for job in _allocation_order(instance):
-        for machine, heap in enumerate(ends):
-            while heap and heap[0] <= job.start_slot:
-                heapq.heappop(heap)
-            if len(heap) < g:
-                break
-        else:
-            machine, heap = len(ends), []
-            ends.append(heap)
-        heapq.heappush(heap, job.end_slot)
-        stints.append((job.id, machine, job.start_slot, job.end_slot))
+        start = job.start_slot
+        while running and running[0][0] <= start:
+            machine = heapq.heappop(running)[1]
+            live[machine] -= 1
+            if live[machine] == g - 1:
+                heapq.heappush(room, machine)
+        if not room:
+            heapq.heappush(room, len(live))
+            live.append(0)
+        machine = room[0]
+        live[machine] += 1
+        if live[machine] == g:
+            heapq.heappop(room)
+        heapq.heappush(running, (job.end_slot, machine))
+        stints.append((job.id, machine, start, job.end_slot))
     return IntervalSchedule(instance, tuple(stints))
 
 
@@ -366,6 +404,14 @@ def lbm_schedule(instance: IntervalInstance) -> IntervalSchedule:
     floor do not change, so every job keeps its machine: the step above runs
     once per run, and each placement becomes a stint that lasts until its job
     ends or is stranded.
+
+    The lowest allowed machine with room is the top of a min-heap of machine
+    indices, so each placement costs O(log machines) amortised. A machine is
+    pushed when it is opened and when a job leaves it full, and its entry is
+    popped when it reaches the top full. So every allowed machine with room
+    keeps an entry. A closed machine's entry stays behind: it is stale, but
+    it sorts above every allowed machine, and some allowed machine has room
+    whenever a job is placed, so it never reaches the top while it is stale.
     """
     g = instance.capacity
     order = _allocation_order(instance)
@@ -378,11 +424,15 @@ def lbm_schedule(instance: IntervalInstance) -> IntervalSchedule:
 
     stints: list[tuple[int, int, int, int]] = []
     hosted: list[set[int]] = []  # per allowed machine: the job ids on it
+    room: list[int] = []  # min-heap of machines that may have room; see above
     placed: dict[int, tuple[int, int]] = {}  # job id -> (machine, stint start)
     for slot, _, count in _runs(job.interval for job in order):
         for job_id in ends.get(slot, ()):
             machine, since = placed.pop(job_id)
-            hosted[machine].discard(job_id)
+            jobs = hosted[machine]
+            if len(jobs) == g:
+                heapq.heappush(room, machine)
+            jobs.discard(job_id)
             stints.append((job_id, machine, since, slot))
         allowed = -(-count // g)
         stranded: list[int] = []
@@ -391,9 +441,13 @@ def lbm_schedule(instance: IntervalInstance) -> IntervalSchedule:
             for job_id in sorted(hosted.pop(), key=rank.__getitem__, reverse=True):
                 stints.append((job_id, machine, placed[job_id][1], slot))
                 stranded.append(job_id)
-        hosted.extend(set() for _ in range(allowed - len(hosted)))
+        for machine in range(len(hosted), allowed):
+            hosted.append(set())
+            heapq.heappush(room, machine)
         for job_id in starts.get(slot, []) + stranded:
-            machine = next(k for k in range(allowed) if len(hosted[k]) < g)
+            while len(hosted[room[0]]) == g:
+                heapq.heappop(room)
+            machine = room[0]
             hosted[machine].add(job_id)
             placed[job_id] = (machine, slot)
     # Every job still placed ends at the last event, the horizon.
