@@ -13,6 +13,7 @@ halves) is a `Fraction` of a tick, added into the same sums. The construction
 check of a `MigrationSchedule` converts each amount to ticks once and the
 schedule keeps them, so its loads convert nothing again; a segment that holds
 a job's own process-time object takes the job's size in ticks unconverted.
+A failing check raises one InvariantError that carries every problem in `args`.
 """
 
 from __future__ import annotations
@@ -36,11 +37,21 @@ __all__ = [
 ]
 
 class InvariantError(ValueError):
-    """A structural invariant of an instance or schedule is violated."""
+    """A structural invariant of an instance or schedule is violated.
+
+    Each problem is one element of `args`, and `str()` joins them with "; ",
+    so a failed schedule check's whole problem list can be read from `args`.
+    """
+
+    def __str__(self) -> str:
+        return "; ".join(self.args)
 
 
 class InstanceTooLargeError(ValueError):
     """A solver or oracle refused an instance above its size gate."""
+
+
+MAX_MACHINES = 1_000_000  # for what takes one entry per machine: pam, machine_loads()
 
 
 def as_time(value: int | str | Fraction) -> Fraction:
@@ -110,9 +121,8 @@ class TickView:
         self.total = sum(self.sizes.values())
 
     def of(self, amount: int | Fraction) -> int | Fraction:
-        """`amount` in ticks: an int on the tick grid, a Fraction of a tick off it."""
-        if isinstance(amount, int):
-            return amount * self.unit
+        """`amount` in ticks: an int on the tick grid, a Fraction of a tick off it.
+        An int is its own numerator over denominator 1."""
         den = amount.denominator
         if self.unit % den:
             return amount * self.unit
@@ -278,7 +288,8 @@ class MigrationSchedule:
       - per job, segment amounts sum exactly to its process time.
 
     The check converts each amount to ticks once, and the schedule keeps
-    those ticks (`_ticks`, one per segment) for its loads and timelines.
+    those ticks (`_ticks`, one per segment) for its loads and timelines. A
+    failing check raises InvariantError(*segment_violations(...)).
 
     A job split into k segments accounts for k-1 migrations; a schedule that
     keeps every job whole has zero migrations. Segment tuple order is
@@ -295,7 +306,7 @@ class MigrationSchedule:
         ticks: list[int | Fraction] = []
         problems = segment_violations(self.instance, self.segments, ticks=ticks)
         if problems:
-            raise InvariantError("; ".join(problems))
+            raise InvariantError(*problems)
         object.__setattr__(self, "_ticks", tuple(ticks))
 
     @property
@@ -318,9 +329,14 @@ class MigrationSchedule:
         return loads
 
     def machine_loads(self) -> tuple[Fraction, ...]:
-        """Exact load per machine, indexed 0..machine_count-1."""
+        """Exact load per machine, indexed 0..machine_count-1. It has one entry
+        per machine, so more than MAX_MACHINES machines raise
+        InstanceTooLargeError before anything is allocated."""
+        m = self.instance.machine_count
+        if m > MAX_MACHINES:
+            raise InstanceTooLargeError(f"{m} machines exceed the machine_loads limit of {MAX_MACHINES}")
         time = self.instance.ticks.time
-        loads = [Fraction(0)] * self.instance.machine_count
+        loads = [Fraction(0)] * m
         for machine, t in self._loads().items():
             loads[machine] = time(t)
         return tuple(loads)

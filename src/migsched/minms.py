@@ -31,6 +31,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .core import InstanceTooLargeError, Job, JobSegment, MigrationSchedule, MinMsInstance
+from .core import MAX_MACHINES as PAM_MAX_MACHINES  # pam's time and memory grow linearly with m
 
 __all__ = [
     "PAM_MAX_MACHINES",
@@ -44,8 +45,6 @@ __all__ = [
     "timeline",
     "timeline_ticks",
 ]
-
-PAM_MAX_MACHINES = 1_000_000  # pam's time and memory grow linearly with m
 
 
 def opt_balance(instance: MinMsInstance) -> Fraction:

@@ -21,7 +21,8 @@ their cost does not grow with the horizon; only the per-slot views
 lowest-indexed machine with room through a min-heap, not a scan of the
 machines, so each job costs O(log machines). The schedule check tests each
 machine's capacity on its sorted stint starts and ends, and the schedule
-keeps the power-on time that the same lists give.
+keeps the power-on time that the same lists give. A failing check raises
+one InvariantError that carries every problem in `args`.
 """
 
 from __future__ import annotations
@@ -295,7 +296,8 @@ class IntervalSchedule:
     a job where its machine changes.
 
     The construction check also counts each machine's busy slots, and the
-    schedule keeps their sum as its total power-on time.
+    schedule keeps their sum as its total power-on time. A failing check
+    raises InvariantError(*placement_violations(...)).
     """
 
     instance: IntervalInstance
@@ -307,7 +309,7 @@ class IntervalSchedule:
         # Checked before sorting: a malformed id may not compare with the others.
         problems = placement_violations(self.instance, stints, power_on=power_on)
         if problems:
-            raise InvariantError("; ".join(problems))
+            raise InvariantError(*problems)
         object.__setattr__(self, "_power_on", sum(power_on))
         stints = tuple(sorted(stints, key=operator.itemgetter(0, 2)))
         object.__setattr__(self, "stints", stints)
@@ -323,16 +325,13 @@ class IntervalSchedule:
     def migrations(self) -> int:
         return self._migrations
 
-    def _machine_intervals(self) -> dict[int, list[tuple[int, int]]]:
-        out: dict[int, list[tuple[int, int]]] = {}
-        for _, machine_id, start, end in self.stints:
-            out.setdefault(machine_id, []).append((start, end))
-        return out
-
     def machines_per_slot(self) -> tuple[int, ...]:
         """Distinct machines powered on in each slot of the horizon."""
+        per_machine: dict[int, list[tuple[int, int]]] = {}
+        for _, machine_id, start, end in self.stints:
+            per_machine.setdefault(machine_id, []).append((start, end))
         change = [0] * (self.instance.horizon + 1)
-        for intervals in self._machine_intervals().values():
+        for intervals in per_machine.values():
             for start, end, jobs in _runs(intervals):
                 if jobs:
                     change[start] += 1

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from migsched import Job, JobSegment, MigrationSchedule, MinMsInstance, cli, minms, mintpt
+from migsched import Job, JobSegment, MigrationSchedule, MinMsInstance, cli, core, minms, mintpt
 from migsched.cli import main
 from migsched.instances import load_instance
 from migsched.mintpt import IntervalInstance, IntervalJob
@@ -210,6 +210,48 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", intervals, str(dump))
         assert code == 1
         assert "FAIL" in out
+
+    @pytest.mark.parametrize(
+        "algorithm, module, check",
+        [("pam", core, "segment_violations"), ("lbm", mintpt, "placement_violations")],
+    )
+    def test_failing_dump_is_checked_once(
+        self, capsys, monkeypatch, fixtures_dir, tmp_path, algorithm, module, check
+    ):
+        # The schedule's error carries the problem list, so verify reports it
+        # without running the check a second time. Both bindings are counted:
+        # the library's, which the schedule calls, and cli's own.
+        name = "graham_m10.inst" if algorithm == "pam" else "intervals_g3.inst"
+        instance, dump = str(fixtures_dir / name), tmp_path / "d.json"
+        run(capsys, "solve", instance, "--algorithm", algorithm, "--dump", str(dump))
+        payload = json.loads(dump.read_text())
+        if algorithm == "pam":
+            first, second = payload["segments"][:2]
+            first["amount"] = str(Fraction(first["amount"]) + 1)
+            second["machine"] = 99
+            raw = [(s["job"], s["machine"], Fraction(s["amount"])) for s in payload["segments"]]
+        else:
+            first, second = payload["stints"][:2]
+            first["start"], first["end"] = first["start"] + 9, first["end"] + 9
+            second["job"] = 99
+            raw = [(s["job"], s["machine"], s["start"], s["end"]) for s in payload["stints"]]
+        dump.write_text(json.dumps(payload))
+        original = getattr(module, check)
+        problems = original(load_instance(instance), raw)
+        assert len(problems) > 1
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(check)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, check, counted)
+        monkeypatch.setattr(cli, check, counted)
+        code, out, _ = run(capsys, "verify", instance, str(dump))
+        assert code == 1
+        assert len(calls) == 1
+        fails = [line for line in out.splitlines() if line.startswith("FAIL: ")]
+        assert fails == [f"FAIL: {p}" for p in problems]
 
     def test_amounts_off_the_tick_grid_pass(self, capsys, graham10, tmp_path):
         # The instance's times are whole, so a tick is 1/10 here; sevenths are

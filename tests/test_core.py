@@ -47,6 +47,33 @@ def make_instance(sizes, m):
     return MinMsInstance(tuple(Job(i, p) for i, p in enumerate(sizes)), m)
 
 
+@st.composite
+def segment_lists(draw):
+    """An instance and (job, machine, amount) triples that may break every
+    rule: each job whole or halved on machines in range, or left out (broken
+    conservation), plus segments of known and unknown jobs on machines in and
+    out of range with int or Fraction amounts that may be non-positive or off
+    the tick grid; in any order."""
+    sizes = draw(
+        st.lists(st.fractions(min_value=Fraction(1, 4), max_value=10, max_denominator=4),
+                 min_size=1, max_size=5)
+    )
+    m = draw(st.integers(1, 4))
+    inst = make_instance(sizes, m)
+    machine = st.integers(0, m - 1)
+    segments = []
+    for job in inst.jobs:
+        parts = draw(st.sampled_from([0, 1, 1, 2]))
+        segments += [(job.id, draw(machine), job.process_time / parts) for _ in range(parts)]
+    amounts = st.one_of(
+        st.integers(-2, 6), st.fractions(min_value=-2, max_value=6, max_denominator=14)
+    )
+    segments += draw(
+        st.lists(st.tuples(st.integers(0, len(sizes) + 1), st.integers(-1, m), amounts), max_size=6)
+    )
+    return inst, tuple(draw(st.permutations(segments)))
+
+
 class TestTimeValue:
     def test_accepts_int_string_fraction(self):
         assert as_time(3) == 3
@@ -300,6 +327,9 @@ class TestMigrationSchedule:
         view = inst.ticks
         assert sched._ticks == tuple(view.of(amount) for _, _, amount in segments)
         assert sched._ticks[0] is view.sizes[0]
+        # An int amount is its own numerator over denominator 1.
+        assert [view.of(3), view.of(0)] == [3 * view.unit, 0]
+        assert type(view.of(3)) is int
         assert sched == MigrationSchedule(inst, segments)
         assert "_ticks" not in repr(sched)
 
@@ -330,6 +360,22 @@ class TestMigrationSchedule:
             loads[machine] += amount
         assert sched.machine_loads() == tuple(loads) == (Fraction(538, 91), Fraction(554, 91))
         assert sched.makespan() == Fraction(554, 91)
+
+    @settings(max_examples=300, deadline=None)
+    @given(segment_lists())
+    @example((make_instance([5], 1), ((0, 0, 4), (3, 0, 1), (0, 1, Fraction(-1, 7)))))
+    def test_error_carries_the_problems_of_the_check(self, case):
+        # The schedule raises exactly when the check finds a problem, and its
+        # error holds each problem as one argument, in the check's order.
+        inst, segments = case
+        problems = segment_violations(inst, segments)
+        if not problems:
+            assert MigrationSchedule(inst, segments).segments == segments
+            return
+        with pytest.raises(InvariantError) as raised:
+            MigrationSchedule(inst, segments)
+        assert raised.value.args == tuple(problems)
+        assert str(raised.value) == "; ".join(problems)
 
     def test_segment_is_a_named_triple(self):
         segment = JobSegment(3, 1, Fraction(1, 2))

@@ -2,6 +2,7 @@
 
 import heapq
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -174,6 +175,26 @@ class TestLpt:
         sched = lpt_schedule(gen_graham_worst_case(4))
         assert sched.migrations == 0
         assert len(sched.segments) == len(sched.instance.jobs)
+
+    def test_machine_loads_refuse_more_machines_than_the_gate(self):
+        # Two jobs on 10^12 machines: lpt and its makespan touch only the
+        # loaded machines, but a load per machine would end in a MemoryError,
+        # so machine_loads() refuses before it allocates anything per machine.
+        tracemalloc.start()
+        try:
+            schedule = lpt_schedule(make_instance([5, Fraction(7, 2)], 10**12))
+            with pytest.raises(
+                core.InstanceTooLargeError,
+                match=f"^1000000000000 machines exceed the machine_loads limit of {PAM_MAX_MACHINES}$",
+            ):
+                schedule.machine_loads()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert schedule.makespan() == 5
+        assert peak < 2**20
+        at_gate = lpt_schedule(make_instance([5, 1], PAM_MAX_MACHINES))
+        assert at_gate.machine_loads()[:3] == (5, 1, 0)
 
     def test_deterministic_tie_breaks(self):
         # equal sizes: job order by id, machine ties by lowest index

@@ -227,6 +227,16 @@ class TestStintsMatchPerSlotReference:
     def test_placement_violations_match_the_event_walk(self, case):
         inst, stints = case
         assert placement_violations(inst, stints) == reference_placement_violations(inst, stints)
+        # The schedule raises exactly when the check finds a problem, with
+        # each problem as one argument of its error, in the check's order.
+        problems = placement_violations(inst, stints)
+        if problems:
+            with pytest.raises(InvariantError) as raised:
+                IntervalSchedule(inst, tuple(stints))
+            assert raised.value.args == tuple(problems)
+            assert str(raised.value) == "; ".join(problems)
+        else:
+            IntervalSchedule(inst, tuple(stints))
 
     @settings(max_examples=200, deadline=None)
     @given(interval_instances(), st.randoms(use_true_random=False))
