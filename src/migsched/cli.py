@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 import time
+from collections.abc import Iterator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -76,20 +78,18 @@ ALGORITHMS = {
 }
 
 
-def _parse_int_list(text: str) -> list[int]:
-    """Parse "2:20", "2,3,5", "7", or "" (empty list). Ranges are inclusive."""
-    items: list[int] = []
+def _parse_int_list(text: str) -> list[range]:
+    """Parse "2:20", "2,3,5", "7", or "" (no ranges). Ranges are inclusive,
+    and each stays a `range`, so a long one costs nothing until it is walked."""
+    items: list[range] = []
     text = text.strip()
     if not text:
         return items
     for part in text.split(","):
         part = part.strip()
+        lo, colon, hi = part.partition(":")
         try:
-            if ":" in part:
-                lo, hi = part.split(":", 1)
-                items.extend(range(int(lo), int(hi) + 1))
-            else:
-                items.append(int(part))
+            items.append(range(int(lo), int(hi if colon else lo) + 1))
         except ValueError as exc:
             raise CliError(f"bad integer list {text!r}: {exc}") from exc
     return items
@@ -258,6 +258,26 @@ def _generate(args, m: int, seed: int) -> MinMsInstance | IntervalInstance:
         raise CliError(str(exc)) from exc
 
 
+def _bench_instances(args) -> Iterator[tuple[str, MinMsInstance | IntervalInstance]]:
+    """(name, instance) for each value of the family's list, generated one at
+    a time, so a long range never exists all at once."""
+    if args.family == "graham":
+        for m in itertools.chain.from_iterable(_parse_int_list(args.m)):
+            yield f"graham-m{m}", _generate(args, m, 0)
+    elif args.family == "random-minms":
+        seeds = _parse_int_list(args.seeds)
+        if any(seeds):
+            try:
+                m = int(args.m)
+            except ValueError as exc:
+                raise CliError(f"--m must be a single machine count here, got {args.m!r}") from exc
+            for seed in itertools.chain.from_iterable(seeds):
+                yield f"minms-n{args.n}-m{m}-s{seed}", _generate(args, m, seed)
+    else:
+        for seed in itertools.chain.from_iterable(_parse_int_list(args.seeds)):
+            yield f"mintpt-n{args.n}-h{args.horizon}-g{args.g}-s{seed}", _generate(args, 0, seed)
+
+
 def cmd_bench(args) -> int:
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     if not algorithms:
@@ -266,26 +286,8 @@ def cmd_bench(args) -> int:
         if algorithm not in ALGORITHMS:
             raise CliError(f"unknown algorithm {algorithm!r}")
 
-    instances: list[tuple[str, object]] = []
-    if args.family == "graham":
-        for m in _parse_int_list(args.m):
-            instances.append((f"graham-m{m}", _generate(args, m, 0)))
-    elif args.family == "random-minms":
-        seeds = _parse_int_list(args.seeds)
-        if seeds:
-            try:
-                m = int(args.m)
-            except ValueError as exc:
-                raise CliError(f"--m must be a single machine count here, got {args.m!r}") from exc
-            for seed in seeds:
-                instances.append((f"minms-n{args.n}-m{m}-s{seed}", _generate(args, m, seed)))
-    else:
-        for seed in _parse_int_list(args.seeds):
-            name = f"mintpt-n{args.n}-h{args.horizon}-g{args.g}-s{seed}"
-            instances.append((name, _generate(args, 0, seed)))
-
     rows = []
-    for name, instance in instances:
+    for name, instance in _bench_instances(args):
         rows.extend(row for row, _ in _report(args, name, instance, algorithms))
     _write(_render(rows, args.format), args.out)
     return 0

@@ -157,18 +157,8 @@ def interval_span(intervals: Iterable[tuple[int, int]]) -> int:
     overlap (sharing an endpoint is not an overlap).
     """
     ordered = sorted(intervals)
-    total = 0
-    current_end: int | None = None
-    for s, t in ordered:
-        if t <= s:
-            raise InvariantError(f"interval [{s}, {t}) has non-positive length")
-        if current_end is None or s > current_end:
-            total += t - s
-            current_end = t
-        elif t > current_end:
-            total += t - current_end
-            current_end = t
-    return total
+    interval_length(ordered)  # raises on the first bad interval in sorted order
+    return sum(t - s for s, t, count in _runs(ordered) if count)
 
 
 def _runs(intervals: Iterable[tuple[int, int]]) -> list[tuple[int, int, int]]:
@@ -191,14 +181,19 @@ def _runs(intervals: Iterable[tuple[int, int]]) -> list[tuple[int, int, int]]:
     return runs
 
 
+def _per_slot(runs: Iterable[tuple[int, int, int]], horizon: int) -> tuple[int, ...]:
+    """Each run's count in every slot of [0, horizon) it covers; 0 elsewhere."""
+    counts = [0] * horizon
+    for s, t, count in runs:
+        counts[s:t] = [count] * (t - s)
+    return tuple(counts)
+
+
 def slot_profile(instance: IntervalInstance) -> SlotProfile:
     """Count active jobs per slot and the resulting machine-count floor."""
-    loads = [0] * instance.horizon
-    for s, t, count in _runs(job.interval for job in instance.jobs):
-        loads[s:t] = [count] * (t - s)
+    loads = _per_slot(_runs(job.interval for job in instance.jobs), instance.horizon)
     g = instance.capacity
-    min_machines = tuple(-(-load // g) for load in loads)
-    return SlotProfile(tuple(loads), min_machines)
+    return SlotProfile(loads, tuple(-(-load // g) for load in loads))
 
 
 def mintpt_lower_bound(instance: IntervalInstance) -> int:
@@ -330,13 +325,13 @@ class IntervalSchedule:
         per_machine: dict[int, list[tuple[int, int]]] = {}
         for _, machine_id, start, end in self.stints:
             per_machine.setdefault(machine_id, []).append((start, end))
-        change = [0] * (self.instance.horizon + 1)
-        for intervals in per_machine.values():
-            for start, end, jobs in _runs(intervals):
-                if jobs:
-                    change[start] += 1
-                    change[end] -= 1
-        return tuple(itertools.accumulate(change[:-1]))
+        busy = (
+            (start, end)
+            for intervals in per_machine.values()
+            for start, end, jobs in _runs(intervals)
+            if jobs
+        )
+        return _per_slot(_runs(busy), self.instance.horizon)
 
     def total_power_on_time(self) -> int:
         """Total busy machine-slots: slots where a machine hosts >= 1 job."""
@@ -399,10 +394,11 @@ def lbm_schedule(instance: IntervalInstance) -> IntervalSchedule:
     spare capacity. Per-slot machine usage is then exactly l_i everywhere, so
     the total power-on time equals the lower bound.
 
-    Inside a run of slots where no job starts or ends, the active set and the
+    Between two slots where some job starts or ends, the active set and the
     floor do not change, so every job keeps its machine: the step above runs
-    once per run, and each placement becomes a stint that lasts until its job
-    ends or is stranded.
+    once per such event slot, and each placement becomes a stint that lasts
+    until its job ends or is stranded. The last event slot is the horizon,
+    where every remaining job ends.
 
     The lowest allowed machine with room is the top of a min-heap of machine
     indices, so each placement costs O(log machines) amortised. A machine is
@@ -425,14 +421,17 @@ def lbm_schedule(instance: IntervalInstance) -> IntervalSchedule:
     hosted: list[set[int]] = []  # per allowed machine: the job ids on it
     room: list[int] = []  # min-heap of machines that may have room; see above
     placed: dict[int, tuple[int, int]] = {}  # job id -> (machine, stint start)
-    for slot, _, count in _runs(job.interval for job in order):
-        for job_id in ends.get(slot, ()):
+    count = 0  # jobs active from this slot on
+    for slot in sorted(starts.keys() | ends.keys()):
+        starting, ending = starts.get(slot, []), ends.get(slot, ())
+        for job_id in ending:
             machine, since = placed.pop(job_id)
             jobs = hosted[machine]
             if len(jobs) == g:
                 heapq.heappush(room, machine)
             jobs.discard(job_id)
             stints.append((job_id, machine, since, slot))
+        count += len(starting) - len(ending)
         allowed = -(-count // g)
         stranded: list[int] = []
         while len(hosted) > allowed:
@@ -443,14 +442,10 @@ def lbm_schedule(instance: IntervalInstance) -> IntervalSchedule:
         for machine in range(len(hosted), allowed):
             hosted.append(set())
             heapq.heappush(room, machine)
-        for job_id in starts.get(slot, []) + stranded:
+        for job_id in starting + stranded:
             while len(hosted[room[0]]) == g:
                 heapq.heappop(room)
             machine = room[0]
             hosted[machine].add(job_id)
             placed[job_id] = (machine, slot)
-    # Every job still placed ends at the last event, the horizon.
-    horizon = instance.horizon
-    for job_id, (machine, since) in placed.items():
-        stints.append((job_id, machine, since, horizon))
     return IntervalSchedule(instance, tuple(stints))

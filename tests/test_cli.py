@@ -917,6 +917,30 @@ class TestBench:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--family", "graham", "--m", "1:1000000000000", "--algorithms", "lpt"),
+             "the adversarial family needs m >= 2, got 1"),
+            (("--family", "random-minms", "--m", "3", "--p-min", "0",
+              "--seeds", "0:1000000000000", "--algorithms", "lpt"),
+             "empty or invalid process-time range (0, 20)"),
+        ],
+        ids=["graham-m", "random-minms-seeds"],
+    )
+    def test_long_range_is_generated_one_instance_at_a_time(self, capsys, argv, message):
+        # A range of 10^12 values stays a range: the first instance's bad
+        # parameters end the sweep with one error line, where expanding the
+        # range first would need terabytes and end in a MemoryError.
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "bench", *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert peak < 5 * 2**20
+
 
 class TestGen:
     def test_graham_file_round_trips(self, capsys, tmp_path):

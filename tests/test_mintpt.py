@@ -269,11 +269,11 @@ class TestStintsMatchPerSlotReference:
                 loads[s] += 1
         assert slot_profile(inst).loads == tuple(loads)
         assert mintpt_lower_bound(inst) == sum(-(-load // inst.capacity) for load in loads)
-        placements = reference_lbm(inst)
-        per_slot = [set() for _ in range(inst.horizon)]
-        for _, machine, slot in placements:
-            per_slot[slot].add(machine)
-        assert lbm_schedule(inst).machines_per_slot() == tuple(len(m) for m in per_slot)
+        for solver, reference in ((lbm_schedule, reference_lbm), (estf_schedule, reference_estf)):
+            per_slot = [set() for _ in range(inst.horizon)]
+            for _, machine, slot in reference(inst):
+                per_slot[slot].add(machine)
+            assert solver(inst).machines_per_slot() == tuple(len(m) for m in per_slot)
 
 
 class TestIntervalAlgebra:
@@ -310,6 +310,10 @@ class TestIntervalAlgebra:
     def test_span_equals_length_iff_no_overlap(self, intervals):
         equal = interval_span(intervals) == interval_length(intervals)
         assert equal == (not overlaps(intervals))
+
+    @given(intervals_strategy)
+    def test_span_counts_each_covered_slot_once(self, intervals):
+        assert interval_span(intervals) == len({slot for s, t in intervals for slot in range(s, t)})
 
 
 class TestSlotProfile:
