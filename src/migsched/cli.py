@@ -13,6 +13,7 @@ import argparse
 import functools
 import itertools
 import json
+import operator
 import sys
 import time
 from collections.abc import Iterator
@@ -358,7 +359,7 @@ def _records(dump: dict, key: str, decode, issues: list[str]) -> list[tuple]:
     for i, record in enumerate(records):
         try:
             raw.append(decode(record))
-        except (KeyError, ValueError, TypeError, OverflowError) as exc:
+        except (KeyError, ValueError, TypeError) as exc:
             issues.append(f"{key[:-1]} {i} malformed: {exc}")
     return raw
 
@@ -415,17 +416,11 @@ def _verify_minms(instance: MinMsInstance, dump: dict, issues: list, notes: list
             issues.append(f"makespan {time(makespan)} differs from wrap bound {time(bound)}")
         else:
             notes.append(f"makespan = {time(bound)} (wrap bound)")
-        windows: dict[int, list[tuple[int | Fraction, int | Fraction]]] = {}
-        for job, _, start, end in walk:
-            windows.setdefault(job, []).append((start, end))
-        overlapping = []
-        for job, spans in windows.items():
-            if len(spans) > 1:
-                spans.sort()
-                if any(a[1] > b[0] for a, b in zip(spans, spans[1:])):
-                    overlapping.append(job)
+        # Sorted by job and start, a job's windows overlap only if two neighbours do.
+        pairs = itertools.pairwise(sorted(walk, key=operator.itemgetter(0, 2)))
+        overlapping = sorted({a[0] for a, b in pairs if a[0] == b[0] and a[3] > b[2]})
         if overlapping:
-            issues.append(f"jobs {sorted(overlapping)} overlap themselves in time")
+            issues.append(f"jobs {overlapping} overlap themselves in time")
         else:
             notes.append("no job overlaps itself in time")
 
@@ -450,7 +445,7 @@ def _verify_mintpt(instance: IntervalInstance, dump: dict, issues: list, notes: 
     if schedule is None:
         return
 
-    migrations = schedule.migrations  # a walk over every stint, so read once
+    migrations = schedule.migrations
     if not _same_int(dump.get("migrations"), migrations):
         issues.append(f"migrations recorded as {dump.get('migrations')!r}, recomputed {migrations}")
     else:
@@ -564,8 +559,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (CliError, InstanceFormatError, InstanceTooLargeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
+    except ValueError as exc:
+        # Python's int-to-string digit limit. The reader keeps every number in
+        # a file within it, but a derived value (an lcm of denominators, a
+        # power-on total, a sum of dump amounts) can exceed it when printed.
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        message = f"a result has more than {limit} digits and cannot be printed"
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -83,6 +83,15 @@ def as_time(value: int | str | Fraction) -> Fraction:
     return tv
 
 
+def _check_unique_ids(jobs: Iterable) -> None:
+    """Raise InvariantError naming the first job id that repeats (either instance kind)."""
+    seen: set[int] = set()
+    for job in jobs:
+        if job.id in seen:
+            raise InvariantError(f"duplicate job id {job.id}")
+        seen.add(job.id)
+
+
 @dataclass(frozen=True)
 class Job:
     """A request with a positive processing time."""
@@ -151,11 +160,7 @@ class MinMsInstance:
     def __post_init__(self) -> None:
         object.__setattr__(self, "jobs", tuple(self.jobs))
         self._check_shape()
-        seen: set[int] = set()
-        for job in self.jobs:
-            if job.id in seen:
-                raise InvariantError(f"duplicate job id {job.id}")
-            seen.add(job.id)
+        _check_unique_ids(self.jobs)
 
     def _check_shape(self) -> None:
         if not self.jobs:

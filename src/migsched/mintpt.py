@@ -33,7 +33,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import InvariantError
+from .core import InvariantError, _check_unique_ids
 
 __all__ = [
     "IntervalJob",
@@ -92,11 +92,7 @@ class IntervalInstance:
     def __post_init__(self) -> None:
         object.__setattr__(self, "jobs", tuple(self.jobs))
         self._check_capacity()
-        seen: set[int] = set()
-        for job in self.jobs:
-            if job.id in seen:
-                raise InvariantError(f"duplicate job id {job.id}")
-            seen.add(job.id)
+        _check_unique_ids(self.jobs)
 
     def _check_capacity(self) -> None:
         capacity = self.capacity

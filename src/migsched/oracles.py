@@ -78,12 +78,11 @@ def exact_minms(instance: MinMsInstance, max_jobs: int = MINMS_MAX_JOBS) -> Frac
             best = min(best, max(loads))
             return
         size = sizes[k]
-        tried: set[int] = set()
         for i in range(m):
             load = loads[i]
-            if load in tried or load + size >= best:
+            # An earlier machine of equal load was tried, or cut (best never rises).
+            if load + size >= best or loads.index(load) < i:
                 continue
-            tried.add(load)
             loads[i] = load + size
             place(k + 1)
             loads[i] = load

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import csv
 import io
+import itertools
 import json
 import time
 import tracemalloc
@@ -1046,3 +1047,123 @@ def test_dump_writer_matches_json_dumps(case):
     schedule, algorithm = case
     payload = cli._dump_payload(schedule, algorithm)
     assert cli._dump_text(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+def test_empty_mintpt_instance_solves_and_verifies(capsys, tmp_path):
+    # No jobs: every objective is 0, the ratio to a floor of 0 is undefined,
+    # and a dump with no stints passes verify.
+    instance = _put(tmp_path / "empty.inst", "mintpt 1\ncapacity 2\n")
+    for algorithm in ("estf", "lbm", "exact"):
+        dump = [] if algorithm == "exact" else ["--dump", str(tmp_path / f"{algorithm}.json")]
+        argv = ["solve", instance, "--algorithm", algorithm, "--format", "json", *dump]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        row = json.loads(out)
+        assert (row["optimum"], row["objective"], row["oracle"]) == ("0", "0", "0")
+        assert (row["ratio"], row["ratio_approx"]) == (None, None)
+        if dump:
+            assert json.loads(Path(dump[1]).read_text())["stints"] == []
+            code, out, _ = run(capsys, "verify", instance, dump[1])
+            assert (code, out.splitlines()[-1]) == (0, "verification passed")
+
+
+# Case -> argv builder taking tmp_path. Every number written in the files is
+# within Python's int-to-string limit (4,300 digits); a value derived from
+# them is not, and printing it raises a plain ValueError.
+DERIVED_DIGIT_LIMIT = {
+    # The optimum, 1/7 over machines of 4,300 nines, has a 4,301-digit denominator.
+    "solve-lpt-optimum": lambda tmp: [
+        "solve", _put(tmp / "x.inst", "minms 1\nmachines " + "9" * 4300 + "\njob 0 1/7\n"),
+        "--algorithm", "lpt",
+    ],
+    # Two jobs of 10^4300 - 1 slots on capacity 1: a 4,301-digit power-on total.
+    "solve-estf-power-on": lambda tmp: [
+        "solve",
+        _put(tmp / "x.inst", "mintpt 1\ncapacity 1\n" + f"job 0 0 {'9' * 4300} 1\n"
+             + f"job 1 0 {'9' * 4300} 1\n"),
+        "--algorithm", "estf", "--oracle-limit", "0",
+    ],
+    # The conservation FAIL line prints the sum of two amounts whose
+    # denominators have 4,300 digits each.
+    "verify-conservation-sum": lambda tmp: [
+        "verify",
+        _put(tmp / "x.inst", "minms 1\nmachines 1\njob 0 1\n"),
+        _put(tmp / "d.json", json.dumps({
+            "format": "migsched-dump", "version": 2, "kind": "minms", "algorithm": "lpt",
+            "machine_count": 1, "migrations": 1,
+            "segments": [
+                {"job": 0, "machine": 0, "amount": f"1/{10**4299 + 7}"},
+                {"job": 0, "machine": 0, "amount": f"1/{10**4299 + 9}"},
+            ],
+        })),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(DERIVED_DIGIT_LIMIT))
+def test_derived_values_past_the_digit_limit_are_input_errors(capsys, tmp_path, case):
+    code, out, err = run(capsys, *DERIVED_DIGIT_LIMIT[case](tmp_path))
+    assert (code, out) == (2, "")
+    assert err == "error: a result has more than 4300 digits and cannot be printed\n"
+
+
+def test_other_value_errors_are_not_input_errors(monkeypatch, graham10):
+    # Only the digit limit's ValueError becomes an error line: any other is a bug.
+    def broken(args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "cmd_solve", broken)
+    with pytest.raises(ValueError, match="boom"):
+        main(["solve", graham10, "--algorithm", "lpt"])
+
+
+@st.composite
+def split_minms_dumps(draw):
+    """(process times, machine count, segments): each job cut into up to three
+    pieces on drawn machines, the segments in a drawn order."""
+    times = draw(st.lists(st.integers(1, 12), min_size=1, max_size=8))
+    m = draw(st.integers(1, 4))
+    segments = []
+    for job, time in enumerate(times):
+        cuts = sorted(draw(st.sets(st.integers(1, time - 1), max_size=2))) if time > 1 else []
+        bounds = [0, *cuts, time]
+        segments += [(job, draw(st.integers(0, m - 1)), b - a) for a, b in zip(bounds, bounds[1:])]
+    return times, m, draw(st.permutations(segments))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=split_minms_dumps())
+@example(case=([2, 2], 2, [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)]))
+@example(case=([3, 2], 2, [(1, 0, 2), (0, 0, 1), (0, 1, 2)]))
+def test_wraparound_overlap_verdict_matches_all_pairs(tmp_path_factory, case):
+    # verify sorts the timetable's windows and compares neighbours; the
+    # reference here compares every pair of windows of a job.
+    times, m, segments = case
+    clocks = [0] * m
+    windows = []
+    for job, machine, amount in segments:
+        windows.append((job, clocks[machine], clocks[machine] + amount))
+        clocks[machine] += amount
+    overlapping = sorted({
+        a[0] for a, b in itertools.combinations(windows, 2)
+        if a[0] == b[0] and max(a[1], b[1]) < min(a[2], b[2])
+    })
+
+    tmp = tmp_path_factory.getbasetemp()
+    instance = _put(
+        tmp / "wrap.inst",
+        f"minms 1\nmachines {m}\n" + "".join(f"job {j} {t}\n" for j, t in enumerate(times)),
+    )
+    dump = _put(tmp / "wrap.json", json.dumps({
+        "format": "migsched-dump", "version": 2, "kind": "minms", "algorithm": "wraparound",
+        "machine_count": m, "migrations": len(segments) - len(times),
+        "segments": [{"job": j, "machine": k, "amount": str(a)} for j, k, a in segments],
+    }))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["verify", instance, dump])
+    lines = out.getvalue().splitlines()
+    if overlapping:
+        assert f"FAIL: jobs {overlapping} overlap themselves in time" in lines
+    else:
+        assert "ok: no job overlaps itself in time" in lines

@@ -147,6 +147,14 @@ CASES: dict[str, list] = {
     "error-gen-minms-n0": [["gen", "--family", "random-minms", "--n", "0"]],
     "error-gen-mintpt-g0": [["gen", "--family", "random-mintpt", "--g", "0"]],
     "error-gen-unknown-family": [["gen", "--family", "nope"]],
+    "error-gen-mintpt-n0": [["gen", "--family", "random-mintpt", "--n", "0"]],
+    "error-gen-mintpt-horizon0": [["gen", "--family", "random-mintpt", "--horizon", "0"]],
+    "error-bench-mintpt-n0": [
+        ["bench", "--family", "random-mintpt", "--n", "0", "--algorithms", "lbm"]
+    ],
+    "error-bench-mintpt-horizon0": [
+        ["bench", "--family", "random-mintpt", "--horizon", "0", "--algorithms", "lbm"]
+    ],
 }
 
 

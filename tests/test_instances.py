@@ -130,6 +130,10 @@ class TestFileFormat:
         for inst in (gen_random_minms(6, 2, (1, 30), seed=4), gen_random_mintpt(6, 9, 2, seed=4)):
             assert parse_instance(serialize_instance(inst)) == inst
 
+    def test_serializing_a_non_instance_is_a_type_error(self):
+        with pytest.raises(TypeError, match="cannot serialize Job"):
+            serialize_instance(Job(0, 3))
+
 
 class TestParseErrors:
     def test_end_before_start_reports_line(self):

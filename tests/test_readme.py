@@ -1,0 +1,45 @@
+"""README's code runs: the library example gives its documented results, and
+every `migsched` line of the CLI example exits 0."""
+
+import ast
+import shlex
+from pathlib import Path
+
+from migsched.cli import main
+
+README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def _block(section: str, language: str) -> str:
+    """The first fenced `language` block after the `## section` heading."""
+    _, found, rest = README.partition(f"\n## {section}\n")
+    assert found, section
+    _, found, rest = rest.partition(f"```{language}\n")
+    assert found, (section, language)
+    return rest.partition("```")[0]
+
+
+def test_library_example_gives_its_documented_results():
+    # Run the block statement by statement, keeping the value of each bare
+    # expression: those are the lines whose results the comments state.
+    namespace: dict = {}
+    values = []
+    for node in ast.parse(_block("Library", "python")).body:
+        if isinstance(node, ast.Expr):
+            values.append(eval(compile(ast.Expression(node.value), "README", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([node], []), "README", "exec"), namespace)
+    makespan, optimum, loads, at_floor = values
+    assert (makespan, optimum) == (39, 30)
+    assert list(loads) == [30] * 10
+    assert at_floor is True
+
+
+def test_cli_example_lines_exit_0(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    text = _block("CLI", "sh").replace("\\\n", " ")
+    commands = [shlex.split(line) for line in text.splitlines() if line.startswith("migsched ")]
+    assert len(commands) == 8
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+        capsys.readouterr()
