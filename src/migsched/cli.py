@@ -16,7 +16,7 @@ import json
 import operator
 import sys
 import time
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -167,7 +167,48 @@ def _report(args, name: str, instance, algorithms: list[str]) -> list[tuple]:
     return rows
 
 
+# One record of each kind as json.dumps(payload, indent=2) lays it out: ids,
+# machines and slots are ints (`%d`), and an amount is a string escaped as
+# `json` does (`%s`). A dump's whole record list is one `%` call over its
+# template repeated once per record, fed every record's fields as one flat
+# tuple, and each distinct amount object becomes a string once.
+_SEGMENT = '    {\n      "job": %d,\n      "machine": %d,\n      "amount": %s\n    }'
+_STINT = '    {\n      "job": %d,\n      "machine": %d,\n      "start": %d,\n      "end": %d\n    }'
+
+
+class _Records(Sequence):
+    """A dump's record list, read from the schedule's own rows.
+
+    The writer formats the rows as they are, so no record becomes a dict.
+    Indexing gives one record as a dict keyed by field name; the dict is
+    kept, and the writer formats it in place of its row, so a record can be
+    changed before the dump is written (perfbench's smoke test corrupts a
+    `pam` dump this way).
+    """
+
+    def __init__(self, fields: tuple[str, ...], rows: tuple[tuple, ...]) -> None:
+        self.fields, self._rows, self._taken = fields, rows, {}
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i: int) -> dict:
+        if i not in self._taken:
+            self._taken[i] = dict(zip(self.fields, self._rows[i]))
+        return self._taken[i]
+
+    def rows(self) -> Sequence[tuple]:
+        """Each record's fields in order: its row, or the dict taken for it."""
+        if not self._taken:
+            return self._rows
+        rows = list(self._rows)
+        for i, record in self._taken.items():
+            rows[i] = tuple(record[name] for name in self.fields)
+        return rows
+
+
 def _dump_payload(schedule, algorithm: str) -> dict:
+    """The dump's header fields, then its record list last."""
     header = {"format": DUMP_FORMAT, "version": DUMP_VERSION}
     if isinstance(schedule, MigrationSchedule):
         return header | {
@@ -175,48 +216,43 @@ def _dump_payload(schedule, algorithm: str) -> dict:
             "algorithm": algorithm,
             "machine_count": schedule.instance.machine_count,
             "migrations": schedule.migrations,
-            "segments": [
-                {"job": s.job_id, "machine": s.machine_id, "amount": str(s.amount)}
-                for s in schedule.segments
-            ],
+            "segments": _Records(("job", "machine", "amount"), schedule.segments),
         }
     return header | {
         "kind": "mintpt",
         "algorithm": algorithm,
         "machines_used": schedule.machines_used,
         "migrations": schedule.migrations,
-        "stints": [
-            {"job": j, "machine": m, "start": s, "end": e} for j, m, s, e in schedule.stints
-        ],
+        "stints": _Records(("job", "machine", "start", "end"), schedule.stints),
     }
 
 
-# One record of each kind as json.dumps(payload, indent=2) lays it out.
-_SEGMENT = '    {\n      "job": %d,\n      "machine": %d,\n      "amount": %s\n    }'
-_STINT = '    {\n      "job": %d,\n      "machine": %d,\n      "start": %d,\n      "end": %d\n    }'
+def _dump_text(schedule, algorithm: str) -> str:
+    """The dump file's text: `json.dumps(payload, indent=2) + "\n"`, byte for
+    byte, where `payload` has the header fields and then one dict per record.
 
-
-def _dump_text(payload: dict) -> str:
-    """The dump file's text: `json.dumps(payload, indent=2) + "\n"`, byte for byte.
-
-    `payload` is `_dump_payload`'s shape: header fields, then its record list
-    last. The header goes through `json.dumps`; with `indent` set that is the
-    stdlib's pure-Python encoder, too slow for thousands of records, so each
-    record is formatted from its kind's template instead: ids, machines and
-    slots are ints (`%d`), and `amount` is a string escaped as `json` does.
+    The header goes through `json.dumps`; with `indent` set that is the
+    stdlib's pure-Python encoder, too slow for thousands of records, so the
+    record list is formatted from its template instead. A `minms` amount is
+    written as its `str()`, made once per distinct amount object (looked up
+    by `id`): `pam`'s pieces and the reader's time objects are each shared by
+    many segments.
     """
-    *header, (key, records) = payload.items()
+    *header, (key, records) = _dump_payload(schedule, algorithm).items()
     head = json.dumps(dict(header), indent=2)[:-2]  # without its closing "\n}"
     if not records:
         return f'{head},\n  "{key}": []\n}}\n'
+    fields = list(itertools.chain.from_iterable(records.rows()))
     if key == "segments":
-        lines = [
-            _SEGMENT % (r["job"], r["machine"], encode_basestring_ascii(r["amount"]))
-            for r in records
-        ]
+        template = _SEGMENT
+        amounts = fields[2::3]
+        distinct = dict(zip(map(id, amounts), amounts))
+        strings = {i: encode_basestring_ascii(str(a)) for i, a in distinct.items()}
+        fields[2::3] = map(strings.__getitem__, map(id, amounts))
     else:
-        lines = [_STINT % (r["job"], r["machine"], r["start"], r["end"]) for r in records]
-    return f'{head},\n  "{key}": [\n' + ",\n".join(lines) + "\n  ]\n}\n"
+        template = _STINT
+    body = ",\n".join([template] * len(records)) % tuple(fields)
+    return f'{head},\n  "{key}": [\n{body}\n  ]\n}}\n'
 
 
 def _render(rows, fmt: str, single: bool = False) -> str:
@@ -243,7 +279,7 @@ def cmd_solve(args) -> int:
     if args.dump:
         if schedule is None:
             raise CliError("the exact solver produces a value, not a schedule; nothing to dump")
-        _write(_dump_text(_dump_payload(schedule, args.algorithm)), args.dump)
+        _write(_dump_text(schedule, args.algorithm), args.dump)
     return 0
 
 

@@ -196,10 +196,6 @@ class MinMsInstance:
         """The integer view of the process times, computed on first use."""
         return TickView(self.jobs, self.machine_count)
 
-    def total_load(self) -> Fraction:
-        """Exact sum of all process times."""
-        return self.ticks.time(self.ticks.total)
-
 
 class JobSegment(NamedTuple):
     """A portion of one job's load on one machine; checked by MigrationSchedule."""

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .core import InstanceTooLargeError, Job, JobSegment, MigrationSchedule, MinMsInstance
+from .core import InstanceTooLargeError, JobSegment, MigrationSchedule, MinMsInstance
 from .core import MAX_MACHINES as PAM_MAX_MACHINES  # pam's time and memory grow linearly with m
 
 __all__ = [
@@ -53,20 +53,23 @@ def opt_balance(instance: MinMsInstance) -> Fraction:
     return ticks.time(ticks.total // instance.machine_count)
 
 
-def _lpt_greedy(instance: MinMsInstance) -> list[tuple[Job, int, int]]:
-    """The greedy of lpt_schedule: (job, machine, size in ticks) in allocation order.
+def _lpt_greedy(instance: MinMsInstance) -> list[tuple[int, int, int]]:
+    """The greedy of lpt_schedule: (job id, machine, size in ticks) in allocation order.
 
-    The heap holds min(n, m) machines: an idle machine beats every loaded
-    one and ties go to the lowest index, so machines n.. never take a job.
+    Jobs go largest first, equal sizes by id: the ids are sorted, then sorted
+    again by size with `reverse=True`, which keeps equal sizes in id order, so
+    no Python key function runs per job. The heap holds min(n, m) machines: an
+    idle machine beats every loaded one and ties go to the lowest index, so
+    machines n.. never take a job.
     """
     sizes = instance.ticks.sizes
-    order = sorted(instance.jobs, key=lambda j: (-sizes[j.id], j.id))
+    order = sorted(sorted(sizes), key=sizes.__getitem__, reverse=True)
     heap = [(0, i) for i in range(min(len(order), instance.machine_count))]
     placed = []
-    for job in order:
+    for job_id in order:
         load, i = heap[0]
-        size = sizes[job.id]
-        placed.append((job, i, size))
+        size = sizes[job_id]
+        placed.append((job_id, i, size))
         heapq.heapreplace(heap, (load + size, i))
     return placed
 
@@ -79,7 +82,8 @@ def lpt_schedule(instance: MinMsInstance) -> MigrationSchedule:
     equal process times are ordered by job id. No job is split, so the result
     has zero migrations.
     """
-    segments = tuple(JobSegment(job.id, i, job.process_time) for job, i, _ in _lpt_greedy(instance))
+    times = instance.ticks.times
+    segments = tuple(JobSegment(job_id, i, times[job_id]) for job_id, i, _ in _lpt_greedy(instance))
     return MigrationSchedule(instance, segments)
 
 
@@ -101,12 +105,13 @@ class PamTrace:
 
 
 def _piece(
-    instance: MinMsInstance, job: Job, ticks: int, time: Callable[[int], Fraction]
+    instance: MinMsInstance, job_id: int, ticks: int, time: Callable[[int], Fraction]
 ) -> Fraction:
-    """The amount of `ticks` of `job`: its own process time when it is whole,
-    else `time(ticks)`."""
-    if ticks == instance.ticks.sizes[job.id]:
-        return job.process_time
+    """The amount of `ticks` of job `job_id`: its own process time when it is
+    whole, else `time(ticks)`."""
+    view = instance.ticks
+    if ticks == view.sizes[job_id]:
+        return view.times[job_id]
     return time(ticks)
 
 
@@ -133,11 +138,11 @@ def pam_schedule(instance: MinMsInstance) -> PamTrace:
         raise InstanceTooLargeError(f"{m} machines exceed the pam limit of {PAM_MAX_MACHINES}")
     opt = ticks.total // m
 
-    # Per-machine [job, ticks] entries in allocation order.
+    # Per-machine [job id, ticks] entries in allocation order.
     stacks: list[list[list]] = [[] for _ in range(m)]
     loads = [0] * m
-    for job, machine, size in _lpt_greedy(instance):
-        stacks[machine].append([job, size])
+    for job_id, machine, size in _lpt_greedy(instance):
+        stacks[machine].append([job_id, size])
         loads[machine] += size
 
     over = sorted((i for i in range(m) if loads[i] > opt), key=lambda i: (-loads[i], i))
@@ -164,9 +169,9 @@ def pam_schedule(instance: MinMsInstance) -> PamTrace:
 
     time = functools.cache(ticks.time)
     segments = [
-        JobSegment(job.id, i, _piece(instance, job, amount, time))
+        JobSegment(job_id, i, _piece(instance, job_id, amount, time))
         for i in range(m)
-        for job, amount in stacks[i]
+        for job_id, amount in stacks[i]
     ]
     schedule = MigrationSchedule(instance, tuple(segments))
     return PamTrace(
@@ -199,7 +204,7 @@ def wraparound_schedule(instance: MinMsInstance) -> tuple[MigrationSchedule, Fra
         remaining = ticks.sizes[job.id]
         while remaining > 0:
             take = min(remaining, bound - clock)
-            segments.append(JobSegment(job.id, machine, _piece(instance, job, take, ticks.time)))
+            segments.append(JobSegment(job.id, machine, _piece(instance, job.id, take, ticks.time)))
             clock += take
             remaining -= take
             if clock == bound:

@@ -22,6 +22,11 @@ from migsched.mintpt import IntervalInstance, IntervalJob
 from migsched.report import CSV_COLUMNS
 
 
+def total_load(instance):
+    """The exact sum of an instance's process times, read from its ticks."""
+    return instance.ticks.time(instance.ticks.total)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -950,7 +955,7 @@ class TestGen:
         assert code == 0
         inst = load_instance(out_path)
         assert len(inst.jobs) == 9
-        assert inst.total_load() == 48
+        assert total_load(inst) == 48
 
     def test_random_mintpt_to_stdout(self, capsys):
         code, out, _ = run(
@@ -1039,14 +1044,108 @@ def _pam_with_off_grid_amounts():
     return MigrationSchedule(instance, tuple(segments))
 
 
+def reference_payload(schedule, algorithm):
+    """The dump as JSON data, one dict per record and `str()` of every amount:
+    the writer's text must be `json.dumps` of it."""
+    header = {"format": cli.DUMP_FORMAT, "version": cli.DUMP_VERSION}
+    if isinstance(schedule, MigrationSchedule):
+        return header | {
+            "kind": "minms",
+            "algorithm": algorithm,
+            "machine_count": schedule.instance.machine_count,
+            "migrations": schedule.migrations,
+            "segments": [
+                {"job": s.job_id, "machine": s.machine_id, "amount": str(s.amount)}
+                for s in schedule.segments
+            ],
+        }
+    return header | {
+        "kind": "mintpt",
+        "algorithm": algorithm,
+        "machines_used": schedule.machines_used,
+        "migrations": schedule.migrations,
+        "stints": [
+            {"job": j, "machine": m, "start": s, "end": e} for j, m, s, e in schedule.stints
+        ],
+    }
+
+
+def _one_amount_object_many_times():
+    """Eighteen segments of one job, all holding the same 1/3 object."""
+    third = Fraction(1, 3)
+    segments = tuple(JobSegment(0, i % 4, third) for i in range(18))
+    return MigrationSchedule(MinMsInstance((Job(0, 6),), 4), segments)
+
+
+def _equal_amounts_in_distinct_objects():
+    """Halves that are equal but distinct objects, between other amounts."""
+    instance = MinMsInstance((Job(0, 3), Job(1, Fraction(5, 2))), 3)
+    segments = (
+        JobSegment(0, 0, Fraction(1, 2)),
+        JobSegment(1, 0, Fraction(3, 2)),
+        JobSegment(0, 1, Fraction(1, 2)),
+        JobSegment(1, 2, Fraction(2, 2)),
+        JobSegment(0, 2, Fraction(4, 2)),
+    )
+    return MigrationSchedule(instance, segments)
+
+
+def _int_amounts():
+    """A schedule built through the library with int amounts, not Fractions."""
+    instance = MinMsInstance((Job(0, 5), Job(1, 3)), 2)
+    segments = (JobSegment(0, 0, 2), JobSegment(1, 1, 3), JobSegment(0, 1, 3))
+    return MigrationSchedule(instance, segments)
+
+
 @settings(max_examples=300, deadline=None)
 @given(solved_schedules())
 @example((mintpt.lbm_schedule(IntervalInstance((), 1)), "lbm"))
 @example((_pam_with_off_grid_amounts(), "pam"))
+@example((_one_amount_object_many_times(), "pam"))
+@example((_equal_amounts_in_distinct_objects(), "pam"))
+@example((_int_amounts(), "wraparound"))
 def test_dump_writer_matches_json_dumps(case):
     schedule, algorithm = case
+    expected = json.dumps(reference_payload(schedule, algorithm), indent=2) + "\n"
+    assert cli._dump_text(schedule, algorithm) == expected
+
+
+@pytest.mark.parametrize(
+    "case, key, field, value",
+    [
+        ((_equal_amounts_in_distinct_objects(), "pam"), "segments", "amount", "7/2"),
+        ((mintpt.lbm_schedule(IntervalInstance((IntervalJob(0, 0, 3),), 1)), "lbm"),
+         "stints", "end", 9),
+    ],
+    ids=["segment", "stint"],
+)
+def test_an_edited_payload_record_is_written_in_place_of_its_row(
+    monkeypatch, case, key, field, value
+):
+    # A record taken from the payload and changed before writing is written
+    # as changed, and every other record as the schedule holds it.
+    schedule, algorithm = case
     payload = cli._dump_payload(schedule, algorithm)
-    assert cli._dump_text(payload) == json.dumps(payload, indent=2) + "\n"
+    expected = reference_payload(schedule, algorithm)
+    payload[key][0][field] = expected[key][0][field] = value
+    monkeypatch.setattr(cli, "_dump_payload", lambda *_: payload)
+    assert cli._dump_text(schedule, algorithm) == json.dumps(expected, indent=2) + "\n"
+
+
+def test_pam_dump_text_on_many_machines_peaks_near_its_length():
+    # Two jobs on 10^5 machines: a segment per machine. Writing the dump
+    # builds the template, the flat field tuple and the text, with no dict
+    # and no string per record, so its peak stays within a few times the
+    # text's length.
+    schedule = minms.pam_schedule(MinMsInstance((Job(0, 7), Job(1, 3)), 100_000)).schedule
+    tracemalloc.start()
+    try:
+        text = cli._dump_text(schedule, "pam")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(schedule.segments) == 100_000
+    assert peak < 5 * len(text)
 
 
 def test_empty_mintpt_instance_solves_and_verifies(capsys, tmp_path):

@@ -391,6 +391,23 @@ class TestTicksMatchFractionReference:
             assert all_fractions(s.amount for s in schedule.segments)
             assert all_fractions(schedule.machine_loads() + (schedule.makespan(),))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=16),
+        st.permutations(range(16)),
+        st.integers(min_value=1, max_value=8),
+    )
+    # Ids against instance order: 2 and 0 tie, and id 0 goes first.
+    @example([3, 3, 1], [2, 0, 1], 2)
+    def test_equal_sizes_go_in_id_order_not_instance_order(self, sizes, ids, m):
+        # make_instance numbers ids in instance order, so the test above cannot
+        # tell the two orders apart. Here the ids are shuffled and sizes repeat.
+        inst = MinMsInstance(tuple(map(Job, ids, sizes)), m)
+        assert lpt_schedule(inst).segments == tuple(reference_lpt(inst))
+        trace = pam_schedule(inst)
+        got = (trace.lpt_loads, trace.excess, trace.deficit, trace.schedule.segments)
+        assert got == reference_pam(inst)
+
     @settings(max_examples=100, deadline=None)
     @given(coprime_sizes, st.integers(min_value=1, max_value=8), st.randoms(use_true_random=False))
     # One machine whose whole load 1 is reached only through off-grid thirds.
