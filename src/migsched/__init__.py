@@ -39,7 +39,6 @@ from .minms import (
     lpt_schedule,
     opt_balance,
     pam_schedule,
-    timeline,
     wraparound_schedule,
 )
 from .mintpt import (
@@ -48,7 +47,6 @@ from .mintpt import (
     IntervalSchedule,
     SlotProfile,
     estf_schedule,
-    interval_length,
     interval_span,
     lbm_schedule,
     mintpt_lower_bound,
@@ -75,12 +73,10 @@ __all__ = [
     "pam_schedule",
     "wraparound_schedule",
     "lpt_ratio",
-    "timeline",
     "IntervalJob",
     "IntervalInstance",
     "IntervalSchedule",
     "SlotProfile",
-    "interval_length",
     "interval_span",
     "slot_profile",
     "mintpt_lower_bound",

@@ -13,7 +13,6 @@ import argparse
 import functools
 import itertools
 import json
-import operator
 import sys
 import time
 from collections.abc import Iterator, Sequence
@@ -400,7 +399,10 @@ def _records(dump: dict, key: str, decode, issues: list[str]) -> list[tuple]:
     return raw
 
 
-def _verify_minms(instance: MinMsInstance, dump: dict, issues: list, notes: list) -> None:
+def _verify_minms(
+    instance: MinMsInstance, dump: dict, issues: list, notes: list
+) -> MigrationSchedule | None:
+    """The dump's own checks: its schedule, or None when that fails its check."""
     if not _same_int(dump.get("machine_count"), instance.machine_count):
         issues.append(
             f"machine_count {dump.get('machine_count')!r} does not match instance "
@@ -423,45 +425,13 @@ def _verify_minms(instance: MinMsInstance, dump: dict, issues: list, notes: list
         issues.append(f"migrations recorded as {dump.get('migrations')!r}, recomputed {migrations}")
     else:
         notes.append(f"migrations = {migrations} as recorded")
-    if schedule is None:
-        return
-
-    algorithm = dump.get("algorithm")
-    if algorithm == "pam":
-        # Conservation holds, so the loads sum to m x opt: they all equal opt
-        # exactly when the largest does, and no per-machine list is needed.
-        opt, makespan = minms.opt_balance(instance), schedule.makespan()
-        if makespan != opt:
-            issues.append(f"makespan {makespan} exceeds the balanced optimum {opt}")
-        else:
-            notes.append(f"all loads = {opt}")
-    elif algorithm == "lpt":
-        # Conservation holds, so every job has a segment: each extra one splits a job.
-        if migrations:
-            issues.append(f"{migrations} split jobs in a whole-job schedule")
-        else:
-            notes.append("every job is whole on one machine")
-    elif algorithm == "wraparound":
-        # One tick walk gives both facts: its latest end is the makespan, and
-        # each job's windows are compared as tick clocks.
-        walk = minms.timeline_ticks(schedule)
-        bound = minms.wrap_bound_ticks(instance)
-        makespan = max(end for _, _, _, end in walk)
-        time = instance.ticks.time
-        if makespan != bound:
-            issues.append(f"makespan {time(makespan)} differs from wrap bound {time(bound)}")
-        else:
-            notes.append(f"makespan = {time(bound)} (wrap bound)")
-        # Sorted by job and start, a job's windows overlap only if two neighbours do.
-        pairs = itertools.pairwise(sorted(walk, key=operator.itemgetter(0, 2)))
-        overlapping = sorted({a[0] for a, b in pairs if a[0] == b[0] and a[3] > b[2]})
-        if overlapping:
-            issues.append(f"jobs {overlapping} overlap themselves in time")
-        else:
-            notes.append("no job overlaps itself in time")
+    return schedule
 
 
-def _verify_mintpt(instance: IntervalInstance, dump: dict, issues: list, notes: list) -> None:
+def _verify_mintpt(
+    instance: IntervalInstance, dump: dict, issues: list, notes: list
+) -> IntervalSchedule | None:
+    """The dump's own checks: its schedule, or None when that fails its check."""
     raw = _records(dump, "stints", _stint, issues)
     try:
         schedule, problems = IntervalSchedule(instance, tuple(raw)), ()
@@ -479,28 +449,14 @@ def _verify_mintpt(instance: IntervalInstance, dump: dict, issues: list, notes: 
             f"machines_used recorded as {dump.get('machines_used')!r}, recomputed {machines_used}"
         )
     if schedule is None:
-        return
+        return None
 
     migrations = schedule.migrations
     if not _same_int(dump.get("migrations"), migrations):
         issues.append(f"migrations recorded as {dump.get('migrations')!r}, recomputed {migrations}")
     else:
         notes.append(f"migrations = {migrations} as recorded")
-
-    algorithm = dump.get("algorithm")
-    if algorithm == "lbm":
-        # A schedule that passed construction uses at least its floor of
-        # machines in every slot, so equal totals mean every slot is at its floor.
-        total, floor = schedule.total_power_on_time(), mintpt.mintpt_lower_bound(instance)
-        if total != floor:
-            issues.append(f"power-on time {total} exceeds the floor {floor}")
-        else:
-            notes.append(f"power-on time {total} = floor {floor}")
-    elif algorithm == "estf":
-        if migrations:
-            issues.append("migrations present in a no-migration schedule")
-        else:
-            notes.append("no migrations, each job keeps one machine")
+    return schedule
 
 
 def cmd_verify(args) -> int:
@@ -526,8 +482,12 @@ def cmd_verify(args) -> int:
 
     issues: list[str] = []
     notes: list[str] = []
-    verifier = _verify_minms if kind == "minms" else _verify_mintpt
-    verifier(instance, dump, issues, notes)
+    verifier, module = (_verify_minms, minms) if kind == "minms" else (_verify_mintpt, mintpt)
+    schedule = verifier(instance, dump, issues, notes)
+    if schedule is not None:
+        claim_issues, claim_notes = module.certificate(schedule, algorithm)
+        issues += claim_issues
+        notes += claim_notes
 
     for note in notes:
         print(f"ok: {note}")

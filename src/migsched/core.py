@@ -295,7 +295,7 @@ class MigrationSchedule:
     A job split into k segments accounts for k-1 migrations; a schedule that
     keeps every job whole has zero migrations. Segment tuple order is
     meaningful: within one machine it is execution order for schedules that
-    are read as timetables (see minms.timeline).
+    are read as timetables (see minms.timeline_ticks).
     """
 
     instance: MinMsInstance

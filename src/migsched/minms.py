@@ -19,22 +19,23 @@ All of them, and timeline_ticks, compute on the instance's integer ticks
 (core.TickView) and make a Fraction only for what they return; a segment
 that holds a whole job carries the job's own process time. Apart from pam,
 whose output has a segment per machine, their cost does not grow with the
-machine count beyond the job count.
+machine count beyond the job count. certificate checks each solver's claim
+on a schedule, such as one read back from a dump.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
+import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .core import InstanceTooLargeError, JobSegment, MigrationSchedule, MinMsInstance
-from .core import MAX_MACHINES as PAM_MAX_MACHINES  # pam's time and memory grow linearly with m
+from .core import MAX_MACHINES, InstanceTooLargeError, JobSegment, MigrationSchedule, MinMsInstance
 
 __all__ = [
-    "PAM_MAX_MACHINES",
     "PamTrace",
     "opt_balance",
     "lpt_schedule",
@@ -42,8 +43,8 @@ __all__ = [
     "wrap_bound_ticks",
     "wraparound_schedule",
     "lpt_ratio",
-    "timeline",
     "timeline_ticks",
+    "certificate",
 ]
 
 
@@ -126,7 +127,7 @@ def pam_schedule(instance: MinMsInstance) -> PamTrace:
     ends an excess or fills a deficit, so there are at most m - 1 pieces.
     Always feasible: load is treated as divisible. Its cost grows with the
     machine count, since every machine ends with at least one segment, so
-    more than PAM_MAX_MACHINES machines raise InstanceTooLargeError before
+    more than core.MAX_MACHINES machines raise InstanceTooLargeError before
     anything is allocated. Equal tick counts share one Fraction, in the
     pieces and in the trace alike, so the m near-equal loads, deficits and
     pieces take a few objects, not one each; a whole job still carries its
@@ -134,8 +135,8 @@ def pam_schedule(instance: MinMsInstance) -> PamTrace:
     """
     ticks = instance.ticks
     m = instance.machine_count
-    if m > PAM_MAX_MACHINES:
-        raise InstanceTooLargeError(f"{m} machines exceed the pam limit of {PAM_MAX_MACHINES}")
+    if m > MAX_MACHINES:
+        raise InstanceTooLargeError(f"{m} machines exceed the pam limit of {MAX_MACHINES}")
     opt = ticks.total // m
 
     # Per-machine [job id, ticks] entries in allocation order.
@@ -241,14 +242,41 @@ def timeline_ticks(
     return out
 
 
-def timeline(schedule: MigrationSchedule) -> list[tuple[int, int, Fraction, Fraction]]:
-    """timeline_ticks as time values: (job_id, machine_id, start, end) per segment."""
-    time = schedule.instance.ticks.time
-    ends: dict[int, Fraction] = {}  # per machine: its last end, the next start there
-    zero = Fraction(0)
-    out = []
-    for job, machine, _, end in timeline_ticks(schedule):
-        start = ends.get(machine, zero)
-        ends[machine] = end = time(end)
-        out.append((job, machine, start, end))
-    return out
+def certificate(schedule: MigrationSchedule, algorithm: str) -> tuple[list[str], list[str]]:
+    """Check on `schedule` what `algorithm` guarantees: (issues, notes), one
+    line per claim, a note when it holds and an issue when it fails. Any
+    other name has no certificate here and gives ([], [])."""
+    instance = schedule.instance
+    if algorithm == "pam":
+        # Conservation holds, so the loads sum to m x opt: they all equal opt
+        # exactly when the largest does, and no per-machine list is needed.
+        opt, makespan = opt_balance(instance), schedule.makespan()
+        if makespan != opt:
+            return [f"makespan {makespan} exceeds the balanced optimum {opt}"], []
+        return [], [f"all loads = {opt}"]
+    if algorithm == "lpt":
+        # Conservation holds, so every job has a segment: each extra one splits a job.
+        if migrations := schedule.migrations:
+            return [f"{migrations} split jobs in a whole-job schedule"], []
+        return [], ["every job is whole on one machine"]
+    if algorithm != "wraparound":
+        return [], []
+    issues, notes = [], []
+    # One tick walk gives both facts: its latest end is the makespan, and
+    # each job's windows are compared as tick clocks.
+    walk = timeline_ticks(schedule)
+    bound = wrap_bound_ticks(instance)
+    makespan = max(end for _, _, _, end in walk)
+    time = instance.ticks.time
+    if makespan != bound:
+        issues.append(f"makespan {time(makespan)} differs from wrap bound {time(bound)}")
+    else:
+        notes.append(f"makespan = {time(bound)} (wrap bound)")
+    # Sorted by job and start, a job's windows overlap only if two neighbours do.
+    pairs = itertools.pairwise(sorted(walk, key=operator.itemgetter(0, 2)))
+    overlapping = sorted({a[0] for a, b in pairs if a[0] == b[0] and a[3] > b[2]})
+    if overlapping:
+        issues.append(f"jobs {overlapping} overlap themselves in time")
+    else:
+        notes.append("no job overlaps itself in time")
+    return issues, notes

@@ -22,7 +22,8 @@ lowest-indexed machine with room through a min-heap, not a scan of the
 machines, so each job costs O(log machines). The schedule check tests each
 machine's capacity on its sorted stint starts and ends, and the schedule
 keeps the power-on time that the same lists give. A failing check raises
-one InvariantError that carries every problem in `args`.
+one InvariantError that carries every problem in `args`. certificate checks
+each solver's claim on a schedule, such as one read back from a dump.
 """
 
 from __future__ import annotations
@@ -40,13 +41,13 @@ __all__ = [
     "IntervalInstance",
     "SlotProfile",
     "IntervalSchedule",
-    "interval_length",
     "interval_span",
     "slot_profile",
     "mintpt_lower_bound",
     "estf_schedule",
     "lbm_schedule",
     "placement_violations",
+    "certificate",
 ]
 
 
@@ -136,24 +137,17 @@ class SlotProfile:
     min_machines: tuple[int, ...]
 
 
-def interval_length(intervals: Iterable[tuple[int, int]]) -> int:
-    """Sum of individual interval lengths, overlaps counted multiply."""
-    total = 0
-    for s, t in intervals:
-        if t <= s:
-            raise InvariantError(f"interval [{s}, {t}) has non-positive length")
-        total += t - s
-    return total
-
-
 def interval_span(intervals: Iterable[tuple[int, int]]) -> int:
     """Measure of the union of the intervals, overlaps counted once.
 
-    Always <= interval_length, with equality exactly when no two intervals
-    overlap (sharing an endpoint is not an overlap).
+    Always <= the sum of their lengths, with equality exactly when no two
+    intervals overlap (sharing an endpoint is not an overlap). An interval
+    [s, t) with t <= s raises InvariantError, the first in sorted order.
     """
     ordered = sorted(intervals)
-    interval_length(ordered)  # raises on the first bad interval in sorted order
+    for s, t in ordered:
+        if t <= s:
+            raise InvariantError(f"interval [{s}, {t}) has non-positive length")
     return sum(t - s for s, t, count in _runs(ordered) if count)
 
 
@@ -445,3 +439,21 @@ def lbm_schedule(instance: IntervalInstance) -> IntervalSchedule:
             hosted[machine].add(job_id)
             placed[job_id] = (machine, slot)
     return IntervalSchedule(instance, tuple(stints))
+
+
+def certificate(schedule: IntervalSchedule, algorithm: str) -> tuple[list[str], list[str]]:
+    """Check on `schedule` what `algorithm` guarantees: (issues, notes), one
+    line per claim, a note when it holds and an issue when it fails. Any
+    other name has no certificate here and gives ([], [])."""
+    if algorithm == "lbm":
+        # A schedule that passed construction uses at least its floor of
+        # machines in every slot, so equal totals mean every slot is at its floor.
+        total, floor = schedule.total_power_on_time(), mintpt_lower_bound(schedule.instance)
+        if total != floor:
+            return [f"power-on time {total} exceeds the floor {floor}"], []
+        return [], [f"power-on time {total} = floor {floor}"]
+    if algorithm == "estf":
+        if schedule.migrations:
+            return ["migrations present in a no-migration schedule"], []
+        return [], ["no migrations, each job keeps one machine"]
+    return [], []

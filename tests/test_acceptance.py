@@ -19,7 +19,6 @@ from migsched import (
     gen_graham_worst_case,
     gen_random_minms,
     gen_random_mintpt,
-    interval_length,
     interval_span,
     lbm_schedule,
     lpt_ratio,
@@ -118,6 +117,11 @@ def test_a4_wraparound_feasibility_and_divisible_load_caveat():
         f"ACCEPTANCE 4 PASS - wrap-around feasible on 500 instances, "
         f"{caveat_cases} show the divisible-load caveat ({elapsed:.2f}s)"
     )
+
+
+def interval_length(intervals):
+    """Sum of the intervals' lengths, overlaps counted multiply."""
+    return sum(t - s for s, t in intervals)
 
 
 def test_a5_span_length_algebra():

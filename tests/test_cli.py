@@ -750,7 +750,7 @@ def test_solve_pam_refuses_more_machines_than_its_gate(capsys, tmp_path):
         tracemalloc.stop()
     assert (code, out) == (2, "")
     assert err == (
-        f"error: 1000000000000 machines exceed the pam limit of {minms.PAM_MAX_MACHINES}\n"
+        f"error: 1000000000000 machines exceed the pam limit of {core.MAX_MACHINES}\n"
     )
     assert peak < 5 * 2**20
 

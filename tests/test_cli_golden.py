@@ -120,6 +120,7 @@ CASES: dict[str, list] = {
     "fail-verify-lpt-split": _tamper("graham_m10.inst", "pam", ["algorithm"], "lpt"),
     "fail-verify-pam-unbalanced": _tamper("graham_m10.inst", "lpt", ["algorithm"], "pam"),
     "fail-verify-wrap-bound": _tamper("graham_m10.inst", "lpt", ["algorithm"], "wraparound"),
+    "fail-verify-wrap-overlap": _tamper("graham_m10.inst", "pam", ["algorithm"], "wraparound"),
     "fail-verify-placement-moved": _tamper(
         "intervals_g3.inst", "lbm", ["stints", 0, "start"], 9
     ),

@@ -20,13 +20,11 @@ from migsched import (
     lpt_schedule,
     opt_balance,
     pam_schedule,
-    timeline,
     wraparound_schedule,
 )
 from migsched.minms import timeline_ticks
-from migsched import core, oracles
+from migsched import core, minms, oracles
 from migsched.core import segment_violations
-from migsched.minms import PAM_MAX_MACHINES
 
 job_sizes = st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=24)
 rational_sizes = st.lists(
@@ -185,7 +183,7 @@ class TestLpt:
             schedule = lpt_schedule(make_instance([5, Fraction(7, 2)], 10**12))
             with pytest.raises(
                 core.InstanceTooLargeError,
-                match=f"^1000000000000 machines exceed the machine_loads limit of {PAM_MAX_MACHINES}$",
+                match=f"^1000000000000 machines exceed the machine_loads limit of {core.MAX_MACHINES}$",
             ):
                 schedule.machine_loads()
             peak = tracemalloc.get_traced_memory()[1]
@@ -193,7 +191,7 @@ class TestLpt:
             tracemalloc.stop()
         assert schedule.makespan() == 5
         assert peak < 2**20
-        at_gate = lpt_schedule(make_instance([5, 1], PAM_MAX_MACHINES))
+        at_gate = lpt_schedule(make_instance([5, 1], core.MAX_MACHINES))
         assert at_gate.machine_loads()[:3] == (5, 1, 0)
 
     def test_deterministic_tie_breaks(self):
@@ -226,7 +224,7 @@ class TestPam:
         # One error class for every size gate; oracles still exports it.
         assert oracles.InstanceTooLargeError is core.InstanceTooLargeError
         with pytest.raises(core.InstanceTooLargeError, match="pam limit"):
-            pam_schedule(make_instance([5, 1], PAM_MAX_MACHINES + 1))
+            pam_schedule(make_instance([5, 1], core.MAX_MACHINES + 1))
 
     def test_already_balanced_zero_migrations(self):
         trace = pam_schedule(make_instance([6, 6], 2))
@@ -323,7 +321,7 @@ class TestWraparound:
     @staticmethod
     def assert_no_self_overlap(sched):
         windows = {}
-        for job_id, _, start, end in timeline(sched):
+        for job_id, _, start, end in tick_walk_over_unit(sched):
             windows.setdefault(job_id, []).append((start, end))
         for spans in windows.values():
             spans.sort()
@@ -346,7 +344,6 @@ class TestWraparound:
         # Every wraparound piece is a whole number of ticks, so the walk's clocks are ints.
         walk = timeline_ticks(sched)
         assert all(type(t) is int for _, _, start, end in walk for t in (start, end))
-        assert timeline(sched) == tick_walk_over_unit(sched)
 
 
 class TestLptRatio:
@@ -385,7 +382,7 @@ class TestTicksMatchFractionReference:
         ref_segments, ref_bound = reference_wraparound(inst)
         assert (sched.segments, bound) == (ref_segments, ref_bound)
         assert type(bound) is Fraction
-        assert timeline(sched) == reference_timeline(ref_segments)
+        assert tick_walk_over_unit(sched) == reference_timeline(ref_segments)
 
         for schedule in (lpt, trace.schedule, sched):
             assert all_fractions(s.amount for s in schedule.segments)
@@ -420,9 +417,8 @@ class TestTicksMatchFractionReference:
             for _ in range(3):
                 segments.append(JobSegment(job.id, rng.randrange(m), job.process_time / 3))
         sched = MigrationSchedule(inst, tuple(segments))
-        times = timeline(sched)
+        times = tick_walk_over_unit(sched)
         assert times == reference_timeline(segments)
-        assert times == tick_walk_over_unit(sched)
         assert all_fractions(t for _, _, start, end in times for t in (start, end))
         assert all_fractions(sched.machine_loads() + (sched.makespan(),))
 
@@ -486,3 +482,61 @@ def test_solvers_are_pure_functions(seed):
     assert pam_schedule(inst) == pam_schedule(inst)
     assert lpt_schedule(inst) == lpt_schedule(inst)
     assert wraparound_schedule(inst) == wraparound_schedule(inst)
+
+
+class TestCertificate:
+    @settings(max_examples=200, deadline=None)
+    @given(job_sizes | coprime_sizes | rational_sizes, st.integers(min_value=1, max_value=8))
+    # A job as long as the bound wraps, and its two windows touch at time 1.
+    @example([1, 2], 2)
+    def test_every_solver_meets_its_certificate(self, sizes, m):
+        inst = make_instance(sizes, m)
+        lpt = minms.certificate(lpt_schedule(inst), "lpt")
+        assert lpt == ([], ["every job is whole on one machine"])
+        pam = minms.certificate(pam_schedule(inst).schedule, "pam")
+        assert pam == ([], [f"all loads = {opt_balance(inst)}"])
+        sched, bound = wraparound_schedule(inst)
+        wrap = minms.certificate(sched, "wraparound")
+        assert wrap == ([], [f"makespan = {bound} (wrap bound)", "no job overlaps itself in time"])
+
+    def test_pam_unbalanced(self):
+        sched = lpt_schedule(gen_graham_worst_case(10))
+        assert minms.certificate(sched, "pam") == (
+            ["makespan 39 exceeds the balanced optimum 30"],
+            [],
+        )
+
+    def test_lpt_split(self):
+        # Loads [4, 2] balance to [3, 3] by one split of the job of size 4.
+        sched = pam_schedule(make_instance([4, 1, 1], 2)).schedule
+        assert minms.certificate(sched, "lpt") == (["1 split jobs in a whole-job schedule"], [])
+
+    def test_wrap_bound_exceeded(self):
+        sched = lpt_schedule(gen_graham_worst_case(10))
+        assert minms.certificate(sched, "wraparound") == (
+            ["makespan 39 differs from wrap bound 30"],
+            ["no job overlaps itself in time"],
+        )
+
+    def test_wrap_self_overlap(self):
+        # Both jobs run [0, 1) on machine 0 and on machine 1 at once.
+        inst = make_instance([2, 2], 2)
+        sched = MigrationSchedule(
+            inst, tuple(JobSegment(j, i, 1) for i in range(2) for j in range(2))
+        )
+        assert minms.certificate(sched, "wraparound") == (
+            ["jobs [0, 1] overlap themselves in time"],
+            ["makespan = 2 (wrap bound)"],
+        )
+
+    def test_wrap_below_the_bound_and_overlapping(self):
+        # pam ends both machines at 3, under the job of size 5, by running it twice at once.
+        sched = pam_schedule(make_instance([5, 1], 2)).schedule
+        assert minms.certificate(sched, "wraparound") == (
+            ["makespan 3 differs from wrap bound 5", "jobs [0] overlap themselves in time"],
+            [],
+        )
+
+    @pytest.mark.parametrize("name", ["exact", "lbm", "bogus", ""])
+    def test_other_names_have_no_certificate(self, name):
+        assert minms.certificate(pam_schedule(gen_graham_worst_case(2)).schedule, name) == ([], [])

@@ -14,9 +14,9 @@ from migsched import (
     InvariantError,
     estf_schedule,
     gen_random_mintpt,
-    interval_length,
     interval_span,
     lbm_schedule,
+    mintpt,
     mintpt_lower_bound,
     slot_profile,
 )
@@ -34,6 +34,11 @@ def four_job_instance():
         (IntervalJob(0, 0, 3), IntervalJob(1, 0, 2), IntervalJob(2, 1, 3), IntervalJob(3, 0, 3)),
         3,
     )
+
+
+def interval_length(intervals):
+    """Sum of the intervals' lengths, overlaps counted multiply."""
+    return sum(t - s for s, t in intervals)
 
 
 def overlaps(intervals):
@@ -300,7 +305,10 @@ class TestIntervalAlgebra:
         with pytest.raises(InvariantError):
             interval_span([(3, 3)])
         with pytest.raises(InvariantError):
-            interval_length([(4, 2)])
+            interval_span([(4, 2)])
+        # The first bad interval in sorted order is the one named.
+        with pytest.raises(InvariantError, match=r"^interval \[3, 3\) has non-positive length$"):
+            interval_span([(5, 9), (4, 2), (3, 3)])
 
     @given(intervals_strategy)
     def test_span_at_most_length(self, intervals):
@@ -545,3 +553,32 @@ class TestIntervalScheduleValidation:
             IntervalInstance((IntervalJob(0, 0, 1),), 0)
         with pytest.raises(InvariantError):
             IntervalInstance((IntervalJob(0, 0, 1), IntervalJob(0, 1, 2)), 1)
+
+
+class TestCertificate:
+    @settings(max_examples=200, deadline=None)
+    @given(interval_instances())
+    def test_every_solver_meets_its_certificate(self, inst):
+        floor = mintpt_lower_bound(inst)
+        lbm = mintpt.certificate(lbm_schedule(inst), "lbm")
+        assert lbm == ([], [f"power-on time {floor} = floor {floor}"])
+        estf = mintpt.certificate(estf_schedule(inst), "estf")
+        assert estf == ([], ["no migrations, each job keeps one machine"])
+
+    def test_lbm_above_the_floor(self):
+        # One machine would do in both slots; two give power-on time 3.
+        inst = IntervalInstance((IntervalJob(0, 0, 2), IntervalJob(1, 0, 1)), 2)
+        sched = IntervalSchedule(inst, ((0, 0, 0, 2), (1, 1, 0, 1)))
+        assert mintpt.certificate(sched, "lbm") == (["power-on time 3 exceeds the floor 2"], [])
+
+    def test_estf_with_a_migration(self):
+        inst = IntervalInstance((IntervalJob(0, 0, 2),), 1)
+        sched = IntervalSchedule(inst, ((0, 0, 0, 1), (0, 1, 1, 2)))
+        assert mintpt.certificate(sched, "estf") == (
+            ["migrations present in a no-migration schedule"],
+            [],
+        )
+
+    @pytest.mark.parametrize("name", ["exact", "pam", "bogus", ""])
+    def test_other_names_have_no_certificate(self, name):
+        assert mintpt.certificate(lbm_schedule(four_job_instance()), name) == ([], [])

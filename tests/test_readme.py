@@ -29,10 +29,12 @@ def test_library_example_gives_its_documented_results():
             values.append(eval(compile(ast.Expression(node.value), "README", "eval"), namespace))
         else:
             exec(compile(ast.Module([node], []), "README", "exec"), namespace)
-    makespan, optimum, loads, at_floor = values
+    makespan, optimum, loads, at_floor, lpt_claim, estf_claim = values
     assert (makespan, optimum) == (39, 30)
     assert list(loads) == [30] * 10
     assert at_floor is True
+    assert lpt_claim == (["makespan 39 exceeds the balanced optimum 30"], [])
+    assert estf_claim == (["power-on time 14 exceeds the floor 11"], [])
 
 
 def test_cli_example_lines_exit_0(capsys, tmp_path, monkeypatch):
