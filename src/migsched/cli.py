@@ -38,13 +38,7 @@ from .instances import (
     serialize_instance,
 )
 from .mintpt import IntervalInstance, IntervalSchedule, placement_violations  # as above
-from .oracles import (
-    MINMS_MAX_JOBS,
-    MINTPT_MAX_JOBS,
-    InstanceTooLargeError,
-    exact_minms,
-    exact_mintpt,
-)
+from .oracles import InstanceTooLargeError, exact_minms, exact_mintpt
 from .report import ReportRow, render_csv, render_json, render_markdown
 
 DUMP_FORMAT = "migsched-dump"
@@ -123,17 +117,18 @@ def _report(args, name: str, instance, algorithms: list[str]) -> list[tuple]:
             raise CliError(f"algorithm {algorithm!r} does not apply to {kind} instances")
     if kind == "minms":
         param, optimum = instance.machine_count, minms.opt_balance(instance)
-        oracle, max_jobs = exact_minms, MINMS_MAX_JOBS
+        oracle = exact_minms
     else:
         param, optimum = instance.capacity, mintpt.mintpt_lower_bound(instance)
-        oracle, max_jobs = exact_mintpt, MINTPT_MAX_JOBS
+        oracle = exact_mintpt
 
     oracle_value, oracle_ms = None, None
     refusal = "exact solve requested but the oracle is disabled"
     if limit != 0:
         started = time.perf_counter()
         try:
-            oracle_value = oracle(instance, limit or max_jobs)
+            # Without --oracle-limit the oracle applies its own default gate.
+            oracle_value = oracle(instance) if limit is None else oracle(instance, limit)
         except InstanceTooLargeError as exc:
             refusal = str(exc)
         oracle_ms = (time.perf_counter() - started) * 1000.0
@@ -399,6 +394,27 @@ def _records(dump: dict, key: str, decode, issues: list[str]) -> list[tuple]:
     return raw
 
 
+def _rebuild(schedule_type, instance, raw: list[tuple], issues: list):
+    """The kind's schedule of the decoded records, or None, with each problem
+    its construction check found (the InvariantError's `args`) as an issue."""
+    try:
+        return schedule_type(instance, tuple(raw))
+    except InvariantError as exc:
+        issues.extend(exc.args)
+        return None
+
+
+def _check_recorded(
+    dump: dict, key: str, value: int, issues: list, notes: list | None = None
+) -> None:
+    """Compare the dump's header count under `key` with its recomputed value:
+    a mismatch is an issue, and a match is a note when `notes` is given."""
+    if not _same_int(dump.get(key), value):
+        issues.append(f"{key} recorded as {dump.get(key)!r}, recomputed {value}")
+    elif notes is not None:
+        notes.append(f"{key} = {value} as recorded")
+
+
 def _verify_minms(
     instance: MinMsInstance, dump: dict, issues: list, notes: list
 ) -> MigrationSchedule | None:
@@ -410,52 +426,29 @@ def _verify_minms(
         )
     seed = {str(job.process_time): job.process_time for job in instance.jobs}
     raw = _records(dump, "segments", functools.partial(_segment, seed), issues)
-    try:
-        schedule, problems = MigrationSchedule(instance, tuple(raw)), ()
-    except InvariantError as exc:
-        schedule, problems = None, exc.args
-    issues.extend(problems)
-    if not problems:
+    schedule = _rebuild(MigrationSchedule, instance, raw, issues)
+    if schedule is not None:
         notes.append(
             f"per-job conservation holds ({len(instance.jobs)} jobs, {len(raw)} segments)"
         )
-
-    migrations = len(raw) - len(instance.jobs)
-    if not _same_int(dump.get("migrations"), migrations):
-        issues.append(f"migrations recorded as {dump.get('migrations')!r}, recomputed {migrations}")
-    else:
-        notes.append(f"migrations = {migrations} as recorded")
+    _check_recorded(dump, "migrations", len(raw) - len(instance.jobs), issues, notes)
     return schedule
 
 
 def _verify_mintpt(
     instance: IntervalInstance, dump: dict, issues: list, notes: list
 ) -> IntervalSchedule | None:
-    """The dump's own checks: its schedule, or None when that fails its check."""
+    """The dump's own checks: its schedule, or None when that fails its check.
+    Both header counts are the schedule's, so they are compared only when it
+    passes its check."""
     raw = _records(dump, "stints", _stint, issues)
-    try:
-        schedule, problems = IntervalSchedule(instance, tuple(raw)), ()
-    except InvariantError as exc:
-        schedule, problems = None, exc.args
-    issues.extend(problems)
-    if not problems:
+    schedule = _rebuild(IntervalSchedule, instance, raw, issues)
+    if schedule is not None:
         notes.append(
             f"every job placed in all its slots within capacity {instance.capacity}"
         )
-
-    machines_used = len({machine for _, machine, _, _ in raw})
-    if not _same_int(dump.get("machines_used"), machines_used):
-        issues.append(
-            f"machines_used recorded as {dump.get('machines_used')!r}, recomputed {machines_used}"
-        )
-    if schedule is None:
-        return None
-
-    migrations = schedule.migrations
-    if not _same_int(dump.get("migrations"), migrations):
-        issues.append(f"migrations recorded as {dump.get('migrations')!r}, recomputed {migrations}")
-    else:
-        notes.append(f"migrations = {migrations} as recorded")
+        _check_recorded(dump, "machines_used", schedule.machines_used, issues)
+        _check_recorded(dump, "migrations", schedule.migrations, issues, notes)
     return schedule
 
 

@@ -52,6 +52,9 @@ class InstanceTooLargeError(ValueError):
 
 
 MAX_MACHINES = 1_000_000  # for what takes one entry per machine: pam, machine_loads()
+# For TickView: every job's tick count carries the whole tick unit, so its
+# memory is about jobs x bits of the unit. 2**24 bits are 2 MiB of tick counts.
+MAX_TICK_BITS = 2**24
 
 
 def as_time(value: int | str | Fraction) -> Fraction:
@@ -115,12 +118,26 @@ class TickView:
     multiple of the machine count and W/m is `total // machine_count` ticks.
     `sizes` maps each job id to its process time in ticks, in instance order,
     and `times` maps it to the job's own `process_time` object.
+
+    When the job count times the bits of the lcm and of the machine count
+    passes MAX_TICK_BITS, the view raises InstanceTooLargeError while the lcm
+    is built, before any tick count exists: the lcm of distinct denominators
+    grows with each one.
     """
 
     __slots__ = ("unit", "sizes", "times", "total")
 
     def __init__(self, jobs: tuple[Job, ...], machine_count: int) -> None:
-        unit = math.lcm(*(job.process_time.denominator for job in jobs)) * machine_count
+        n, machine_bits = len(jobs), machine_count.bit_length()
+        lcm = 1
+        for den in {job.process_time.denominator for job in jobs}:
+            lcm = math.lcm(lcm, den)
+            if n * (lcm.bit_length() + machine_bits) > MAX_TICK_BITS:
+                raise InstanceTooLargeError(
+                    f"the tick counts of {n} jobs exceed the budget of "
+                    f"{MAX_TICK_BITS} bits (jobs x bits of the tick unit)"
+                )
+        unit = lcm * machine_count
         self.unit = unit
         self.sizes = {
             job.id: job.process_time.numerator * (unit // job.process_time.denominator)

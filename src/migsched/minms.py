@@ -40,7 +40,6 @@ __all__ = [
     "opt_balance",
     "lpt_schedule",
     "pam_schedule",
-    "wrap_bound_ticks",
     "wraparound_schedule",
     "lpt_ratio",
     "timeline_ticks",
@@ -183,7 +182,7 @@ def pam_schedule(instance: MinMsInstance) -> PamTrace:
     )
 
 
-def wrap_bound_ticks(instance: MinMsInstance) -> int:
+def _wrap_bound_ticks(instance: MinMsInstance) -> int:
     """max(longest job, ideal load) in ticks: the makespan of wraparound_schedule."""
     ticks = instance.ticks
     return max(max(ticks.sizes.values()), ticks.total // instance.machine_count)
@@ -198,7 +197,7 @@ def wraparound_schedule(instance: MinMsInstance) -> tuple[MigrationSchedule, Fra
     job never overlap in time. Returns (schedule, makespan bound).
     """
     ticks = instance.ticks
-    bound = wrap_bound_ticks(instance)
+    bound = _wrap_bound_ticks(instance)
     segments = []
     machine = clock = 0
     for job in instance.jobs:
@@ -265,7 +264,7 @@ def certificate(schedule: MigrationSchedule, algorithm: str) -> tuple[list[str],
     # One tick walk gives both facts: its latest end is the makespan, and
     # each job's windows are compared as tick clocks.
     walk = timeline_ticks(schedule)
-    bound = wrap_bound_ticks(instance)
+    bound = _wrap_bound_ticks(instance)
     makespan = max(end for _, _, _, end in walk)
     time = instance.ticks.time
     if makespan != bound:

@@ -280,8 +280,9 @@ class IntervalSchedule:
     kept in canonical (job_id, start) order. A migration is a boundary inside
     a job where its machine changes.
 
-    The construction check also counts each machine's busy slots, and the
-    schedule keeps their sum as its total power-on time. A failing check
+    The construction check also counts each machine's busy slots, one count
+    per machine it hosts, and the schedule keeps their sum as its total
+    power-on time and their number as `machines_used`. A failing check
     raises InvariantError(*placement_violations(...)).
     """
 
@@ -296,6 +297,7 @@ class IntervalSchedule:
         if problems:
             raise InvariantError(*problems)
         object.__setattr__(self, "_power_on", sum(power_on))
+        object.__setattr__(self, "_machines_used", len(power_on))
         stints = tuple(sorted(stints, key=operator.itemgetter(0, 2)))
         object.__setattr__(self, "stints", stints)
         # Canonical order puts a job's stints side by side, each ending where the next starts.
@@ -304,7 +306,7 @@ class IntervalSchedule:
 
     @property
     def machines_used(self) -> int:
-        return len({machine for _, machine, _, _ in self.stints})
+        return self._machines_used
 
     @property
     def migrations(self) -> int:

@@ -2,9 +2,10 @@
 
 Column order is fixed; exact rationals are printed as "num/den" (or a bare
 integer) and parse back to the same value. The JSON form additionally carries
-*_approx float fields, rounded to 6 places and explicitly approximate. The
-ms column stays empty unless timing was requested, since wall time is the one
-field that cannot be byte-reproducible.
+*_approx float fields, rounded to 6 places and explicitly approximate, and
+null for a value past float range. The ms column stays empty unless timing
+was requested, since wall time is the one field that cannot be
+byte-reproducible.
 """
 
 from __future__ import annotations
@@ -41,9 +42,14 @@ def _cell(value) -> str:
 
 
 def _approx(value) -> float | None:
+    """`value` as a float rounded to 6 places; None when there is no value or
+    it is past float range (the exact field still holds it)."""
     if value is None:
         return None
-    return round(float(value), 6)
+    try:
+        return round(float(value), 6)
+    except OverflowError:
+        return None
 
 
 @dataclass(frozen=True)

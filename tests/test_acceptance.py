@@ -32,6 +32,8 @@ from migsched import (
 from migsched.cli import main
 from migsched.instances import load_instance
 
+from helpers import interval_length
+
 
 def test_a1_adversarial_family_reproduction():
     """Greedy hits 4m-1 while split-and-migrate balancing hits 3m exactly."""
@@ -117,11 +119,6 @@ def test_a4_wraparound_feasibility_and_divisible_load_caveat():
         f"ACCEPTANCE 4 PASS - wrap-around feasible on 500 instances, "
         f"{caveat_cases} show the divisible-load caveat ({elapsed:.2f}s)"
     )
-
-
-def interval_length(intervals):
-    """Sum of the intervals' lengths, overlaps counted multiply."""
-    return sum(t - s for s, t in intervals)
 
 
 def test_a5_span_length_algebra():

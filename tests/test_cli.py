@@ -15,16 +15,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from migsched import Job, JobSegment, MigrationSchedule, MinMsInstance, cli, core, minms, mintpt
+from migsched import (
+    Job, JobSegment, MigrationSchedule, MinMsInstance, cli, core, minms, mintpt, oracles
+)
 from migsched.cli import main
 from migsched.instances import load_instance
 from migsched.mintpt import IntervalInstance, IntervalJob
 from migsched.report import CSV_COLUMNS
 
-
-def total_load(instance):
-    """The exact sum of an instance's process times, read from its ticks."""
-    return instance.ticks.time(instance.ticks.total)
+from helpers import total_load
 
 
 def run(capsys, *argv):
@@ -97,7 +96,7 @@ class TestSolve:
         # solver's alone, without the oracle that fills its column.
         oracle = cli.exact_mintpt
 
-        def slow_oracle(instance, max_jobs):
+        def slow_oracle(instance, max_jobs=oracles.MINTPT_MAX_JOBS):
             time.sleep(0.1)
             return oracle(instance, max_jobs)
 
@@ -431,6 +430,25 @@ class TestVerify:
         got, out, err = run(capsys, "verify", instance, str(dump))
         assert got == code
         assert line in (out + err).splitlines()
+
+    def test_counts_of_a_dump_that_fails_its_check_are_not_compared(
+        self, capsys, intervals, tmp_path
+    ):
+        # machines_used and migrations are counts of the rebuilt schedule; a
+        # dump whose stints fail the check has none, so only its problems print.
+        dump = tmp_path / "lbm.json"
+        run(capsys, "solve", intervals, "--algorithm", "lbm", "--dump", str(dump))
+        payload = json.loads(dump.read_text())
+        payload["stints"][0]["start"] = 9
+        payload["machines_used"] = payload["migrations"] = 7
+        dump.write_text(json.dumps(payload))
+        code, out, _ = run(capsys, "verify", intervals, str(dump))
+        assert code == 1
+        assert out.splitlines() == [
+            "FAIL: job 0: stint [9, 3) is not a slot range",
+            "FAIL: job 0: no placement for slots [0, 3)",
+            "verification failed (2 issue(s))",
+        ]
 
     @pytest.mark.parametrize("version", [1, None, "2", 3])
     def test_other_dump_versions_are_input_errors(self, capsys, intervals, tmp_path, version):
@@ -1214,6 +1232,149 @@ def test_other_value_errors_are_not_input_errors(monkeypatch, graham10):
     monkeypatch.setattr(cli, "cmd_solve", broken)
     with pytest.raises(ValueError, match="boom"):
         main(["solve", graham10, "--algorithm", "lpt"])
+
+
+NINES = "9" * 400
+BIG_TIME = f"minms 1\nmachines 2\njob 0 {NINES}\n"
+BIG_MACHINES = f"minms 1\nmachines {NINES}\njob 0 1\n"
+BIG_SLOTS = f"mintpt 1\ncapacity 2\njob 0 0 {NINES} 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, algorithm, approx",
+    [
+        (BIG_TIME, "lpt", (None, None, 2.0)),
+        (BIG_TIME, "pam", (None, None, 1.0)),
+        (BIG_TIME, "wraparound", (None, None, 2.0)),
+        (BIG_TIME, "exact", (None, None, 2.0)),
+        (BIG_MACHINES, "lpt", (0.0, 1.0, None)),
+        (BIG_SLOTS, "estf", (None, None, 1.0)),
+        (BIG_SLOTS, "lbm", (None, None, 1.0)),
+        (BIG_SLOTS, "exact", (None, None, 1.0)),
+    ],
+    ids=[
+        "time-lpt", "time-pam", "time-wraparound", "time-exact", "machines-lpt",
+        "slots-estf", "slots-lbm", "slots-exact",
+    ],
+)
+def test_json_approx_past_float_range_is_null(capsys, tmp_path, text, algorithm, approx):
+    # A float stops near 1.8e308, so an approximation of a 400-digit value
+    # (or of a ratio that large) is null; the exact field still holds it.
+    instance = _put(tmp_path / "big.inst", text)
+    code, out, err = run(capsys, "solve", instance, "--algorithm", algorithm, "--format", "json")
+    assert (code, err) == (0, "")
+    row = json.loads(out)
+    assert (row["optimum_approx"], row["objective_approx"], row["ratio_approx"]) == approx
+    (exact,) = parse_csv(run(capsys, "solve", instance, "--algorithm", algorithm)[1])
+    for field in ("optimum", "objective", "ratio"):
+        assert row[field] == exact[field]
+
+
+def test_bench_json_approx_past_float_range_is_null(capsys):
+    code, out, err = run(
+        capsys, "bench", "--family", "random-minms", "--n", "2", "--m", "2",
+        "--p-min", NINES, "--p-max", NINES, "--seeds", "0", "--algorithms", "lpt,exact",
+        "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    rows = json.loads(out)
+    assert [(r["optimum_approx"], r["objective_approx"], r["ratio_approx"]) for r in rows] == [
+        (None, None, 1.0), (None, None, 1.0)
+    ]
+    assert [r["objective"] for r in rows] == [NINES, NINES]
+
+
+def _first_primes(n):
+    sieve = bytearray([1]) * 120_000
+    sieve[:2] = b"\0\0"
+    for i in range(2, 347):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(sieve[i * i::i]))
+    return [p for p in range(len(sieve)) if sieve[p]][:n]
+
+
+def test_tick_counts_past_their_budget_are_input_errors(capsys, tmp_path):
+    # 10,000 jobs of 1/p, one distinct prime each: every tick count would
+    # carry the lcm's 150,000 bits, about 200 MB in all. The tick view refuses
+    # while it builds the lcm, so only the parsed instance is ever held.
+    jobs = "".join(f"job {i} 1/{p}\n" for i, p in enumerate(_first_primes(10_000)))
+    instance = _put(tmp_path / "primes.inst", "minms 1\nmachines 2\n" + jobs)
+    dump = _put(tmp_path / "d.json", json.dumps({
+        "format": "migsched-dump", "version": 2, "kind": "minms", "algorithm": "lpt",
+        "machine_count": 2, "migrations": 0, "segments": [],
+    }))
+    message = (
+        f"error: the tick counts of 10000 jobs exceed the budget of {core.MAX_TICK_BITS} bits "
+        "(jobs x bits of the tick unit)\n"
+    )
+    for argv in (["solve", instance, "--algorithm", "lpt"], ["verify", instance, dump]):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (2, "", message)
+        assert peak < 20 * 2**20
+
+
+# Numbers of up to 400 digits: within the reader's 4,300-digit limit and
+# past float range.
+huge_numbers = st.one_of(st.integers(1, 9), st.integers(10**99, 10**400))
+
+
+@st.composite
+def extreme_instance_files(draw):
+    """(kind, text) of an instance file of one to three jobs whose times,
+    machine count, capacity or slots may run to hundreds of digits."""
+    jobs = range(draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        lines = [f"minms 1\nmachines {draw(huge_numbers)}\n"]
+        for i in jobs:
+            den = draw(st.one_of(st.none(), huge_numbers))
+            lines.append(f"job {i} {draw(huge_numbers)}{'' if den is None else f'/{den}'}\n")
+        return "minms", "".join(lines)
+    lines = [f"mintpt 1\ncapacity {draw(huge_numbers)}\n"]
+    for i in jobs:
+        start = draw(st.one_of(st.integers(0, 3), huge_numbers))
+        lines.append(f"job {i} {start} {start + draw(huge_numbers)} 1\n")
+    return "mintpt", "".join(lines)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=extreme_instance_files())
+@example(case=("minms", BIG_TIME))
+@example(case=("minms", BIG_MACHINES))
+@example(case=("mintpt", BIG_SLOTS))
+def test_extreme_numbers_end_in_a_report_or_an_error_line(tmp_path_factory, case):
+    # Every applicable algorithm in every format: exit 0 with a report, or
+    # exit 2 with one error line, never an exception out of main; and every
+    # dump that solve writes verifies.
+    kind, text = case
+    tmp = tmp_path_factory.getbasetemp()
+    instance = _put(tmp / "extreme.inst", text)
+    dump = tmp / "extreme.json"
+    for algorithm, (applies, _) in cli.ALGORITHMS.items():
+        if applies not in (None, kind):
+            continue
+        for fmt in ("csv", "md", "json"):
+            argv = ["solve", instance, "--algorithm", algorithm, "--format", fmt]
+            if algorithm != "exact":
+                argv += ["--dump", str(dump)]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            if code == 2:
+                assert out.getvalue() == ""
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+                continue
+            assert (code, err.getvalue()) == (0, "")
+            assert out.getvalue()
+            if algorithm != "exact":
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = main(["verify", instance, str(dump)])
+                assert (code, out.getvalue().splitlines()[-1]) == (0, "verification passed")
 
 
 @st.composite

@@ -16,7 +16,9 @@ from migsched import (
     MinMsInstance,
     as_time,
 )
-from migsched.core import segment_violations
+from migsched.core import MAX_TICK_BITS, InstanceTooLargeError, segment_violations
+
+from helpers import make_instance, total_load
 
 nonneg_rationals = st.fractions(min_value=0, max_value=10**6)
 
@@ -41,15 +43,6 @@ def reference_time(text):
         return None
     den = int(match[2] or 1)
     return Fraction(int(match[1]), den) if den else None
-
-
-def total_load(instance):
-    """The exact sum of an instance's process times, read from its ticks."""
-    return instance.ticks.time(instance.ticks.total)
-
-
-def make_instance(sizes, m):
-    return MinMsInstance(tuple(Job(i, p) for i, p in enumerate(sizes)), m)
 
 
 @st.composite
@@ -200,6 +193,19 @@ class TestJobAndInstance:
     def test_total_load_exact_rationals(self):
         inst = make_instance([Fraction(1, 2), Fraction(1, 3)], 1)
         assert total_load(inst) == Fraction(5, 6)
+
+    def test_tick_view_refuses_past_its_bit_budget(self):
+        # Every tick count carries the lcm of the denominators times the
+        # machine count, so n jobs x the bits of both may reach the budget,
+        # and one bit more is refused before any tick count exists.
+        quarter = MAX_TICK_BITS // 4
+        sizes = [1, 1, 1, Fraction(1, 2)]
+        assert make_instance(sizes, 2 ** (quarter - 3)).ticks.unit == 2 ** (quarter - 2)
+        with pytest.raises(
+            InstanceTooLargeError,
+            match=rf"^the tick counts of 4 jobs exceed the budget of {MAX_TICK_BITS} bits ",
+        ):
+            make_instance(sizes, 2 ** (quarter - 2)).ticks
 
 
 class TestMigrationSchedule:

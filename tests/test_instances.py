@@ -28,10 +28,7 @@ from migsched import (
 )
 from migsched.instances import _parse_int, load_instance
 
-
-def total_load(instance):
-    """The exact sum of an instance's process times, read from its ticks."""
-    return instance.ticks.time(instance.ticks.total)
+from helpers import total_load
 
 
 class TestGrahamFamily:

@@ -26,14 +26,12 @@ from migsched.minms import timeline_ticks
 from migsched import core, minms, oracles
 from migsched.core import segment_violations
 
+from helpers import make_instance
+
 job_sizes = st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=24)
 rational_sizes = st.lists(
     st.fractions(min_value=Fraction(1, 9), max_value=40), min_size=1, max_size=16
 )
-
-
-def make_instance(sizes, m):
-    return MinMsInstance(tuple(Job(i, p) for i, p in enumerate(sizes)), m)
 
 
 # The solvers as they were on Fractions, kept to check the integer-tick ones.

@@ -22,23 +22,12 @@ from migsched import (
 )
 from migsched.mintpt import placement_violations
 
+from helpers import four_job_instance, interval_length
+
 intervals_strategy = st.lists(
     st.tuples(st.integers(0, 20), st.integers(1, 10)).map(lambda t: (t[0], t[0] + t[1])),
     max_size=8,
 )
-
-
-def four_job_instance():
-    """Four unit jobs on capacity 3: the slot floor is [1, 2, 1]."""
-    return IntervalInstance(
-        (IntervalJob(0, 0, 3), IntervalJob(1, 0, 2), IntervalJob(2, 1, 3), IntervalJob(3, 0, 3)),
-        3,
-    )
-
-
-def interval_length(intervals):
-    """Sum of the intervals' lengths, overlaps counted multiply."""
-    return sum(t - s for s, t in intervals)
 
 
 def overlaps(intervals):
@@ -264,6 +253,7 @@ class TestStintsMatchPerSlotReference:
             for variant in (split, relabelled):
                 sched = IntervalSchedule(inst, tuple(variant))
                 assert sched.total_power_on_time() == span_per_machine(variant)
+                assert sched.machines_used == len({machine for _, machine, _, _ in variant})
 
     @settings(max_examples=100, deadline=None)
     @given(interval_instances())

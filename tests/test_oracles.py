@@ -13,8 +13,6 @@ from migsched import (
     InstanceTooLargeError,
     IntervalInstance,
     IntervalJob,
-    Job,
-    MinMsInstance,
     estf_schedule,
     exact_minms,
     exact_mintpt,
@@ -27,16 +25,7 @@ from migsched import (
 )
 from migsched.oracles import SEARCH_MAX_JOBS
 
-
-def make_instance(sizes, m):
-    return MinMsInstance(tuple(Job(i, p) for i, p in enumerate(sizes)), m)
-
-
-def four_job_instance():
-    return IntervalInstance(
-        (IntervalJob(0, 0, 3), IntervalJob(1, 0, 2), IntervalJob(2, 1, 3), IntervalJob(3, 0, 3)),
-        3,
-    )
+from helpers import four_job_instance, make_instance
 
 
 def naive_minms(instance):
