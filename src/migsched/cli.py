@@ -268,11 +268,11 @@ def _write(text: str, out: str | None) -> None:
 
 
 def cmd_solve(args) -> int:
+    if args.dump and ALGORITHMS[args.algorithm][1] is None:
+        raise CliError("the exact solver produces a value, not a schedule; nothing to dump")
     [(row, schedule)] = _report(args, args.instance, _load(args.instance), [args.algorithm])
     _write(_render([row], args.format, single=True), args.out)
     if args.dump:
-        if schedule is None:
-            raise CliError("the exact solver produces a value, not a schedule; nothing to dump")
         _write(_dump_text(schedule, args.algorithm), args.dump)
     return 0
 

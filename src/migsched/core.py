@@ -14,6 +14,9 @@ check of a `MigrationSchedule` converts each amount to ticks once and the
 schedule keeps them, so its loads convert nothing again; a segment that holds
 a job's own process-time object takes the job's size in ticks unconverted.
 A failing check raises one InvariantError that carries every problem in `args`.
+The check runs on public construction and in `verify`; a solver builds its
+schedule through `MigrationSchedule._trusted` from its own bookkeeping, with
+the ticks it has already counted, and the check does not run again on it.
 """
 
 from __future__ import annotations
@@ -299,7 +302,7 @@ def _pairwise_sum(amounts: list[Fraction]) -> Fraction:
 class MigrationSchedule:
     """Per-machine placement of job load, allowing jobs to be split.
 
-    Invariants (checked at construction):
+    Invariants (checked at public construction):
       - every referenced job exists in the instance,
       - machine ids are ints in [0, machine_count),
       - amounts are positive ints or Fractions,
@@ -307,7 +310,9 @@ class MigrationSchedule:
 
     The check converts each amount to ticks once, and the schedule keeps
     those ticks (`_ticks`, one per segment) for its loads and timelines. A
-    failing check raises InvariantError(*segment_violations(...)).
+    failing check raises InvariantError(*segment_violations(...)). A solver's
+    output is built by `_trusted` and is not checked: `verify` checks every
+    dump from outside.
 
     A job split into k segments accounts for k-1 migrations; a schedule that
     keeps every job whole has zero migrations. Segment tuple order is
@@ -326,6 +331,22 @@ class MigrationSchedule:
         if problems:
             raise InvariantError(*problems)
         object.__setattr__(self, "_ticks", tuple(ticks))
+
+    @classmethod
+    def _trusted(
+        cls,
+        instance: MinMsInstance,
+        segments: Iterable[JobSegment],
+        ticks: Iterable[int | Fraction],
+    ) -> MigrationSchedule:
+        """The schedule of `segments` that a solver built from its own
+        bookkeeping, with `ticks` each segment's amount in ticks, as the
+        construction check would count it. segment_violations is skipped."""
+        schedule, store = object.__new__(cls), object.__setattr__
+        store(schedule, "instance", instance)
+        store(schedule, "segments", tuple(segments))
+        store(schedule, "_ticks", tuple(ticks))
+        return schedule
 
     @property
     def migrations(self) -> int:

@@ -17,7 +17,10 @@ Four routes, from classical to exact:
 
 All of them, and timeline_ticks, compute on the instance's integer ticks
 (core.TickView) and make a Fraction only for what they return; a segment
-that holds a whole job carries the job's own process time. Apart from pam,
+that holds a whole job carries the job's own process time. Each solver
+builds its schedule from its own bookkeeping, with the ticks it has counted
+(core.MigrationSchedule._trusted), so the construction check does not run on
+it again; `verify` checks a dump of it from outside. Apart from pam,
 whose output has a segment per machine, their cost does not grow with the
 machine count beyond the job count. certificate checks each solver's claim
 on a schedule, such as one read back from a dump.
@@ -83,8 +86,9 @@ def lpt_schedule(instance: MinMsInstance) -> MigrationSchedule:
     has zero migrations.
     """
     times = instance.ticks.times
-    segments = tuple(JobSegment(job_id, i, times[job_id]) for job_id, i, _ in _lpt_greedy(instance))
-    return MigrationSchedule(instance, segments)
+    placed = _lpt_greedy(instance)
+    segments = [JobSegment(job_id, i, times[job_id]) for job_id, i, _ in placed]
+    return MigrationSchedule._trusted(instance, segments, map(operator.itemgetter(2), placed))
 
 
 @dataclass(frozen=True)
@@ -128,9 +132,9 @@ def pam_schedule(instance: MinMsInstance) -> PamTrace:
     machine count, since every machine ends with at least one segment, so
     more than core.MAX_MACHINES machines raise InstanceTooLargeError before
     anything is allocated. Equal tick counts share one Fraction, in the
-    pieces and in the trace alike, so the m near-equal loads, deficits and
-    pieces take a few objects, not one each; a whole job still carries its
-    own process time.
+    pieces and in the trace alike, and one int among the schedule's kept
+    ticks, so the m near-equal loads, deficits and pieces take a few objects,
+    not one each; a whole job still carries its own process time.
     """
     ticks = instance.ticks
     m = instance.machine_count
@@ -173,7 +177,9 @@ def pam_schedule(instance: MinMsInstance) -> PamTrace:
         for i in range(m)
         for job_id, amount in stacks[i]
     ]
-    schedule = MigrationSchedule(instance, tuple(segments))
+    shared: dict[int, int] = {}
+    kept = [shared.setdefault(amount, amount) for stack in stacks for _, amount in stack]
+    schedule = MigrationSchedule._trusted(instance, segments, kept)
     return PamTrace(
         tuple(time(load) for load in loads),
         tuple((i, time(amount)) for i, amount in excess),
@@ -198,19 +204,20 @@ def wraparound_schedule(instance: MinMsInstance) -> tuple[MigrationSchedule, Fra
     """
     ticks = instance.ticks
     bound = _wrap_bound_ticks(instance)
-    segments = []
+    segments, kept = [], []
     machine = clock = 0
     for job in instance.jobs:
         remaining = ticks.sizes[job.id]
         while remaining > 0:
             take = min(remaining, bound - clock)
             segments.append(JobSegment(job.id, machine, _piece(instance, job.id, take, ticks.time)))
+            kept.append(take)
             clock += take
             remaining -= take
             if clock == bound:
                 machine += 1
                 clock = 0
-    return MigrationSchedule(instance, tuple(segments)), ticks.time(bound)
+    return MigrationSchedule._trusted(instance, segments, kept), ticks.time(bound)
 
 
 def lpt_ratio(instance: MinMsInstance) -> Fraction:
@@ -228,9 +235,10 @@ def timeline_ticks(
     int while every amount on the machine so far is on the tick grid, a
     Fraction of a tick once one is off it. Only meaningful for schedules
     built with that convention (wraparound_schedule). The ticks are the ones
-    the schedule kept from its construction check, so nothing is converted
-    again; `verify` seeds its amount memo with the instance's own times, so a
-    dump's whole jobs reach that check as those objects.
+    the schedule kept, from its construction check or from its solver, so
+    nothing is converted again; `verify` seeds its amount memo with the
+    instance's own times, so a dump's whole jobs reach that check as those
+    objects.
     """
     clocks: dict[int, int | Fraction] = {}
     out = []

@@ -22,8 +22,12 @@ lowest-indexed machine with room through a min-heap, not a scan of the
 machines, so each job costs O(log machines). The schedule check tests each
 machine's capacity on its sorted stint starts and ends, and the schedule
 keeps the power-on time that the same lists give. A failing check raises
-one InvariantError that carries every problem in `args`. certificate checks
-each solver's claim on a schedule, such as one read back from a dump.
+one InvariantError that carries every problem in `args`. The check runs on
+public construction and in `verify`; each solver builds its schedule from
+its own bookkeeping (IntervalSchedule._trusted), with the busy slots and the
+machine count it has counted on the stints it placed, and the check does not
+run again on it. certificate checks each solver's claim on a schedule, such
+as one read back from a dump.
 """
 
 from __future__ import annotations
@@ -275,7 +279,7 @@ class IntervalSchedule:
     """Run-length machine assignment: (job_id, machine_id, start, end) stints.
 
     A stint places a job on one machine in slots [start, end), end exclusive.
-    Stints are validated at construction (each job's interval covered
+    Stints are validated at public construction (each job's interval covered
     exactly, capacity respected in every slot of every machine) and then
     kept in canonical (job_id, start) order. A migration is a boundary inside
     a job where its machine changes.
@@ -283,7 +287,9 @@ class IntervalSchedule:
     The construction check also counts each machine's busy slots, one count
     per machine it hosts, and the schedule keeps their sum as its total
     power-on time and their number as `machines_used`. A failing check
-    raises InvariantError(*placement_violations(...)).
+    raises InvariantError(*placement_violations(...)). A solver's output is
+    built by `_trusted` from the solver's own counts and is not checked:
+    `verify` checks every dump from outside.
     """
 
     instance: IntervalInstance
@@ -296,13 +302,36 @@ class IntervalSchedule:
         problems = placement_violations(self.instance, stints, power_on=power_on)
         if problems:
             raise InvariantError(*problems)
-        object.__setattr__(self, "_power_on", sum(power_on))
-        object.__setattr__(self, "_machines_used", len(power_on))
+        self._keep(stints, sum(power_on), len(power_on))
+
+    @classmethod
+    def _trusted(
+        cls,
+        instance: IntervalInstance,
+        stints: Iterable[tuple[int, int, int, int]],
+        power_on: int,
+        machines_used: int,
+    ) -> IntervalSchedule:
+        """The schedule of `stints` that a solver built from its own
+        bookkeeping, with the total busy slots and the number of machines
+        that host a stint as it counted them. placement_violations is skipped."""
+        schedule = object.__new__(cls)
+        object.__setattr__(schedule, "instance", instance)
+        schedule._keep(stints, power_on, machines_used)
+        return schedule
+
+    def _keep(
+        self, stints: Iterable[tuple[int, int, int, int]], power_on: int, machines_used: int
+    ) -> None:
+        """Store the stints in canonical order with their migration count, and the two counts."""
+        store = object.__setattr__
+        store(self, "_power_on", power_on)
+        store(self, "_machines_used", machines_used)
         stints = tuple(sorted(stints, key=operator.itemgetter(0, 2)))
-        object.__setattr__(self, "stints", stints)
+        store(self, "stints", stints)
         # Canonical order puts a job's stints side by side, each ending where the next starts.
         migrations = sum(a[0] == b[0] and a[1] != b[1] for a, b in zip(stints, stints[1:]))
-        object.__setattr__(self, "_migrations", migrations)
+        store(self, "_migrations", migrations)
 
     @property
     def machines_used(self) -> int:
@@ -349,12 +378,19 @@ def estf_schedule(instance: IntervalInstance) -> IntervalSchedule:
     machines with fewer than g live jobs holds the lowest such index at its
     top: a machine is pushed when it is opened or its count drops to g - 1,
     and popped when it fills, so each job costs O(log machines).
+
+    The schedule's power-on time is counted as the jobs are placed: each
+    machine keeps its reach, the latest end of its jobs so far, and a job
+    that ends past it adds its slots beyond max(its start, the reach); the
+    jobs come in start order, so no slot is counted twice.
     """
     g = instance.capacity
     live: list[int] = []  # per machine: its jobs that end after the current start
+    reach: list[int] = []  # per machine: the latest end slot of its jobs so far
     room: list[int] = []  # min-heap of the machines with fewer than g live jobs
     running: list[tuple[int, int]] = []  # min-heap of (end slot, machine) of live jobs
     stints: list[tuple[int, int, int, int]] = []
+    power_on = 0
     for job in _allocation_order(instance):
         start = job.start_slot
         while running and running[0][0] <= start:
@@ -365,13 +401,18 @@ def estf_schedule(instance: IntervalInstance) -> IntervalSchedule:
         if not room:
             heapq.heappush(room, len(live))
             live.append(0)
+            reach.append(start)
         machine = room[0]
         live[machine] += 1
         if live[machine] == g:
             heapq.heappop(room)
-        heapq.heappush(running, (job.end_slot, machine))
-        stints.append((job.id, machine, start, job.end_slot))
-    return IntervalSchedule(instance, tuple(stints))
+        end = job.end_slot
+        if end > reach[machine]:
+            power_on += end - max(start, reach[machine])
+            reach[machine] = end
+        heapq.heappush(running, (end, machine))
+        stints.append((job.id, machine, start, end))
+    return IntervalSchedule._trusted(instance, stints, power_on, len(live))
 
 
 def lbm_schedule(instance: IntervalInstance) -> IntervalSchedule:
@@ -399,6 +440,13 @@ def lbm_schedule(instance: IntervalInstance) -> IntervalSchedule:
     keeps an entry. A closed machine's entry stays behind: it is stale, but
     it sorts above every allowed machine, and some allowed machine has room
     whenever a job is placed, so it never reaches the top while it is stale.
+
+    The schedule's counts are taken from the stints the sweep emitted, not
+    from the floor it aims at. Each stint is emitted at its end slot, so the
+    list runs in end order; walked backwards, every stint already seen on a
+    machine ends no earlier than the current one, so the machine's busy slots
+    seen below the current end are [its lowest start so far, end), and the
+    stint adds only its slots under that start.
     """
     g = instance.capacity
     order = _allocation_order(instance)
@@ -440,7 +488,14 @@ def lbm_schedule(instance: IntervalInstance) -> IntervalSchedule:
             machine = room[0]
             hosted[machine].add(job_id)
             placed[job_id] = (machine, slot)
-    return IntervalSchedule(instance, tuple(stints))
+    power_on = 0
+    low: dict[int, int] = {}  # per machine: the lowest start of its stints walked so far
+    for _, machine, start, end in reversed(stints):
+        below = low.get(machine, end)
+        if start < below:
+            power_on += min(end, below) - start
+            low[machine] = start
+    return IntervalSchedule._trusted(instance, stints, power_on, len(low))
 
 
 def certificate(schedule: IntervalSchedule, algorithm: str) -> tuple[list[str], list[str]]:
@@ -448,8 +503,9 @@ def certificate(schedule: IntervalSchedule, algorithm: str) -> tuple[list[str], 
     line per claim, a note when it holds and an issue when it fails. Any
     other name has no certificate here and gives ([], [])."""
     if algorithm == "lbm":
-        # A schedule that passed construction uses at least its floor of
-        # machines in every slot, so equal totals mean every slot is at its floor.
+        # A valid schedule (a solver's, or one that passed the construction check)
+        # uses at least its floor of machines in every slot, so equal totals mean
+        # every slot is at its floor.
         total, floor = schedule.total_power_on_time(), mintpt_lower_bound(schedule.instance)
         if total != floor:
             return [f"power-on time {total} exceeds the floor {floor}"], []

@@ -170,11 +170,13 @@ class TestSolve:
         assert "line 3" in err
 
     def test_dump_for_exact_is_an_error(self, capsys, intervals, tmp_path):
-        code, _, err = run(
+        # Refused before the instance is read or solved: no report reaches stdout.
+        code, out, err = run(
             capsys, "solve", intervals, "--algorithm", "exact",
             "--dump", str(tmp_path / "d.json"),
         )
         assert code == 2
+        assert out == ""
         assert "dump" in err
 
 

@@ -468,6 +468,11 @@ def test_solver_output_has_no_segment_violations(sizes, m):
     inst = make_instance(sizes, m)
     for sched in (lpt_schedule(inst), pam_schedule(inst).schedule, wraparound_schedule(inst)[0]):
         assert segment_violations(inst, sched.segments) == []
+        # A solver's schedule skips the construction check and keeps its own
+        # ticks: they must be the ones the public rebuild of its segments counts.
+        rebuilt = MigrationSchedule(inst, sched.segments)
+        assert sched.segments == rebuilt.segments
+        assert sched._ticks == rebuilt._ticks
 
 
 @settings(max_examples=60)

@@ -211,8 +211,16 @@ class TestStintsMatchPerSlotReference:
     @settings(max_examples=200, deadline=None)
     @given(interval_instances())
     def test_solver_output_has_no_placement_violations(self, inst):
+        # A solver's schedule skips the construction check and keeps its own
+        # counts: they must be the ones the public rebuild of its stints finds.
         for solver in (estf_schedule, lbm_schedule):
-            assert placement_violations(inst, solver(inst).stints) == []
+            sched = solver(inst)
+            assert placement_violations(inst, sched.stints) == []
+            rebuilt = IntervalSchedule(inst, sched.stints)
+            assert sched.stints == rebuilt.stints
+            assert sched.total_power_on_time() == rebuilt.total_power_on_time()
+            assert sched.machines_used == rebuilt.machines_used
+            assert sched.migrations == rebuilt.migrations
 
     @settings(max_examples=300, deadline=None)
     @given(stint_lists())
