@@ -49,25 +49,17 @@ class CliError(Exception):
     """Usage or input error; reported on stderr with exit code 2."""
 
 
-def _with_makespan(schedule):
-    return schedule, schedule.makespan()
-
-
-def _with_power_on_time(schedule):
-    return schedule, schedule.total_power_on_time()
-
-
 # Algorithm name -> (instance kind it applies to, None for both; solver
-# returning (schedule, objective)). Solvers are looked up through their
-# module at call time, so a wrapped module function (as perfbench's tracer
-# installs) is the one the CLI runs. "exact" has no solver here: the
-# oracle's value is its objective, and it produces no schedule.
+# returning its schedule, whose objective `_report` measures). Solvers are
+# looked up through their module at call time, so a wrapped module function
+# (as perfbench's tracer installs) is the one the CLI runs. "exact" has no
+# solver here: the oracle's value is its objective, and it produces no schedule.
 ALGORITHMS = {
-    "lpt": ("minms", lambda i: _with_makespan(minms.lpt_schedule(i))),
-    "pam": ("minms", lambda i: _with_makespan(minms.pam_schedule(i).schedule)),
+    "lpt": ("minms", lambda i: minms.lpt_schedule(i)),
+    "pam": ("minms", lambda i: minms.pam_schedule(i).schedule),
     "wraparound": ("minms", lambda i: minms.wraparound_schedule(i)),
-    "estf": ("mintpt", lambda i: _with_power_on_time(mintpt.estf_schedule(i))),
-    "lbm": ("mintpt", lambda i: _with_power_on_time(mintpt.lbm_schedule(i))),
+    "estf": ("mintpt", lambda i: mintpt.estf_schedule(i)),
+    "lbm": ("mintpt", lambda i: mintpt.lbm_schedule(i)),
     "exact": (None, None),
 }
 
@@ -105,22 +97,21 @@ def _report(args, name: str, instance, algorithms: list[str]) -> list[tuple]:
 
     The kind check, `param`, `optimum` and the oracle run once per instance.
     The oracle fills the oracle column of every row and is the objective of
-    an "exact" row, which raises its refusal when it has no value. `ms` is
-    the solver's own time, or the oracle's for an "exact" row.
+    an "exact" row, which raises its refusal when it has no value; a solver
+    row's objective is measured on its schedule. `ms` is the solver's own
+    time, or the oracle's for an "exact" row.
     """
     limit = args.oracle_limit
-    if limit is not None and limit < 0:
-        raise CliError("--oracle-limit must be >= 0")
     kind = _kind(instance)
     for algorithm in algorithms:
         if ALGORITHMS[algorithm][0] not in (None, kind):
             raise CliError(f"algorithm {algorithm!r} does not apply to {kind} instances")
     if kind == "minms":
         param, optimum = instance.machine_count, minms.opt_balance(instance)
-        oracle = exact_minms
+        oracle, measure = exact_minms, "makespan"
     else:
         param, optimum = instance.capacity, mintpt.mintpt_lower_bound(instance)
-        oracle = exact_mintpt
+        oracle, measure = exact_mintpt, "total_power_on_time"
 
     oracle_value, oracle_ms = None, None
     refusal = "exact solve requested but the oracle is disabled"
@@ -138,8 +129,9 @@ def _report(args, name: str, instance, algorithms: list[str]) -> list[tuple]:
         solver = ALGORITHMS[algorithm][1]
         if solver is not None:
             started = time.perf_counter()
-            schedule, objective = solver(instance)
+            schedule = solver(instance)
             ms = (time.perf_counter() - started) * 1000.0
+            objective = getattr(schedule, measure)()
         elif oracle_value is None:
             raise CliError(refusal)
         else:
@@ -267,9 +259,16 @@ def _write(text: str, out: str | None) -> None:
         raise CliError(f"cannot write {out}: {exc}") from exc
 
 
+def _check_oracle_limit(args) -> None:
+    """Refuse a negative --oracle-limit before any instance is read."""
+    if args.oracle_limit is not None and args.oracle_limit < 0:
+        raise CliError("--oracle-limit must be >= 0")
+
+
 def cmd_solve(args) -> int:
     if args.dump and ALGORITHMS[args.algorithm][1] is None:
         raise CliError("the exact solver produces a value, not a schedule; nothing to dump")
+    _check_oracle_limit(args)
     [(row, schedule)] = _report(args, args.instance, _load(args.instance), [args.algorithm])
     _write(_render([row], args.format, single=True), args.out)
     if args.dump:
@@ -316,6 +315,7 @@ def cmd_bench(args) -> int:
     for algorithm in algorithms:
         if algorithm not in ALGORITHMS:
             raise CliError(f"unknown algorithm {algorithm!r}")
+    _check_oracle_limit(args)
 
     rows = []
     for name, instance in _bench_instances(args):
@@ -407,8 +407,8 @@ def _rebuild(schedule_type, instance, raw: list[tuple], issues: list):
 def _check_recorded(
     dump: dict, key: str, value: int, issues: list, notes: list | None = None
 ) -> None:
-    """Compare the dump's header count under `key` with its recomputed value:
-    a mismatch is an issue, and a match is a note when `notes` is given."""
+    """Compare the dump's header count under `key` with the rebuilt schedule's
+    `value`: a mismatch is an issue, and a match a note when `notes` is given."""
     if not _same_int(dump.get(key), value):
         issues.append(f"{key} recorded as {dump.get(key)!r}, recomputed {value}")
     elif notes is not None:
@@ -431,16 +431,14 @@ def _verify_minms(
         notes.append(
             f"per-job conservation holds ({len(instance.jobs)} jobs, {len(raw)} segments)"
         )
-    _check_recorded(dump, "migrations", len(raw) - len(instance.jobs), issues, notes)
+        _check_recorded(dump, "migrations", schedule.migrations, issues, notes)
     return schedule
 
 
 def _verify_mintpt(
     instance: IntervalInstance, dump: dict, issues: list, notes: list
 ) -> IntervalSchedule | None:
-    """The dump's own checks: its schedule, or None when that fails its check.
-    Both header counts are the schedule's, so they are compared only when it
-    passes its check."""
+    """The dump's own checks: its schedule, or None when that fails its check."""
     raw = _records(dump, "stints", _stint, issues)
     schedule = _rebuild(IntervalSchedule, instance, raw, issues)
     if schedule is not None:

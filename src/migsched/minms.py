@@ -18,12 +18,12 @@ Four routes, from classical to exact:
 All of them, and timeline_ticks, compute on the instance's integer ticks
 (core.TickView) and make a Fraction only for what they return; a segment
 that holds a whole job carries the job's own process time. Each solver
-builds its schedule from its own bookkeeping, with the ticks it has counted
-(core.MigrationSchedule._trusted), so the construction check does not run on
-it again; `verify` checks a dump of it from outside. Apart from pam,
-whose output has a segment per machine, their cost does not grow with the
-machine count beyond the job count. certificate checks each solver's claim
-on a schedule, such as one read back from a dump.
+returns the schedule (pam inside its PamTrace) it builds from its own
+bookkeeping, with the ticks it has counted (core.MigrationSchedule._trusted),
+so the construction check does not run on it again; `verify` checks a dump of
+it from outside. Apart from pam, whose output has a segment per machine, their
+cost does not grow with the machine count beyond the job count. certificate
+checks each solver's claim on a schedule, such as one read back from a dump.
 """
 
 from __future__ import annotations
@@ -194,13 +194,13 @@ def _wrap_bound_ticks(instance: MinMsInstance) -> int:
     return max(max(ticks.sizes.values()), ticks.total // instance.machine_count)
 
 
-def wraparound_schedule(instance: MinMsInstance) -> tuple[MigrationSchedule, Fraction]:
+def wraparound_schedule(instance: MinMsInstance) -> MigrationSchedule:
     """Preemptive timetable with makespan exactly max(longest job, ideal load).
 
     Jobs are laid end-to-end in instance order on machine 0's timeline and
     cut at the bound, resuming on the next machine at time 0 (McNaughton's
     wrap rule). Because no job exceeds the bound, the two pieces of a wrapped
-    job never overlap in time. Returns (schedule, makespan bound).
+    job never overlap in time; certificate checks both facts on a schedule.
     """
     ticks = instance.ticks
     bound = _wrap_bound_ticks(instance)
@@ -217,7 +217,7 @@ def wraparound_schedule(instance: MinMsInstance) -> tuple[MigrationSchedule, Fra
             if clock == bound:
                 machine += 1
                 clock = 0
-    return MigrationSchedule._trusted(instance, segments, kept), ticks.time(bound)
+    return MigrationSchedule._trusted(instance, segments, kept)
 
 
 def lpt_ratio(instance: MinMsInstance) -> Fraction:

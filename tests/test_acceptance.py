@@ -96,7 +96,8 @@ def test_a4_wraparound_feasibility_and_divisible_load_caveat():
         rng = random.Random(20_000 + seed)
         m = rng.randint(1, 6)
         inst = gen_random_minms(rng.randint(1, 12), m, (1, 30), seed=seed)
-        schedule, makespan = wraparound_schedule(inst)
+        schedule = wraparound_schedule(inst)
+        makespan = schedule.makespan()
         longest = max(job.process_time for job in inst.jobs)
         ideal = opt_balance(inst)
         assert makespan == max(longest, ideal)

@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import csv
+import functools
 import io
 import itertools
 import json
@@ -19,8 +20,8 @@ from migsched import (
     Job, JobSegment, MigrationSchedule, MinMsInstance, cli, core, minms, mintpt, oracles
 )
 from migsched.cli import main
-from migsched.instances import load_instance
-from migsched.mintpt import IntervalInstance, IntervalJob
+from migsched.instances import load_instance, serialize_instance
+from migsched.mintpt import IntervalInstance, IntervalJob, IntervalSchedule
 from migsched.report import CSV_COLUMNS
 
 from helpers import total_load
@@ -450,6 +451,24 @@ class TestVerify:
             "FAIL: job 0: stint [9, 3) is not a slot range",
             "FAIL: job 0: no placement for slots [0, 3)",
             "verification failed (2 issue(s))",
+        ]
+
+    def test_minms_migrations_of_a_dump_that_fails_its_check_are_not_compared(
+        self, capsys, graham10, tmp_path
+    ):
+        # migrations is a count of the rebuilt schedule, as for mintpt: a dump
+        # whose segments fail conservation has none, so only its problems print.
+        dump = tmp_path / "pam.json"
+        run(capsys, "solve", graham10, "--algorithm", "pam", "--dump", str(dump))
+        payload = json.loads(dump.read_text())
+        payload["segments"][0]["amount"] = "999"
+        payload["migrations"] = 7
+        dump.write_text(json.dumps(payload))
+        code, out, _ = run(capsys, "verify", graham10, str(dump))
+        assert code == 1
+        assert out.splitlines() == [
+            "FAIL: conservation: job 19 segments sum to 999, process time is 19",
+            "verification failed (1 issue(s))",
         ]
 
     @pytest.mark.parametrize("version", [1, None, "2", 3])
@@ -968,6 +987,24 @@ class TestBench:
         assert peak < 5 * 2**20
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bench", "--family", "graham", "--m", "", "--algorithms", "lpt"),
+        ("bench", "--family", "graham", "--m", "2", "--algorithms", "lpt"),
+        ("bench", "--family", "graham", "--m", "1", "--algorithms", "lpt"),
+        ("bench", "--family", "random-mintpt", "--seeds", "", "--algorithms", "lbm"),
+        ("solve", "nope.inst", "--algorithm", "lpt"),
+    ],
+    ids=["bench-no-instances", "bench", "bench-bad-generator", "bench-no-seeds", "solve-missing"],
+)
+def test_negative_oracle_limit_is_refused_before_any_instance(capsys, argv):
+    # Once per command, before an instance is read or generated: a sweep with
+    # no instances, or none that could be made, still refuses it.
+    code, out, err = run(capsys, *argv, "--oracle-limit", "-1")
+    assert (code, out, err) == (2, "", "error: --oracle-limit must be >= 0\n")
+
+
 class TestGen:
     def test_graham_file_round_trips(self, capsys, tmp_path):
         out_path = tmp_path / "g.inst"
@@ -1031,8 +1068,8 @@ class TestDeterminism:
 
 
 @st.composite
-def solved_schedules(draw):
-    """(schedule, algorithm) from a solver on a drawn instance of either kind."""
+def solver_cases(draw):
+    """(instance, algorithm): a solver and a drawn instance of its kind."""
     if draw(st.booleans()):
         sizes = draw(
             st.lists(st.fractions(min_value=Fraction(1, 9), max_value=40), min_size=1, max_size=16)
@@ -1049,7 +1086,13 @@ def solved_schedules(draw):
             jobs.append(IntervalJob(i, start, draw(st.integers(start + 1, 40))))
         instance = IntervalInstance(tuple(jobs), draw(st.integers(1, 5)))
         algorithm = draw(st.sampled_from(["estf", "lbm"]))
-    return cli.ALGORITHMS[algorithm][1](instance)[0], algorithm
+    return instance, algorithm
+
+
+def _solved(case):
+    """(builder of the solver's schedule, algorithm) for an (instance, algorithm) case."""
+    instance, algorithm = case
+    return functools.partial(cli.ALGORITHMS[algorithm][1], instance), algorithm
 
 
 def _pam_with_off_grid_amounts():
@@ -1117,15 +1160,18 @@ def _int_amounts():
     return MigrationSchedule(instance, segments)
 
 
+# Cases hold builders, not schedules, so a solver defect fails the cases that
+# build with it instead of the collection of this module.
 @settings(max_examples=300, deadline=None)
-@given(solved_schedules())
-@example((mintpt.lbm_schedule(IntervalInstance((), 1)), "lbm"))
-@example((_pam_with_off_grid_amounts(), "pam"))
-@example((_one_amount_object_many_times(), "pam"))
-@example((_equal_amounts_in_distinct_objects(), "pam"))
-@example((_int_amounts(), "wraparound"))
+@given(solver_cases().map(_solved))
+@example((lambda: mintpt.lbm_schedule(IntervalInstance((), 1)), "lbm"))
+@example((_pam_with_off_grid_amounts, "pam"))
+@example((_one_amount_object_many_times, "pam"))
+@example((_equal_amounts_in_distinct_objects, "pam"))
+@example((_int_amounts, "wraparound"))
 def test_dump_writer_matches_json_dumps(case):
-    schedule, algorithm = case
+    build, algorithm = case
+    schedule = build()
     expected = json.dumps(reference_payload(schedule, algorithm), indent=2) + "\n"
     assert cli._dump_text(schedule, algorithm) == expected
 
@@ -1133,8 +1179,8 @@ def test_dump_writer_matches_json_dumps(case):
 @pytest.mark.parametrize(
     "case, key, field, value",
     [
-        ((_equal_amounts_in_distinct_objects(), "pam"), "segments", "amount", "7/2"),
-        ((mintpt.lbm_schedule(IntervalInstance((IntervalJob(0, 0, 3),), 1)), "lbm"),
+        ((_equal_amounts_in_distinct_objects, "pam"), "segments", "amount", "7/2"),
+        ((lambda: mintpt.lbm_schedule(IntervalInstance((IntervalJob(0, 0, 3),), 1)), "lbm"),
          "stints", "end", 9),
     ],
     ids=["segment", "stint"],
@@ -1144,12 +1190,37 @@ def test_an_edited_payload_record_is_written_in_place_of_its_row(
 ):
     # A record taken from the payload and changed before writing is written
     # as changed, and every other record as the schedule holds it.
-    schedule, algorithm = case
+    build, algorithm = case
+    schedule = build()
     payload = cli._dump_payload(schedule, algorithm)
     expected = reference_payload(schedule, algorithm)
     payload[key][0][field] = expected[key][0][field] = value
     monkeypatch.setattr(cli, "_dump_payload", lambda *_: payload)
     assert cli._dump_text(schedule, algorithm) == json.dumps(expected, indent=2) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=solver_cases())
+def test_reported_objective_is_measured_on_the_dumped_schedule(tmp_path_factory, case):
+    # The report's objective is the makespan or power-on time of the public
+    # rebuild of the dump solve writes, not a value the solver aimed at.
+    instance, algorithm = case
+    tmp = tmp_path_factory.getbasetemp()
+    path = _put(tmp / "objective.inst", serialize_instance(instance))
+    dump = tmp / "objective.json"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        argv = ["solve", path, "--algorithm", algorithm, "--format", "json", "--dump", str(dump)]
+        assert main(argv + ["--oracle-limit", "0"]) == 0
+    objective = Fraction(json.loads(out.getvalue())["objective"])
+    payload, loaded = json.loads(dump.read_text()), load_instance(path)
+    if payload["kind"] == "minms":
+        segments = [JobSegment(s["job"], s["machine"], core.as_time(s["amount"]))
+                    for s in payload["segments"]]
+        assert objective == MigrationSchedule(loaded, tuple(segments)).makespan()
+    else:
+        stints = [(s["job"], s["machine"], s["start"], s["end"]) for s in payload["stints"]]
+        assert objective == IntervalSchedule(loaded, tuple(stints)).total_power_on_time()
 
 
 def test_pam_dump_text_on_many_machines_peaks_near_its_length():

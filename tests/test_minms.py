@@ -301,20 +301,17 @@ class TestPam:
 
 class TestWraparound:
     def test_longest_job_dominates(self):
-        sched, makespan = wraparound_schedule(make_instance([5, 1], 2))
-        assert makespan == 5
+        sched = wraparound_schedule(make_instance([5, 1], 2))
         assert sched.makespan() == 5
 
     def test_adversarial_family_m10(self):
         inst = gen_graham_worst_case(10)
         assert max(j.process_time for j in inst.jobs) == 19
-        sched, makespan = wraparound_schedule(inst)
-        assert makespan == 30  # max(19, 300/10)
-        assert sched.makespan() == 30
+        sched = wraparound_schedule(inst)
+        assert sched.makespan() == 30  # max(19, 300/10)
 
     def test_equality_case(self):
-        _, makespan = wraparound_schedule(make_instance([6, 6], 2))
-        assert makespan == 6
+        assert wraparound_schedule(make_instance([6, 6], 2)).makespan() == 6
 
     @staticmethod
     def assert_no_self_overlap(sched):
@@ -327,16 +324,14 @@ class TestWraparound:
                 assert end <= start
 
     def test_no_self_overlap_on_family(self):
-        sched, _ = wraparound_schedule(gen_graham_worst_case(10))
+        sched = wraparound_schedule(gen_graham_worst_case(10))
         self.assert_no_self_overlap(sched)
 
     @given(job_sizes, st.integers(min_value=1, max_value=8))
     def test_makespan_formula_and_no_overlap(self, sizes, m):
         inst = make_instance(sizes, m)
-        sched, makespan = wraparound_schedule(inst)
-        expected = max(max(sizes), Fraction(sum(sizes), m))
-        assert makespan == expected
-        assert sched.makespan() == expected
+        sched = wraparound_schedule(inst)
+        assert sched.makespan() == max(max(sizes), Fraction(sum(sizes), m))
         assert sched.migrations <= m - 1  # McNaughton: at most one wrap per machine boundary
         self.assert_no_self_overlap(sched)
         # Every wraparound piece is a whole number of ticks, so the walk's clocks are ints.
@@ -376,10 +371,9 @@ class TestTicksMatchFractionReference:
         assert all_fractions(trace.lpt_loads)
         assert all_fractions(a for _, a in trace.excess + trace.deficit)
 
-        sched, bound = wraparound_schedule(inst)
+        sched = wraparound_schedule(inst)
         ref_segments, ref_bound = reference_wraparound(inst)
-        assert (sched.segments, bound) == (ref_segments, ref_bound)
-        assert type(bound) is Fraction
+        assert (sched.segments, sched.makespan()) == (ref_segments, ref_bound)
         assert tick_walk_over_unit(sched) == reference_timeline(ref_segments)
 
         for schedule in (lpt, trace.schedule, sched):
@@ -438,7 +432,7 @@ class TestKeptTicks:
     def test_kept_ticks_give_the_loads_and_timelines_of_converting_again(self, sizes, m):
         inst = make_instance(sizes, m)
         view = inst.ticks
-        for sched in (lpt_schedule(inst), pam_schedule(inst).schedule, wraparound_schedule(inst)[0]):
+        for sched in (lpt_schedule(inst), pam_schedule(inst).schedule, wraparound_schedule(inst)):
             # The same amounts as fresh objects, which no job's time is.
             fresh = MigrationSchedule(
                 inst, tuple(JobSegment(j, i, as_time(str(a))) for j, i, a in sched.segments)
@@ -466,7 +460,7 @@ class TestKeptTicks:
 @given(job_sizes | coprime_sizes | rational_sizes, st.integers(min_value=1, max_value=8))
 def test_solver_output_has_no_segment_violations(sizes, m):
     inst = make_instance(sizes, m)
-    for sched in (lpt_schedule(inst), pam_schedule(inst).schedule, wraparound_schedule(inst)[0]):
+    for sched in (lpt_schedule(inst), pam_schedule(inst).schedule, wraparound_schedule(inst)):
         assert segment_violations(inst, sched.segments) == []
         # A solver's schedule skips the construction check and keeps its own
         # ticks: they must be the ones the public rebuild of its segments counts.
@@ -498,8 +492,8 @@ class TestCertificate:
         assert lpt == ([], ["every job is whole on one machine"])
         pam = minms.certificate(pam_schedule(inst).schedule, "pam")
         assert pam == ([], [f"all loads = {opt_balance(inst)}"])
-        sched, bound = wraparound_schedule(inst)
-        wrap = minms.certificate(sched, "wraparound")
+        bound = reference_wraparound(inst)[1]
+        wrap = minms.certificate(wraparound_schedule(inst), "wraparound")
         assert wrap == ([], [f"makespan = {bound} (wrap bound)", "no job overlaps itself in time"])
 
     def test_pam_unbalanced(self):

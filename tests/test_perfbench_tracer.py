@@ -30,7 +30,11 @@ def test_tracer_counts_every_layer(tmp_path, fixtures_dir, capsys):
     tracer = spans.Tracer()
     tracer.install(modules)
     try:
-        for fixture, algorithm in (("graham_m2.inst", "pam"), ("intervals_g3.inst", "lbm")):
+        for fixture, algorithm in (
+            ("graham_m2.inst", "pam"),
+            ("graham_m10.inst", "wraparound"),
+            ("intervals_g3.inst", "lbm"),
+        ):
             instance = str(fixtures_dir / fixture)
             dump = str(tmp_path / f"{algorithm}.json")
             argv = ["solve", instance, "--algorithm", algorithm, "--format", "json"]
@@ -47,6 +51,8 @@ def test_tracer_counts_every_layer(tmp_path, fixtures_dir, capsys):
         "instances.parse",
         "core.validate",
         "core.schedule",
+        "minms.pam",
+        "minms.wraparound",
         "mintpt.lbm",
         "mintpt.lower_bound",
         "mintpt.validate",
@@ -55,6 +61,9 @@ def test_tracer_counts_every_layer(tmp_path, fixtures_dir, capsys):
         "report.render",
     ):
         assert tracer.counts[name + "_calls"] > 0, name
+    # Counted off each returned schedule, so every minms solver must return
+    # one that the tracer can read.
+    assert tracer.counts["minms.segments"] > 0
     # The modules as imported now: perfbench's setup re-imports migsched.
     assert cli.render_csv is modules["report"].render_csv
     assert cli.segment_violations is modules["core"].segment_violations
