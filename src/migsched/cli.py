@@ -13,6 +13,7 @@ import argparse
 import functools
 import itertools
 import json
+import operator
 import sys
 import time
 from collections.abc import Iterator, Sequence
@@ -53,7 +54,7 @@ class CliError(Exception):
 # returning its schedule, whose objective `_report` measures). Solvers are
 # looked up through their module at call time, so a wrapped module function
 # (as perfbench's tracer installs) is the one the CLI runs. "exact" has no
-# solver here: the oracle's value is its objective, and it produces no schedule.
+# solver here: its row's schedule is the oracle's witness.
 ALGORITHMS = {
     "lpt": ("minms", lambda i: minms.lpt_schedule(i)),
     "pam": ("minms", lambda i: minms.pam_schedule(i).schedule),
@@ -93,13 +94,14 @@ def _kind(instance) -> str:
 
 
 def _report(args, name: str, instance, algorithms: list[str]) -> list[tuple]:
-    """One (ReportRow, schedule or None) per algorithm name, for one instance.
+    """One (ReportRow, schedule) per algorithm name, for one instance.
 
     The kind check, `param`, `optimum` and the oracle run once per instance.
-    The oracle fills the oracle column of every row and is the objective of
-    an "exact" row, which raises its refusal when it has no value; a solver
-    row's objective is measured on its schedule. `ms` is the solver's own
-    time, or the oracle's for an "exact" row.
+    The oracle's witness schedule is the schedule of an "exact" row, which
+    raises the oracle's refusal when there is no witness, and the witness's
+    objective, measured once, fills the oracle column of every row. Every
+    row's objective and migrations are measured on its schedule. `ms` is the
+    solver's own time, or the oracle's for an "exact" row.
     """
     limit = args.oracle_limit
     kind = _kind(instance)
@@ -113,29 +115,30 @@ def _report(args, name: str, instance, algorithms: list[str]) -> list[tuple]:
         param, optimum = instance.capacity, mintpt.mintpt_lower_bound(instance)
         oracle, measure = exact_mintpt, "total_power_on_time"
 
-    oracle_value, oracle_ms = None, None
+    witness, oracle_ms = None, None
     refusal = "exact solve requested but the oracle is disabled"
     if limit != 0:
         started = time.perf_counter()
         try:
             # Without --oracle-limit the oracle applies its own default gate.
-            oracle_value = oracle(instance) if limit is None else oracle(instance, limit)
+            witness = oracle(instance) if limit is None else oracle(instance, limit)
         except InstanceTooLargeError as exc:
             refusal = str(exc)
         oracle_ms = (time.perf_counter() - started) * 1000.0
+    oracle_value = None if witness is None else getattr(witness, measure)()
 
     rows = []
     for algorithm in algorithms:
         solver = ALGORITHMS[algorithm][1]
-        if solver is not None:
+        if solver is None:
+            if witness is None:
+                raise CliError(refusal)
+            schedule, ms = witness, oracle_ms
+        else:
             started = time.perf_counter()
             schedule = solver(instance)
             ms = (time.perf_counter() - started) * 1000.0
-            objective = getattr(schedule, measure)()
-        elif oracle_value is None:
-            raise CliError(refusal)
-        else:
-            schedule, objective, ms = None, oracle_value, oracle_ms
+        objective = getattr(schedule, measure)()
         row = ReportRow(
             instance=name,
             kind=kind,
@@ -145,7 +148,7 @@ def _report(args, name: str, instance, algorithms: list[str]) -> list[tuple]:
             algorithm=algorithm,
             objective=objective,
             ratio=Fraction(objective) / Fraction(optimum) if optimum > 0 else None,
-            migrations=schedule.migrations if schedule is not None else 0,
+            migrations=schedule.migrations,
             oracle=oracle_value,
             ms=ms if args.timings else None,
         )
@@ -267,7 +270,7 @@ def _check_oracle_limit(args) -> None:
 
 def cmd_solve(args) -> int:
     if args.dump and ALGORITHMS[args.algorithm][1] is None:
-        raise CliError("the exact solver produces a value, not a schedule; nothing to dump")
+        raise CliError("--dump writes a solver's schedule; the exact oracle's witness is not dumped")
     _check_oracle_limit(args)
     [(row, schedule)] = _report(args, args.instance, _load(args.instance), [args.algorithm])
     _write(_render([row], args.format, single=True), args.out)
@@ -329,51 +332,33 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _not_an_int(value) -> TypeError:
-    """The error for a field that must be a JSON integer: a float, a string
-    or a boolean is malformed."""
-    return TypeError(f"expected an integer, got {value!r}")
-
-
 def _same_int(value, expected: int) -> bool:
     """A dump header field holds `expected` as a JSON integer: `false` and
     `2.0` compare equal to 0 and 2 but are not integers."""
     return type(value) is int and value == expected
 
 
+# A dump record's fields as written: the kind's schedule check judges them.
+_SEGMENT_FIELDS = operator.itemgetter("job", "machine", "amount")
+_stint = operator.itemgetter("job", "machine", "start", "end")
+
+
 def _segment(amounts: dict[str, Fraction], record) -> JobSegment:
-    """A dump record as a segment. Fields are checked in the order the dump
-    writes them, so the first bad one is the one reported. `amounts` memoizes
-    the amount strings read so far, and `verify` seeds it with each instance
-    time under its canonical string, so a whole job's amount decodes to the
-    job's own time object and the schedule check takes its ticks unconverted.
-    A string that fails is never stored, so each record that repeats it fails
-    on its own. The memo comes first so a positional `functools.partial`
-    binds it: a keyword one builds a dict on every call."""
-    if type(job := record["job"]) is not int:
-        raise _not_an_int(job)
-    if type(machine := record["machine"]) is not int:
-        raise _not_an_int(machine)
-    amount = record["amount"]
-    # Only strings are keys: 1.0 == 1 would let a float hit an int's entry.
-    if type(amount) is not str:
-        return JobSegment(job, machine, as_time(amount))
-    if (value := amounts.get(amount)) is None:
-        value = amounts[amount] = as_time(amount)
-    return JobSegment(job, machine, value)
-
-
-def _stint(record) -> tuple[int, int, int, int]:
-    """A dump record as a (job, machine, start, end) stint, checked like `_segment`."""
-    if type(job := record["job"]) is not int:
-        raise _not_an_int(job)
-    if type(machine := record["machine"]) is not int:
-        raise _not_an_int(machine)
-    if type(start := record["start"]) is not int:
-        raise _not_an_int(start)
-    if type(end := record["end"]) is not int:
-        raise _not_an_int(end)
-    return job, machine, start, end
+    """A dump record as a segment. Only a string amount is decoded; every
+    other field goes to the schedule check as written, and the check judges
+    it. `amounts` memoizes the amount strings read so far, and `verify` seeds
+    it with each instance time under its canonical string, so a whole job's
+    amount decodes to the job's own time object and the schedule check takes
+    its ticks unconverted. A string that fails is never stored, so each
+    record that repeats it fails on its own. The memo comes first so a
+    positional `functools.partial` binds it: a keyword one builds a dict on
+    every call."""
+    job, machine, amount = _SEGMENT_FIELDS(record)
+    if type(amount) is str:
+        if (value := amounts.get(amount)) is None:
+            value = amounts[amount] = as_time(amount)
+        amount = value
+    return JobSegment(job, machine, amount)
 
 
 def _records(dump: dict, key: str, decode, issues: list[str]) -> list[tuple]:

@@ -1,26 +1,27 @@
 """Exhaustive exact solvers on small instances.
 
 These are the ground truth that the approximation and optimality claims are
-measured against. Both searches are deterministic, refuse instances with
-more jobs than their gate (`max_jobs`; their cost grows with the job count
-alone) or than SEARCH_MAX_JOBS (their recursion depth is the job count),
-and are written independently of the production solvers, so a bug in a
-solver cannot leak into the oracle that checks it: exact_minms seeds
-its bound with its own greedy, and exact_mintpt has no separate seed, since
-its first leaf is already first fit by start time; it stops at a floor that
-it computes from its own interval pieces, not from mintpt_lower_bound.
-exact_minms searches the instance's integer tick sizes (core.TickView), the
-same view the solvers read; it has no scaling of its own.
+measured against. Each returns an optimal witness built through the public
+schedule constructor, one whole segment or stint per job, so its objective
+is measured, not restated. Both searches are deterministic, refuse
+instances with more jobs than their gate (`max_jobs`; their cost grows with
+the job count alone) or than SEARCH_MAX_JOBS (their recursion depth is the
+job count), and are written independently of the production solvers, so a
+bug in a solver cannot leak into the oracle that checks it: exact_minms
+seeds its bound and witness with its own greedy, and exact_mintpt has no
+separate seed, since its first leaf is already first fit by start time; it
+stops at a floor that it computes from its own interval pieces, not from
+mintpt_lower_bound. exact_minms searches the instance's integer tick sizes
+(core.TickView), the same view the solvers read; it has no scaling of its own.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from fractions import Fraction
 
-from .core import InstanceTooLargeError, MinMsInstance
-from .mintpt import IntervalInstance
+from .core import InstanceTooLargeError, JobSegment, MigrationSchedule, MinMsInstance
+from .mintpt import IntervalInstance, IntervalSchedule
 
 __all__ = [
     "InstanceTooLargeError",
@@ -46,36 +47,41 @@ def _refuse_above(n: int, max_jobs: int) -> None:
         raise InstanceTooLargeError(f"{n} jobs exceed the oracle limit of {limit}")
 
 
-def exact_minms(instance: MinMsInstance, max_jobs: int = MINMS_MAX_JOBS) -> Fraction:
-    """Minimum makespan over all whole-job assignments, by branch and bound.
+def exact_minms(instance: MinMsInstance, max_jobs: int = MINMS_MAX_JOBS) -> MigrationSchedule:
+    """A minimum-makespan whole-job assignment, by branch and bound.
 
-    Jobs are placed in non-increasing size order; identical intermediate
-    loads are explored once (machine symmetry), and branches that already
-    match the best known makespan are cut. Only min(m, n) machines are
-    searched: n jobs load at most n identical machines, so the optimum is the
-    same and nothing grows with the machine count. The search runs on the
-    instance's integer tick sizes, so all comparisons stay exact.
+    Jobs are placed in non-increasing size order, ties in instance order;
+    identical intermediate loads are explored once (machine symmetry), and
+    branches that already match the best known makespan are cut. Only
+    min(m, n) machines are searched: n jobs load at most n identical
+    machines, so the optimum is the same and nothing grows with the machine
+    count. The search runs on the instance's integer tick sizes, so all
+    comparisons stay exact. Each job's segment holds its own process time.
     """
     n = len(instance.jobs)
     _refuse_above(n, max_jobs)
     m = min(instance.machine_count, n)
 
-    sizes = sorted(instance.ticks.sizes.values(), reverse=True)
+    view = instance.ticks
+    order, sizes = zip(*sorted(view.sizes.items(), key=lambda item: -item[1]))
 
     # Self-contained greedy (largest job to least-loaded machine) seeds the
-    # upper bound with an achievable makespan.
+    # upper bound and the witness with an achievable assignment.
     heap = [(0, i) for i in range(m)]
+    machine = []  # per job in search order: its machine on the current branch
     for size in sizes:
         load, i = heapq.heappop(heap)
         heapq.heappush(heap, (load + size, i))
-    best = max(load for load, _ in heap)
+        machine.append(i)
+    best, witness = max(load for load, _ in heap), machine[:]
 
     loads = [0] * m
 
     def place(k: int) -> None:
-        nonlocal best
+        nonlocal best, witness
         if k == n:
-            best = min(best, max(loads))
+            if (peak := max(loads)) < best:
+                best, witness = peak, machine[:]
             return
         size = sizes[k]
         for i in range(m):
@@ -84,15 +90,17 @@ def exact_minms(instance: MinMsInstance, max_jobs: int = MINMS_MAX_JOBS) -> Frac
             if load + size >= best or loads.index(load) < i:
                 continue
             loads[i] = load + size
+            machine[k] = i
             place(k + 1)
             loads[i] = load
 
     place(0)
-    return instance.ticks.time(best)
+    segments = [JobSegment(j, i, view.times[j]) for j, i in zip(order, witness)]
+    return MigrationSchedule(instance, segments)
 
 
-def exact_mintpt(instance: IntervalInstance, max_jobs: int = MINTPT_MAX_JOBS) -> int:
-    """Minimum total power-on time over all non-migratory assignments.
+def exact_mintpt(instance: IntervalInstance, max_jobs: int = MINTPT_MAX_JOBS) -> IntervalSchedule:
+    """A non-migratory assignment of minimum total power-on time.
 
     Enumerates job-to-machine assignments (each job keeps one machine for its
     whole interval), jobs in start order, with machine-index symmetry
@@ -122,13 +130,14 @@ def exact_mintpt(instance: IntervalInstance, max_jobs: int = MINTPT_MAX_JOBS) ->
         for p in span:
             active[p] += 1
     floor = sum(-(-a // g) * width for a, width in zip(active, widths))
-    # No seed: the first leaf is always reached (at once when n is 0) and replaces it.
-    best = math.inf
+    # No seed: the first leaf is always reached (at once when n is 0) and replaces both.
+    best, witness = math.inf, []
+    machine = [0] * n  # per job in `jobs` order: its machine on the current branch
 
     def place(k: int, used: int, cost: int) -> None:
-        nonlocal best
+        nonlocal best, witness
         if k == n:
-            best = cost  # a leaf is reached only below the best so far
+            best, witness = cost, machine[:]  # a leaf is reached only below the best so far
             return
         span = spans[k]
         for i in range(used + 1):
@@ -143,6 +152,7 @@ def exact_mintpt(instance: IntervalInstance, max_jobs: int = MINTPT_MAX_JOBS) ->
                 if total < best:
                     for p in span:
                         count[p] += 1
+                    machine[k] = i
                     place(k + 1, max(used, i + 1), total)
                     for p in span:
                         count[p] -= 1
@@ -150,4 +160,5 @@ def exact_mintpt(instance: IntervalInstance, max_jobs: int = MINTPT_MAX_JOBS) ->
                         return
 
     place(0, 0, 0)
-    return best
+    stints = [(job.id, i, *job.interval) for job, i in zip(jobs, witness)]
+    return IntervalSchedule(instance, stints)

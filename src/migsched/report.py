@@ -105,7 +105,8 @@ def render_markdown(rows: list[ReportRow]) -> str:
         "|" + "|".join(" --- " for _ in CSV_COLUMNS) + "|",
     ]
     for row in rows:
-        lines.append("| " + " | ".join(cell or " " for cell in row.cells()) + " |")
+        # A "|" in a cell (an instance file name, say) would end the cell.
+        lines.append("| " + " | ".join(c.replace("|", r"\|") or " " for c in row.cells()) + " |")
     return "\n".join(lines) + "\n"
 
 

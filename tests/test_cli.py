@@ -7,6 +7,7 @@ import functools
 import io
 import itertools
 import json
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -128,6 +129,16 @@ class TestSolve:
         lines = out.splitlines()
         assert lines[0] == "| " + " | ".join(CSV_COLUMNS) + " |"
         assert "| 39 | 13/10 |" in lines[2]
+
+    def test_md_escapes_a_pipe_in_a_cell(self, capsys, graham10, tmp_path, monkeypatch):
+        # An instance name is written as given; its "|" must not open a cell.
+        monkeypatch.chdir(tmp_path)
+        Path("a|b.inst").write_text(Path(graham10).read_text())
+        _, out, _ = run(capsys, "solve", "a|b.inst", "--algorithm", "lpt", "--format", "md")
+        header, _, row = out.splitlines()
+        cells = re.split(r"(?<!\\)\|", row)[1:-1]
+        assert len(cells) == len(CSV_COLUMNS) == header.count("|") - 1
+        assert cells[0] == r" a\|b.inst "
 
     def test_kind_algorithm_mismatch(self, capsys, graham10):
         code, _, err = run(capsys, "solve", graham10, "--algorithm", "estf")
@@ -333,7 +344,8 @@ class TestVerify:
     def test_each_record_with_a_repeated_bad_amount_fails(self, capsys, tmp_path):
         # Amount strings are read once per verify: a good string repeats
         # around bad ones, and each bad record is its own FAIL line. A float
-        # equal to an earlier good int amount is still refused.
+        # equal to an earlier good int amount is still refused, by the
+        # schedule check, which takes every amount that is not a string.
         jobs = "".join(f"job {i} 1\n" for i in range(6))
         instance = _put(tmp_path / "ones.inst", "minms 1\nmachines 1\n" + jobs)
         amounts = ["1", "1/0", "1", "1/0", 1, 1.0]
@@ -346,20 +358,19 @@ class TestVerify:
         assert code == 1
         malformed = [line for line in out.splitlines() if "malformed" in line]
         bad = "time must be n or num/den with a nonzero denominator, got '1/0'"
-        assert malformed == [f"FAIL: segment {i} malformed: {bad}" for i in (1, 3)] + [
-            "FAIL: segment 5 malformed: refusing inexact float time value 1.0"
-        ]
+        assert malformed == [f"FAIL: segment {i} malformed: {bad}" for i in (1, 3)]
+        assert "FAIL: job 5: segment amount 1.0 is not an int or Fraction" in out.splitlines()
 
     @pytest.mark.parametrize(
         "amount, code, line",
         [
-            (True, 1, "FAIL: segment 0 malformed: expected a time, got True"),
+            (True, 1, "FAIL: job 0: segment amount True is not an int or Fraction"),
             (1, 0, "verification passed"),
             ("1", 0, "verification passed"),
         ],
     )
     def test_boolean_amount_is_malformed(self, capsys, tmp_path, amount, code, line):
-        # as_time reads a JSON true as the int 1, which would conserve this job.
+        # Python counts a JSON true as the int 1, which would conserve this job.
         instance = _put(tmp_path / "one.inst", "minms 1\nmachines 1\njob 0 1\n")
         dump = _put(tmp_path / "d.json", json.dumps({
             "format": "migsched-dump", "version": 2, "kind": "minms", "algorithm": "lpt",
@@ -583,6 +594,22 @@ class TestVerifyMalformedDumps:
         for line in err.getvalue().splitlines():
             assert line.startswith("error: "), line
 
+    # The line for each record field replaced below. Decoding reads only an
+    # amount string; every other field value reaches the kind's schedule
+    # check as written, and the check's line names the value.
+    FIELD_LINES = {
+        ("pam", 0, "amount"): "FAIL: segment 0 malformed: time must be n or num/den with a "
+        "nonzero denominator, got '1/0'",
+        ("lbm", 0, "machine"): "FAIL: job 0: machine id 0.9 invalid",
+        ("lbm", 0, "start"): "FAIL: job 0: stint [' 0 ', 3) is not a slot range",
+        ("lbm", 0, "end"): "FAIL: job 0: stint [0, 3.0) is not a slot range",
+        ("lbm", 0, "job"): "FAIL: stint references unknown job True",
+        ("estf", 1, "machine"): "FAIL: job 1: machine id '0' invalid",
+        ("pam", 0, "machine"): "FAIL: job 3: machine 0.9 out of range 0..1",
+        ("pam", 0, "job"): "FAIL: segment references unknown job ' 0 '",
+        ("pam", 1, "job"): "FAIL: segment references unknown job True",
+    }
+
     @pytest.mark.parametrize(
         "algorithm, keys, value",
         [
@@ -610,23 +637,45 @@ class TestVerifyMalformedDumps:
         path.write_text(json.dumps(dump))
         code, out, _ = run(capsys, "verify", instance, str(path))
         assert code == 1
-        if len(keys) == 3:  # one field of one record: only JSON integers pass
-            assert f"FAIL: {keys[0][:-1]} {keys[1]} malformed" in out
+        if len(keys) == 3:  # one field of one record
+            assert self.FIELD_LINES[algorithm, keys[1], keys[2]] in out.splitlines()
         else:
             assert f"FAIL: {keys[0]} malformed" in out
+
+    @pytest.mark.parametrize(
+        "algorithm, record, line",
+        [
+            ("pam", {"job": 0, "amount": "1"}, "FAIL: segment 0 malformed: 'machine'"),
+            ("lbm", {"job": 0, "machine": 0, "start": 0}, "FAIL: stint 0 malformed: 'end'"),
+            ("pam", [3, 0, "3"], "FAIL: segment 0 malformed: list indices must be integers "
+             "or slices, not str"),
+            ("lbm", 7, "FAIL: stint 0 malformed: 'int' object is not subscriptable"),
+        ],
+    )
+    def test_missing_field_or_non_object_record_is_malformed(
+        self, capsys, valid_dumps, algorithm, record, line
+    ):
+        tmp, dumps = valid_dumps
+        instance, dump = copy.deepcopy(dumps[algorithm])
+        dump["segments" if "segments" in dump else "stints"][0] = record
+        path = tmp / "tampered.json"
+        path.write_text(json.dumps(dump))
+        code, out, _ = run(capsys, "verify", instance, str(path))
+        assert code == 1
+        assert line in out.splitlines()
 
     @pytest.mark.parametrize(
         "algorithm, changes, line",
         [
             (
                 "pam",
-                {"job": 0.9, "machine": None},
-                "FAIL: segment 0 malformed: expected an integer, got 0.9",
+                {"job": 0.9, "machine": 0.9},
+                "FAIL: segment references unknown job 0.9",
             ),
             (
                 "lbm",
                 {"start": "1", "end": None},
-                "FAIL: stint 0 malformed: expected an integer, got '1'",
+                "FAIL: job 0: stint ['1', None) is not a slot range",
             ),
         ],
         ids=["segment-job-then-machine", "stint-start-then-end"],
@@ -634,19 +683,19 @@ class TestVerifyMalformedDumps:
     def test_first_bad_field_in_record_order_is_reported(
         self, capsys, valid_dumps, algorithm, changes, line
     ):
+        # The schedule check reports a record once, at its first bad field: a
+        # segment of an unknown job says nothing of its machine, and a stint's
+        # start and end are read as one slot range.
         tmp, dumps = valid_dumps
         instance, dump = copy.deepcopy(dumps[algorithm])
         record = dump["segments" if "segments" in dump else "stints"][0]
-        for field, value in changes.items():  # None deletes the field
-            if value is None:
-                del record[field]
-            else:
-                record[field] = value
+        record.update(changes)
         path = tmp / "tampered.json"
         path.write_text(json.dumps(dump))
         code, out, _ = run(capsys, "verify", instance, str(path))
         assert code == 1
-        assert line in out.splitlines()
+        named = [x for x in out.splitlines() if any(repr(v) in x for v in changes.values())]
+        assert named == [line]
 
     @pytest.mark.parametrize("amount", ["1e10000000", "19.0", 19.5])
     def test_amount_outside_the_time_grammar_is_malformed(
@@ -659,7 +708,10 @@ class TestVerifyMalformedDumps:
         path.write_text(json.dumps(dump))
         code, out, _ = run(capsys, "verify", instance, str(path))
         assert code == 1
-        assert "FAIL: segment 0 malformed" in out
+        if isinstance(amount, str):  # decoded by the time grammar
+            assert "FAIL: segment 0 malformed" in out
+        else:  # judged as written by the schedule check
+            assert f"segment amount {amount!r} is not an int or Fraction" in out
 
 
 def _put(path, data):

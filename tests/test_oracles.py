@@ -14,6 +14,7 @@ from migsched import (
     IntervalInstance,
     IntervalJob,
     IntervalSchedule,
+    MigrationSchedule,
     estf_schedule,
     exact_minms,
     exact_mintpt,
@@ -102,31 +103,31 @@ def partition_mintpt(instance):
 
 class TestExactMinMs:
     def test_perfect_split(self):
-        assert exact_minms(make_instance([2, 2, 3, 3], 2)) == 5
+        assert exact_minms(make_instance([2, 2, 3, 3], 2)).makespan() == 5
 
     def test_adversarial_sizes_m2(self):
         inst = make_instance([3, 3, 2, 2, 2], 2)
         assert naive_minms(inst) == 6  # 2^5 assignments, frozen
-        assert exact_minms(inst) == 6
+        assert exact_minms(inst).makespan() == 6
 
     def test_single_job(self):
-        assert exact_minms(make_instance([9], 3)) == 9
+        assert exact_minms(make_instance([9], 3)).makespan() == 9
 
     def test_rational_process_times(self):
         inst = make_instance([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)], 2)
-        assert exact_minms(inst) == naive_minms(inst)
+        assert exact_minms(inst).makespan() == naive_minms(inst)
 
     def test_matches_naive_enumeration(self):
         for seed in range(40):
             rng = random.Random(seed)
             inst = gen_random_minms(rng.randint(1, 7), rng.randint(1, 3), (1, 12), seed=seed)
-            assert exact_minms(inst) == naive_minms(inst)
+            assert exact_minms(inst).makespan() == naive_minms(inst)
         # More machines than jobs: only min(m, n) machines are searched.
         for seed in range(40):
             rng = random.Random(500 + seed)
             n = rng.randint(1, 4)
             inst = gen_random_minms(n, rng.randint(1, n + 3), (1, 12), seed=seed)
-            assert exact_minms(inst) == naive_minms(inst)
+            assert exact_minms(inst).makespan() == naive_minms(inst)
 
     def test_too_many_jobs_refused(self):
         inst = gen_random_minms(11, 2, (1, 5), seed=0)
@@ -135,11 +136,11 @@ class TestExactMinMs:
 
     def test_machine_count_is_not_gated(self):
         # More machines than jobs: every job gets a machine of its own.
-        assert exact_minms(make_instance([5, Fraction(7, 2), 1], 10**12)) == 5
+        assert exact_minms(make_instance([5, Fraction(7, 2), 1], 10**12)).makespan() == 5
 
     def test_job_gate_is_an_int(self):
         many_jobs = gen_random_minms(11, 2, (1, 5), seed=0)
-        assert exact_minms(many_jobs, 11) == naive_minms(many_jobs)
+        assert exact_minms(many_jobs, 11).makespan() == naive_minms(many_jobs)
         with pytest.raises(InstanceTooLargeError, match="11 jobs exceed the oracle limit of 10"):
             exact_minms(many_jobs, max_jobs=10)
         with pytest.raises(InstanceTooLargeError):
@@ -148,15 +149,16 @@ class TestExactMinMs:
 
 class TestExactMinTpt:
     def test_four_job_instance_without_migration(self):
-        assert exact_mintpt(four_job_instance()) == 5
+        assert exact_mintpt(four_job_instance()).total_power_on_time() == 5
 
     def test_single_job(self):
-        assert exact_mintpt(IntervalInstance((IntervalJob(0, 0, 4),), 2)) == 4
+        inst = IntervalInstance((IntervalJob(0, 0, 4),), 2)
+        assert exact_mintpt(inst).total_power_on_time() == 4
 
     def test_two_disjoint_jobs_share_a_machine(self):
         inst = IntervalInstance((IntervalJob(0, 0, 2), IntervalJob(1, 2, 4)), 1)
         assert naive_mintpt(inst) == 4  # frozen from enumeration
-        assert exact_mintpt(inst) == 4
+        assert exact_mintpt(inst).total_power_on_time() == 4
 
     def test_matches_naive_enumeration(self):
         for seed in range(30):
@@ -164,13 +166,13 @@ class TestExactMinTpt:
             inst = gen_random_mintpt(
                 rng.randint(1, 5), rng.randint(1, 8), rng.randint(1, 3), seed=seed
             )
-            assert exact_mintpt(inst) == naive_mintpt(inst)
+            assert exact_mintpt(inst).total_power_on_time() == naive_mintpt(inst)
             # Every slot times 7: pieces wider than one slot, 7 times the cost.
             wide = IntervalInstance(
                 tuple(IntervalJob(j.id, 7 * j.start_slot, 7 * j.end_slot) for j in inst.jobs),
                 inst.capacity,
             )
-            assert exact_mintpt(wide) == 7 * naive_mintpt(inst)
+            assert exact_mintpt(wide).total_power_on_time() == 7 * naive_mintpt(inst)
 
     def test_too_many_jobs_refused(self):
         inst = gen_random_mintpt(9, 10, 2, seed=0)
@@ -178,7 +180,7 @@ class TestExactMinTpt:
             exact_mintpt(inst)
 
     def test_empty_instance(self):
-        assert exact_mintpt(IntervalInstance((), 1)) == 0
+        assert exact_mintpt(IntervalInstance((), 1)).total_power_on_time() == 0
 
     def test_floor_stop_ends_a_search_of_ties(self):
         # Fourteen unit jobs in a row on capacity 1: first fit reaches the
@@ -186,13 +188,13 @@ class TestExactMinTpt:
         # leaf ties with it and is walked, for about a minute.
         chain = IntervalInstance(tuple(IntervalJob(i, i, i + 1) for i in range(14)), 1)
         start = time.perf_counter()
-        assert exact_mintpt(chain, max_jobs=14) == 14
+        assert exact_mintpt(chain, max_jobs=14).total_power_on_time() == 14
         assert time.perf_counter() - start < 1.0
 
     def test_job_gate_is_an_int(self):
         # Nine unit jobs in a row on capacity 1: one machine, on for 9 slots.
         chain = IntervalInstance(tuple(IntervalJob(i, i, i + 1) for i in range(9)), 1)
-        assert exact_mintpt(chain, max_jobs=9) == 9
+        assert exact_mintpt(chain, max_jobs=9).total_power_on_time() == 9
         with pytest.raises(InstanceTooLargeError, match="9 jobs exceed the oracle limit of 8"):
             exact_mintpt(chain)
         with pytest.raises(InstanceTooLargeError):
@@ -205,7 +207,7 @@ class TestSearchDepthGate:
     def test_minms(self):
         # One machine: the search walks one branch as deep as the job count.
         limit = SEARCH_MAX_JOBS
-        assert exact_minms(make_instance([1] * limit, 1), max_jobs=10**6) == limit
+        assert exact_minms(make_instance([1] * limit, 1), max_jobs=10**6).makespan() == limit
         with pytest.raises(
             InstanceTooLargeError, match=f"^{limit + 1} jobs exceed the oracle limit of {limit}$"
         ):
@@ -218,7 +220,7 @@ class TestSearchDepthGate:
             return IntervalInstance(tuple(IntervalJob(i, 0, 1) for i in range(n)), 1)
 
         limit = SEARCH_MAX_JOBS
-        assert exact_mintpt(stack(limit), max_jobs=10**6) == limit
+        assert exact_mintpt(stack(limit), max_jobs=10**6).total_power_on_time() == limit
         with pytest.raises(
             InstanceTooLargeError, match=f"^{limit + 1} jobs exceed the oracle limit of {limit}$"
         ):
@@ -232,7 +234,7 @@ class TestSandwiches:
             m = rng.randint(1, 4)
             inst = gen_random_minms(rng.randint(1, 9), m, (1, 20), seed=seed)
             ideal = opt_balance(inst)
-            exact = exact_minms(inst)
+            exact = exact_minms(inst).makespan()
             greedy = lpt_schedule(inst).makespan()
             assert ideal <= exact <= greedy
             assert greedy <= (Fraction(4, 3) - Fraction(1, 3 * m)) * exact
@@ -249,7 +251,7 @@ class TestSandwiches:
         # W/m <= exact <= lpt <= (4m-1)/(3m) x exact (Graham 1969), and the
         # two whole-job oracles agree where plain enumeration is cheap.
         inst = make_instance(sizes, m)
-        exact = exact_minms(inst)
+        exact = exact_minms(inst).makespan()
         greedy = lpt_schedule(inst).makespan()
         assert opt_balance(inst) <= exact <= greedy <= Fraction(4 * m - 1, 3 * m) * exact
         if len(sizes) <= 7 and m <= 3:
@@ -262,7 +264,7 @@ class TestSandwiches:
                 rng.randint(1, 7), rng.randint(1, 10), rng.randint(1, 3), seed=seed
             )
             bound = mintpt_lower_bound(inst)
-            exact = exact_mintpt(inst)
+            exact = exact_mintpt(inst).total_power_on_time()
             baseline = estf_schedule(inst).total_power_on_time()
             assert bound <= exact <= baseline
 
@@ -281,7 +283,7 @@ class TestSandwiches:
             capacity,
         )
         floor = mintpt_lower_bound(inst)
-        exact = exact_mintpt(inst)
+        exact = exact_mintpt(inst).total_power_on_time()
         assert floor <= exact <= estf_schedule(inst).total_power_on_time()
         # Checked on the public rebuild of lbm's stints.
         assert IntervalSchedule(inst, lbm_schedule(inst).stints).total_power_on_time() == floor
@@ -291,11 +293,57 @@ class TestSandwiches:
         inst = four_job_instance()
         migratory = IntervalSchedule(inst, lbm_schedule(inst).stints).total_power_on_time()
         assert migratory == mintpt_lower_bound(inst) == 4
-        assert exact_mintpt(inst) == 5
-        assert migratory < exact_mintpt(inst)
+        assert exact_mintpt(inst).total_power_on_time() == 5
+        assert migratory < exact_mintpt(inst).total_power_on_time()
 
     def test_oracles_are_deterministic(self):
         inst = gen_random_minms(8, 3, (1, 15), seed=42)
         assert exact_minms(inst) == exact_minms(inst)
         iv = gen_random_mintpt(7, 9, 2, seed=42)
         assert exact_mintpt(iv) == exact_mintpt(iv)
+
+
+class TestWitness:
+    """Each oracle returns a whole-job schedule that its public rebuild
+    reproduces, and its measured objective is the optimum that an independent
+    enumeration finds."""
+
+    @settings(max_examples=200, deadline=None)
+    @example([Fraction(3), Fraction(3), Fraction(2), Fraction(2), Fraction(2)], 2)  # greedy ends at 7
+    @given(
+        st.lists(
+            st.builds(Fraction, st.integers(1, 30), st.integers(1, 6)), min_size=1, max_size=8
+        ),
+        st.integers(1, 4),
+    )
+    def test_minms(self, sizes, m):
+        inst = make_instance(sizes, m)
+        witness = exact_minms(inst)
+        assert MigrationSchedule(inst, witness.segments) == witness
+        # One segment per job, holding the job's own process-time object.
+        times = {job.id: job.process_time for job in inst.jobs}
+        assert sorted(segment.job_id for segment in witness.segments) == sorted(times)
+        assert all(segment.amount is times[segment.job_id] for segment in witness.segments)
+        assert witness.migrations == 0
+        if len(sizes) <= 7 and m <= 3:
+            assert witness.makespan() == naive_minms(inst)
+
+    @settings(max_examples=200, deadline=None)
+    @example([(5, 2), (7, 3), (1, 5), (5, 2), (8, 1)], 2)  # three jobs share slot 5
+    @given(
+        st.lists(st.tuples(st.integers(0, 9), st.integers(1, 5)), max_size=8),
+        st.integers(1, 3),
+    )
+    def test_mintpt(self, intervals, capacity):
+        inst = IntervalInstance(
+            tuple(IntervalJob(i, s, s + length) for i, (s, length) in enumerate(intervals)),
+            capacity,
+        )
+        witness = exact_mintpt(inst)
+        assert IntervalSchedule(inst, witness.stints) == witness
+        # One stint per job, covering the job's whole interval.
+        assert sorted((job, start, end) for job, _, start, end in witness.stints) == sorted(
+            (job.id, *job.interval) for job in inst.jobs
+        )
+        assert witness.migrations == 0
+        assert witness.total_power_on_time() == partition_mintpt(inst)

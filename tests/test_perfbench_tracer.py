@@ -40,6 +40,10 @@ def test_tracer_counts_every_layer(tmp_path, fixtures_dir, capsys):
             argv = ["solve", instance, "--algorithm", algorithm, "--format", "json"]
             assert cli.main(argv + ["--dump", dump]) == 0
             assert cli.main(["verify", instance, dump]) == 0
+        # An exact row of each kind: its schedule is the oracle's witness.
+        for fixture in ("graham_m2.inst", "intervals_g3.inst"):
+            argv = ["solve", str(fixtures_dir / fixture), "--algorithm", "exact"]
+            assert cli.main(argv) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
@@ -58,6 +62,8 @@ def test_tracer_counts_every_layer(tmp_path, fixtures_dir, capsys):
         "mintpt.validate",
         "mintpt.schedule",
         "mintpt.schedule_query",
+        "oracles.exact_minms",
+        "oracles.exact_mintpt",
         "report.render",
     ):
         assert tracer.counts[name + "_calls"] > 0, name
