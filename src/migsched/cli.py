@@ -13,7 +13,6 @@ import argparse
 import functools
 import itertools
 import json
-import operator
 import sys
 import time
 from collections.abc import Iterator, Sequence
@@ -24,7 +23,6 @@ from pathlib import Path
 from . import minms, mintpt
 from .core import (
     InvariantError,
-    JobSegment,
     MigrationSchedule,
     MinMsInstance,
     as_time,
@@ -43,7 +41,7 @@ from .oracles import InstanceTooLargeError, exact_minms, exact_mintpt
 from .report import ReportRow, render_csv, render_json, render_markdown
 
 DUMP_FORMAT = "migsched-dump"
-DUMP_VERSION = 2
+DUMP_VERSION = 3
 
 
 class CliError(Exception):
@@ -156,23 +154,23 @@ def _report(args, name: str, instance, algorithms: list[str]) -> list[tuple]:
     return rows
 
 
-# One record of each kind as json.dumps(payload, indent=2) lays it out: ids,
-# machines and slots are ints (`%d`), and an amount is a string escaped as
+# One record of each kind as its dump line, `"    " + json.dumps(list(record))`:
+# ids, machines and slots are ints (`%d`), and an amount is a string escaped as
 # `json` does (`%s`). A dump's whole record list is one `%` call over its
 # template repeated once per record, fed every record's fields as one flat
 # tuple, and each distinct amount object becomes a string once.
-_SEGMENT = '    {\n      "job": %d,\n      "machine": %d,\n      "amount": %s\n    }'
-_STINT = '    {\n      "job": %d,\n      "machine": %d,\n      "start": %d,\n      "end": %d\n    }'
+_SEGMENT = "    [%d, %d, %s]"
+_STINT = "    [%d, %d, %d, %d]"
 
 
 class _Records(Sequence):
     """A dump's record list, read from the schedule's own rows.
 
-    The writer formats the rows as they are, so no record becomes a dict.
+    The writer formats the rows as they are, one array line per record.
     Indexing gives one record as a dict keyed by field name; the dict is
-    kept, and the writer formats it in place of its row, so a record can be
-    changed before the dump is written (perfbench's smoke test corrupts a
-    `pam` dump this way).
+    kept, and the writer formats its values, in field order, in place of its
+    row, so a record can be changed before the dump is written (perfbench's
+    smoke test corrupts a `pam` dump this way).
     """
 
     def __init__(self, fields: tuple[str, ...], rows: tuple[tuple, ...]) -> None:
@@ -217,10 +215,10 @@ def _dump_payload(schedule, algorithm: str) -> dict:
 
 
 def _dump_text(schedule, algorithm: str) -> str:
-    """The dump file's text: `json.dumps(payload, indent=2) + "\n"`, byte for
-    byte, where `payload` has the header fields and then one dict per record.
+    """The dump file's text: the header as `json.dumps(header, indent=2)` lays
+    it out, and each record as a line `"    " + json.dumps(list(record))`.
 
-    The header goes through `json.dumps`; with `indent` set that is the
+    Only the header goes through `json.dumps`; with `indent` set that is the
     stdlib's pure-Python encoder, too slow for thousands of records, so the
     record list is formatted from its template instead. A `minms` amount is
     written as its `str()`, made once per distinct amount object (looked up
@@ -338,52 +336,48 @@ def _same_int(value, expected: int) -> bool:
     return type(value) is int and value == expected
 
 
-# A dump record's fields as written: the kind's schedule check judges them.
-_SEGMENT_FIELDS = operator.itemgetter("job", "machine", "amount")
-_stint = operator.itemgetter("job", "machine", "start", "end")
-
-
-def _segment(amounts: dict[str, Fraction], record) -> JobSegment:
-    """A dump record as a segment. Only a string amount is decoded; every
-    other field goes to the schedule check as written, and the check judges
-    it. `amounts` memoizes the amount strings read so far, and `verify` seeds
-    it with each instance time under its canonical string, so a whole job's
-    amount decodes to the job's own time object and the schedule check takes
-    its ticks unconverted. A string that fails is never stored, so each
-    record that repeats it fails on its own. The memo comes first so a
-    positional `functools.partial` binds it: a keyword one builds a dict on
-    every call."""
-    job, machine, amount = _SEGMENT_FIELDS(record)
-    if type(amount) is str:
-        if (value := amounts.get(amount)) is None:
-            value = amounts[amount] = as_time(amount)
-        amount = value
-    return JobSegment(job, machine, amount)
-
-
-def _records(dump: dict, key: str, decode, issues: list[str]) -> list[tuple]:
-    """Decode each record of the dump's list under `key` into a tuple.
-
-    A malformed list or record becomes an issue instead of an exception.
-    """
+def _columns(
+    dump: dict, key: str, width: int, issues: list[str], memo: dict[str, Fraction] | None = None
+) -> list[tuple]:
+    """The dump's records under `key`, JSON arrays of `width` values, as `width`
+    columns. With `memo`, the last field is an amount: each distinct amount
+    string is decoded once, into `memo`. The shape is checked in bulk; only
+    when a record is not an array of `width` values, or its amount string
+    fails, are the records walked, to word one malformed issue per such record
+    and keep the rest. Other values stay as written, for the schedule check."""
     records = dump.get(key, [])
     if not isinstance(records, list):
         issues.append(f"{key} malformed: expected a list, got {type(records).__name__}")
-        return []
-    raw = []
+        return [()] * width
+    shaped = set(map(type, records)) <= {list} and set(map(len, records)) <= {width}
+    columns = (list(zip(*records)) or [()] * width) if shaped else None
+    failed = {}  # amount string -> its error, never stored in `memo`
+    if memo is not None:
+        last = columns[-1] if shaped else [r[-1] for r in records if type(r) is list and r]
+        for text in {v for v in last if type(v) is str}.difference(memo):
+            try:
+                memo[text] = as_time(text)
+            except ValueError as exc:
+                failed[text] = str(exc)
+    if shaped and not failed:
+        return columns
+    kept = []
     for i, record in enumerate(records):
-        try:
-            raw.append(decode(record))
-        except (KeyError, ValueError, TypeError) as exc:
-            issues.append(f"{key[:-1]} {i} malformed: {exc}")
-    return raw
+        if type(record) is not list or len(record) != width:
+            found = f"a list of {len(record)}" if type(record) is list else type(record).__name__
+            issues.append(f"{key[:-1]} {i} malformed: expected a list of {width} values, got {found}")
+        elif type(record[-1]) is str and record[-1] in failed:
+            issues.append(f"{key[:-1]} {i} malformed: {failed[record[-1]]}")
+        else:
+            kept.append(record)
+    return list(zip(*kept)) or [()] * width
 
 
-def _rebuild(schedule_type, instance, raw: list[tuple], issues: list):
+def _rebuild(schedule_type, instance, raw: tuple[tuple, ...], issues: list):
     """The kind's schedule of the decoded records, or None, with each problem
     its construction check found (the InvariantError's `args`) as an issue."""
     try:
-        return schedule_type(instance, tuple(raw))
+        return schedule_type(instance, raw)
     except InvariantError as exc:
         issues.extend(exc.args)
         return None
@@ -409,8 +403,13 @@ def _verify_minms(
             f"machine_count {dump.get('machine_count')!r} does not match instance "
             f"{instance.machine_count}"
         )
-    seed = {str(job.process_time): job.process_time for job in instance.jobs}
-    raw = _records(dump, "segments", functools.partial(_segment, seed), issues)
+    # A whole job's amount decodes to the job's own time object, whose ticks the
+    # check takes unconverted; `str` runs once per distinct time object.
+    times = instance.ticks.times.values()
+    distinct = dict(zip(map(id, times), times)).values()
+    memo = dict(zip(map(str, distinct), distinct))
+    jobs, machines, amounts = _columns(dump, "segments", 3, issues, memo)
+    raw = tuple(zip(jobs, machines, [memo[a] if type(a) is str else a for a in amounts]))
     schedule = _rebuild(MigrationSchedule, instance, raw, issues)
     if schedule is not None:
         notes.append(
@@ -424,7 +423,7 @@ def _verify_mintpt(
     instance: IntervalInstance, dump: dict, issues: list, notes: list
 ) -> IntervalSchedule | None:
     """The dump's own checks: its schedule, or None when that fails its check."""
-    raw = _records(dump, "stints", _stint, issues)
+    raw = tuple(zip(*_columns(dump, "stints", 4, issues)))
     schedule = _rebuild(IntervalSchedule, instance, raw, issues)
     if schedule is not None:
         notes.append(

@@ -260,7 +260,8 @@ def segment_violations(
             continue
         if type(machine_id) is not int or not 0 <= machine_id < instance.machine_count:
             problems.append(
-                f"job {job_id}: machine {machine_id!r} out of range 0..{instance.machine_count - 1}"
+                f"job {job_id}: machine id {machine_id!r} is not an int in "
+                f"0..{instance.machine_count - 1}"
             )
         if amount is times[job_id]:
             t = sizes[job_id]

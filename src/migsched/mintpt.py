@@ -229,7 +229,7 @@ def placement_violations(
             problems.append(f"stint references unknown job {job_id!r}")
             continue
         if type(machine_id) is not int or machine_id < 0:
-            problems.append(f"job {job_id}: machine id {machine_id!r} invalid")
+            problems.append(f"job {job_id}: machine id {machine_id!r} is not a non-negative int")
             continue
         if type(start) is not int or type(end) is not int or start >= end:
             problems.append(f"job {job_id}: stint [{start!r}, {end!r}) is not a slot range")

@@ -50,6 +50,12 @@ def intervals(fixtures_dir):
     return str(fixtures_dir / "intervals_g3.inst")
 
 
+# A dump record's fields by position: [job, machine, amount] for a segment,
+# [job, machine, start, end] for a stint.
+JOB, MACHINE, AMOUNT, START, END = 0, 1, 2, 2, 3
+FIELD = {"job": JOB, "machine": MACHINE, "amount": AMOUNT, "start": START, "end": END}
+
+
 class TestSolve:
     def test_lpt_row(self, capsys, graham10):
         code, out, _ = run(capsys, "solve", graham10, "--algorithm", "lpt")
@@ -206,7 +212,7 @@ class TestVerify:
         run(capsys, "solve", graham10, "--algorithm", "pam", "--dump", str(dump))
         payload = json.loads(dump.read_text())
         segment = payload["segments"][0]
-        segment["amount"] = str(Fraction(segment["amount"]) + 1)
+        segment[AMOUNT] = str(Fraction(segment[AMOUNT]) + 1)
         dump.write_text(json.dumps(payload, indent=2) + "\n")
         code, out, _ = run(capsys, "verify", graham10, str(dump))
         assert code == 1
@@ -224,7 +230,7 @@ class TestVerify:
         run(capsys, "solve", intervals, "--algorithm", "lbm", "--dump", str(dump))
         payload = json.loads(dump.read_text())
         stint = payload["stints"][0]
-        stint["start"], stint["end"] = stint["start"] + 9, stint["end"] + 9
+        stint[START], stint[END] = stint[START] + 9, stint[END] + 9
         dump.write_text(json.dumps(payload, indent=2) + "\n")
         code, out, _ = run(capsys, "verify", intervals, str(dump))
         assert code == 1
@@ -246,14 +252,14 @@ class TestVerify:
         payload = json.loads(dump.read_text())
         if algorithm == "pam":
             first, second = payload["segments"][:2]
-            first["amount"] = str(Fraction(first["amount"]) + 1)
-            second["machine"] = 99
-            raw = [(s["job"], s["machine"], Fraction(s["amount"])) for s in payload["segments"]]
+            first[AMOUNT] = str(Fraction(first[AMOUNT]) + 1)
+            second[MACHINE] = 99
+            raw = [(j, m, Fraction(a)) for j, m, a in payload["segments"]]
         else:
             first, second = payload["stints"][:2]
-            first["start"], first["end"] = first["start"] + 9, first["end"] + 9
-            second["job"] = 99
-            raw = [(s["job"], s["machine"], s["start"], s["end"]) for s in payload["stints"]]
+            first[START], first[END] = first[START] + 9, first[END] + 9
+            second[JOB] = 99
+            raw = list(map(tuple, payload["stints"]))
         dump.write_text(json.dumps(payload))
         original = getattr(module, check)
         problems = original(load_instance(instance), raw)
@@ -279,12 +285,12 @@ class TestVerify:
         run(capsys, "solve", graham10, "--algorithm", "pam", "--dump", str(dump))
         payload = json.loads(dump.read_text())
         segments = payload["segments"]
-        jobs = [s["job"] for s in segments]
+        jobs = [s[JOB] for s in segments]
         k = next(k for k, job in enumerate(jobs) if jobs.count(job) == 1)
-        whole = Fraction(segments[k]["amount"])
+        job, machine, whole = segments[k]
         segments[k : k + 1] = [
-            dict(segments[k], amount=str(whole / 7)),
-            dict(segments[k], amount=str(whole * 6 / 7)),
+            [job, machine, str(Fraction(whole) / 7)],
+            [job, machine, str(Fraction(whole) * 6 / 7)],
         ]
         payload["migrations"] += 1
         dump.write_text(json.dumps(payload, indent=2) + "\n")
@@ -304,17 +310,17 @@ class TestVerify:
         payload = json.loads(dump.read_text())
         segments = payload["segments"]
         # Split the first segment into a third and two thirds on its machine.
-        first = Fraction(segments[0]["amount"])
+        job, machine, first = segments[0]
         segments[0:1] = [
-            dict(segments[0], amount=str(first / 3)),
-            dict(segments[0], amount=str(first * 2 / 3)),
+            [job, machine, str(Fraction(first) / 3)],
+            [job, machine, str(Fraction(first) * 2 / 3)],
         ]
         payload["migrations"] += 1
         reduced = json.dumps(payload)
         spellings = {"3/2": "6/4", "1": "2/2", "2": "4/2", "1/3": "2/6", "2/3": "4/6"}
         for segment in segments:
-            segment["amount"] = spellings.get(segment["amount"], segment["amount"])
-        assert {s["amount"] for s in segments} & {"6/4", "2/2", "2/6"}
+            segment[AMOUNT] = spellings.get(segment[AMOUNT], segment[AMOUNT])
+        assert {s[AMOUNT] for s in segments} & {"6/4", "2/2", "2/6"}
         outputs = []
         for text in (reduced, json.dumps(payload)):
             dump.write_text(text)
@@ -330,12 +336,9 @@ class TestVerify:
         # 3, so it is read and converted as any other amount.
         instance = _put(tmp_path / "t.inst", "minms 1\nmachines 2\njob 0 3\njob 1 2\n")
         dump = _put(tmp_path / "d.json", json.dumps({
-            "format": "migsched-dump", "version": 2, "kind": "minms", "algorithm": "lpt",
+            "format": "migsched-dump", "version": 3, "kind": "minms", "algorithm": "lpt",
             "machine_count": 2, "migrations": 0,
-            "segments": [
-                {"job": 0, "machine": 0, "amount": "6/2"},
-                {"job": 1, "machine": 1, "amount": "2"},
-            ],
+            "segments": [[0, 0, "6/2"], [1, 1, "2"]],
         }))
         code, out, _ = run(capsys, "verify", instance, dump)
         assert code == 0, out
@@ -350,9 +353,9 @@ class TestVerify:
         instance = _put(tmp_path / "ones.inst", "minms 1\nmachines 1\n" + jobs)
         amounts = ["1", "1/0", "1", "1/0", 1, 1.0]
         dump = _put(tmp_path / "d.json", json.dumps({
-            "format": "migsched-dump", "version": 2, "kind": "minms", "algorithm": "lpt",
+            "format": "migsched-dump", "version": 3, "kind": "minms", "algorithm": "lpt",
             "machine_count": 1, "migrations": 0,
-            "segments": [{"job": i, "machine": 0, "amount": a} for i, a in enumerate(amounts)],
+            "segments": [[i, 0, a] for i, a in enumerate(amounts)],
         }))
         code, out, _ = run(capsys, "verify", instance, dump)
         assert code == 1
@@ -373,9 +376,9 @@ class TestVerify:
         # Python counts a JSON true as the int 1, which would conserve this job.
         instance = _put(tmp_path / "one.inst", "minms 1\nmachines 1\njob 0 1\n")
         dump = _put(tmp_path / "d.json", json.dumps({
-            "format": "migsched-dump", "version": 2, "kind": "minms", "algorithm": "lpt",
+            "format": "migsched-dump", "version": 3, "kind": "minms", "algorithm": "lpt",
             "machine_count": 1, "migrations": 0,
-            "segments": [{"job": 0, "machine": 0, "amount": amount}],
+            "segments": [[0, 0, amount]],
         }))
         got, out, _ = run(capsys, "verify", instance, dump)
         assert got == code
@@ -384,11 +387,10 @@ class TestVerify:
     def test_wraparound_windows_that_overlap_fail(self, capsys, tmp_path):
         # Both jobs split across the two machines at the same clock times.
         instance = _put(tmp_path / "two.inst", "minms 1\nmachines 2\njob 0 2\njob 1 2\n")
-        segments = [(0, 0, "1"), (0, 1, "1"), (1, 0, "1"), (1, 1, "1")]
+        segments = [[0, 0, "1"], [0, 1, "1"], [1, 0, "1"], [1, 1, "1"]]
         dump = _put(tmp_path / "d.json", json.dumps({
-            "format": "migsched-dump", "version": 2, "kind": "minms", "algorithm": "wraparound",
-            "machine_count": 2, "migrations": 2,
-            "segments": [{"job": j, "machine": m, "amount": a} for j, m, a in segments],
+            "format": "migsched-dump", "version": 3, "kind": "minms", "algorithm": "wraparound",
+            "machine_count": 2, "migrations": 2, "segments": segments,
         }))
         code, out, _ = run(capsys, "verify", instance, dump)
         assert code == 1
@@ -426,8 +428,8 @@ class TestVerify:
              "FAIL: migrations recorded as 0.0, recomputed 0"),
             ("intervals_g3.inst", "estf", "machines_used", 2.0, 1,
              "FAIL: machines_used recorded as 2.0, recomputed 2"),
-            ("graham_m2.inst", "lpt", "version", 2.0, 2,
-             "error: dump version 2.0 is not supported; this verify reads version 2"),
+            ("graham_m2.inst", "lpt", "version", 3.0, 2,
+             "error: dump version 3.0 is not supported; this verify reads version 3"),
         ],
         ids=["machine_count", "minms-migrations", "mintpt-migrations", "machines_used", "version"],
     )
@@ -453,7 +455,7 @@ class TestVerify:
         dump = tmp_path / "lbm.json"
         run(capsys, "solve", intervals, "--algorithm", "lbm", "--dump", str(dump))
         payload = json.loads(dump.read_text())
-        payload["stints"][0]["start"] = 9
+        payload["stints"][0][START] = 9
         payload["machines_used"] = payload["migrations"] = 7
         dump.write_text(json.dumps(payload))
         code, out, _ = run(capsys, "verify", intervals, str(dump))
@@ -472,7 +474,7 @@ class TestVerify:
         dump = tmp_path / "pam.json"
         run(capsys, "solve", graham10, "--algorithm", "pam", "--dump", str(dump))
         payload = json.loads(dump.read_text())
-        payload["segments"][0]["amount"] = "999"
+        payload["segments"][0][AMOUNT] = "999"
         payload["migrations"] = 7
         dump.write_text(json.dumps(payload))
         code, out, _ = run(capsys, "verify", graham10, str(dump))
@@ -482,24 +484,52 @@ class TestVerify:
             "verification failed (1 issue(s))",
         ]
 
-    @pytest.mark.parametrize("version", [1, None, "2", 3])
+    @pytest.mark.parametrize("version", [1, 2, None, "3", 4])
     def test_other_dump_versions_are_input_errors(self, capsys, intervals, tmp_path, version):
         dump = tmp_path / "lbm.json"
         run(capsys, "solve", intervals, "--algorithm", "lbm", "--dump", str(dump))
         payload = json.loads(dump.read_text())
-        assert payload["version"] == 2
+        assert payload["version"] == 3
         payload["version"] = version
         if version == 1:  # the v1 layout: one record per active slot
             payload["placements"] = [
-                {"job": s["job"], "machine": s["machine"], "slot": slot}
-                for s in payload.pop("stints")
-                for slot in range(s["start"], s["end"])
+                {"job": j, "machine": m, "slot": slot}
+                for j, m, start, end in payload.pop("stints")
+                for slot in range(start, end)
             ]
         dump.write_text(json.dumps(payload, indent=2) + "\n")
         code, out, err = run(capsys, "verify", intervals, str(dump))
         assert code == 2
         assert out == ""
         assert err.startswith("error: dump version ")
+
+    def test_a_version_2_dump_is_refused(self, capsys, tmp_path):
+        # The v2 layout, five lines and three keys per record; solve writes v3.
+        instance = _put(tmp_path / "two.inst", "minms 1\nmachines 2\njob 0 3\njob 1 2\n")
+        dump = _put(tmp_path / "d.json", """{
+  "format": "migsched-dump",
+  "version": 2,
+  "kind": "minms",
+  "algorithm": "lpt",
+  "machine_count": 2,
+  "migrations": 0,
+  "segments": [
+    {
+      "job": 0,
+      "machine": 0,
+      "amount": "3"
+    },
+    {
+      "job": 1,
+      "machine": 1,
+      "amount": "2"
+    }
+  ]
+}
+""")
+        assert run(capsys, "verify", instance, dump) == (
+            2, "", "error: dump version 2 is not supported; this verify reads version 3\n"
+        )
 
     @pytest.mark.parametrize(
         "algorithm", [None, "pam", "bogus", "exact", 3, ["lbm"], "missing"]
@@ -538,6 +568,8 @@ json_values = st.recursive(
     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6,
 )
+# A record field: mostly the kind of value a dump holds, sometimes anything.
+record_fields = st.integers(-1, 5) | st.sampled_from(["1", "2", "1/2", "1/0"]) | json_values
 
 
 @pytest.fixture(scope="module")
@@ -578,8 +610,8 @@ class TestVerifyMalformedDumps:
                 dump[data.draw(st.sampled_from(sorted(dump)))] = value
             else:
                 i = data.draw(st.integers(0, len(records) - 1))
-                if target == "field" and isinstance(records[i], dict) and records[i]:
-                    records[i][data.draw(st.sampled_from(sorted(records[i])))] = value
+                if target == "field" and isinstance(records[i], list) and records[i]:
+                    records[i][data.draw(st.integers(0, len(records[i]) - 1))] = value
                 else:
                     records[i] = value
         path = tmp / "tampered.json"
@@ -594,18 +626,47 @@ class TestVerifyMalformedDumps:
         for line in err.getvalue().splitlines():
             assert line.startswith("error: "), line
 
+    @settings(max_examples=200, deadline=None)
+    @given(algorithm=st.sampled_from(["lpt", "pam", "wraparound", "estf", "lbm"]), records=st.lists(
+        json_values | st.lists(record_fields, max_size=5) | st.sampled_from(["abc", "abcd"]),
+        max_size=6,
+    ))
+    @example(algorithm="pam", records=["abc"])  # unpacks into three characters
+    @example(algorithm="lbm", records=["abcd", [0, 0, 0, 3], [0, 0, 0], True])
+    @example(algorithm="pam", records=[[3, 0, "1/0"], [3, 0, [3]], 3.0, [1, 1, "1/0", 0]])
+    def test_any_records_end_in_ok_or_fail_lines(self, valid_dumps, algorithm, records):
+        # A v3 dump whose records are any JSON values: each one that is not a
+        # list of the kind's width gets its own malformed line, and the dump
+        # ends in exit 0 or 1 with ok/FAIL lines, never an error line.
+        tmp, dumps = valid_dumps
+        instance, dump = copy.deepcopy(dumps[algorithm])
+        key, width = ("segments", 3) if "segments" in dump else ("stints", 4)
+        dump[key] = records
+        path = tmp / "tampered.json"
+        path.write_text(json.dumps(dump))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", instance, str(path)])
+        assert (code in (0, 1), err.getvalue()) == (True, "")
+        lines = out.getvalue().splitlines()
+        assert all(line.startswith(("ok: ", "FAIL: ", "verification ")) for line in lines)
+        shape = f"malformed: expected a list of {width} values, got "
+        assert [line.split()[2] for line in lines if shape in line] == [
+            str(i) for i, r in enumerate(records) if type(r) is not list or len(r) != width
+        ]
+
     # The line for each record field replaced below. Decoding reads only an
     # amount string; every other field value reaches the kind's schedule
     # check as written, and the check's line names the value.
     FIELD_LINES = {
         ("pam", 0, "amount"): "FAIL: segment 0 malformed: time must be n or num/den with a "
         "nonzero denominator, got '1/0'",
-        ("lbm", 0, "machine"): "FAIL: job 0: machine id 0.9 invalid",
+        ("lbm", 0, "machine"): "FAIL: job 0: machine id 0.9 is not a non-negative int",
         ("lbm", 0, "start"): "FAIL: job 0: stint [' 0 ', 3) is not a slot range",
         ("lbm", 0, "end"): "FAIL: job 0: stint [0, 3.0) is not a slot range",
         ("lbm", 0, "job"): "FAIL: stint references unknown job True",
-        ("estf", 1, "machine"): "FAIL: job 1: machine id '0' invalid",
-        ("pam", 0, "machine"): "FAIL: job 3: machine 0.9 out of range 0..1",
+        ("estf", 1, "machine"): "FAIL: job 1: machine id '0' is not a non-negative int",
+        ("pam", 0, "machine"): "FAIL: job 3: machine id 0.9 is not an int in 0..1",
         ("pam", 0, "job"): "FAIL: segment references unknown job ' 0 '",
         ("pam", 1, "job"): "FAIL: segment references unknown job True",
     }
@@ -632,7 +693,7 @@ class TestVerifyMalformedDumps:
         target = dump
         for k in keys[:-1]:
             target = target[k]
-        target[keys[-1]] = value
+        target[FIELD[keys[-1]] if len(keys) == 3 else keys[-1]] = value
         path = tmp / "tampered.json"
         path.write_text(json.dumps(dump))
         code, out, _ = run(capsys, "verify", instance, str(path))
@@ -645,11 +706,13 @@ class TestVerifyMalformedDumps:
     @pytest.mark.parametrize(
         "algorithm, record, line",
         [
-            ("pam", {"job": 0, "amount": "1"}, "FAIL: segment 0 malformed: 'machine'"),
-            ("lbm", {"job": 0, "machine": 0, "start": 0}, "FAIL: stint 0 malformed: 'end'"),
-            ("pam", [3, 0, "3"], "FAIL: segment 0 malformed: list indices must be integers "
-             "or slices, not str"),
-            ("lbm", 7, "FAIL: stint 0 malformed: 'int' object is not subscriptable"),
+            ("pam", [0, "1"], "FAIL: segment 0 malformed: expected a list of 3 values, "
+             "got a list of 2"),
+            ("lbm", [0, 0, 0], "FAIL: stint 0 malformed: expected a list of 4 values, "
+             "got a list of 3"),
+            ("pam", {"job": 3, "machine": 0, "amount": "3"}, "FAIL: segment 0 malformed: "
+             "expected a list of 3 values, got dict"),
+            ("lbm", 7, "FAIL: stint 0 malformed: expected a list of 4 values, got int"),
         ],
     )
     def test_missing_field_or_non_object_record_is_malformed(
@@ -689,7 +752,8 @@ class TestVerifyMalformedDumps:
         tmp, dumps = valid_dumps
         instance, dump = copy.deepcopy(dumps[algorithm])
         record = dump["segments" if "segments" in dump else "stints"][0]
-        record.update(changes)
+        for field, value in changes.items():
+            record[FIELD[field]] = value
         path = tmp / "tampered.json"
         path.write_text(json.dumps(dump))
         code, out, _ = run(capsys, "verify", instance, str(path))
@@ -703,7 +767,7 @@ class TestVerifyMalformedDumps:
     ):
         tmp, dumps = valid_dumps
         instance, dump = copy.deepcopy(dumps["pam"])
-        dump["segments"][0]["amount"] = amount
+        dump["segments"][0][AMOUNT] = amount
         path = tmp / "tampered.json"
         path.write_text(json.dumps(dump))
         code, out, _ = run(capsys, "verify", instance, str(path))
@@ -798,9 +862,7 @@ def test_solve_does_not_scale_with_the_horizon(capsys, tmp_path, algorithm):
         (row,) = parse_csv(report)
         assert (row["optimum"], row["objective"], row["ratio"]) == (str(end), str(end), "1")
         assert (row["migrations"], row["oracle"]) == ("0", str(end) if not oracle_limit else "")
-        assert json.loads(dump.read_text())["stints"] == [
-            {"job": 0, "machine": 0, "start": 0, "end": end}
-        ]
+        assert json.loads(dump.read_text())["stints"] == [[0, 0, 0, end]]
         assert peak < 5 * 2**20
 
 
@@ -825,7 +887,7 @@ def test_solve_does_not_scale_with_the_machine_count(capsys, tmp_path, algorithm
     assert (row["optimum"], row["objective"], row["oracle"]) == ("17/2000000000000", "5", "5")
     if dump_argv:
         assert capsys.readouterr().out.endswith("verification passed\n")
-        assert [s["amount"] for s in json.loads(dump.read_text())["segments"]] == ["5", "7/2"]
+        assert [s[AMOUNT] for s in json.loads(dump.read_text())["segments"]] == ["5", "7/2"]
     assert peak < 5 * 2**20
 
 
@@ -876,9 +938,8 @@ def test_verify_pam_does_not_scale_with_the_machine_count(capsys, tmp_path, mach
     instance = _put(tmp_path / "wide.inst", f"minms 1\nmachines {machines}\njob 0 5\n")
     dump = tmp_path / "d.json"
     dump.write_text(json.dumps({
-        "format": "migsched-dump", "version": 2, "kind": "minms", "algorithm": "pam",
-        "machine_count": machines, "migrations": 0,
-        "segments": [{"job": 0, "machine": 0, "amount": "5"}],
+        "format": "migsched-dump", "version": 3, "kind": "minms", "algorithm": "pam",
+        "machine_count": machines, "migrations": 0, "segments": [[0, 0, "5"]],
     }))
     tracemalloc.start()
     try:
@@ -1160,8 +1221,8 @@ def _pam_with_off_grid_amounts():
 
 
 def reference_payload(schedule, algorithm):
-    """The dump as JSON data, one dict per record and `str()` of every amount:
-    the writer's text must be `json.dumps` of it."""
+    """The dump as JSON data, one list per record and `str()` of every amount:
+    the writer's text must be `reference_text` of it."""
     header = {"format": cli.DUMP_FORMAT, "version": cli.DUMP_VERSION}
     if isinstance(schedule, MigrationSchedule):
         return header | {
@@ -1169,20 +1230,25 @@ def reference_payload(schedule, algorithm):
             "algorithm": algorithm,
             "machine_count": schedule.instance.machine_count,
             "migrations": schedule.migrations,
-            "segments": [
-                {"job": s.job_id, "machine": s.machine_id, "amount": str(s.amount)}
-                for s in schedule.segments
-            ],
+            "segments": [[j, m, str(a)] for j, m, a in schedule.segments],
         }
     return header | {
         "kind": "mintpt",
         "algorithm": algorithm,
         "machines_used": schedule.machines_used,
         "migrations": schedule.migrations,
-        "stints": [
-            {"job": j, "machine": m, "start": s, "end": e} for j, m, s, e in schedule.stints
-        ],
+        "stints": [list(s) for s in schedule.stints],
     }
+
+
+def reference_text(payload):
+    """The documented layout: the header as `json.dumps(header, indent=2)`
+    lays it out, and in place of the record list one `json.dumps(list(record))`
+    line per record, indented by four spaces."""
+    *header, (key, records) = payload.items()
+    lines = ",\n".join("    " + json.dumps(list(record)) for record in records)
+    layout = json.dumps(dict(header, **{key: "@records"}), indent=2) + "\n"
+    return layout.replace('"@records"', f"[\n{lines}\n  ]" if records else "[]")
 
 
 def _one_amount_object_many_times():
@@ -1224,8 +1290,10 @@ def _int_amounts():
 def test_dump_writer_matches_json_dumps(case):
     build, algorithm = case
     schedule = build()
-    expected = json.dumps(reference_payload(schedule, algorithm), indent=2) + "\n"
-    assert cli._dump_text(schedule, algorithm) == expected
+    payload = reference_payload(schedule, algorithm)
+    text = cli._dump_text(schedule, algorithm)
+    assert text == reference_text(payload)
+    assert json.loads(text) == payload
 
 
 @pytest.mark.parametrize(
@@ -1246,9 +1314,11 @@ def test_an_edited_payload_record_is_written_in_place_of_its_row(
     schedule = build()
     payload = cli._dump_payload(schedule, algorithm)
     expected = reference_payload(schedule, algorithm)
-    payload[key][0][field] = expected[key][0][field] = value
+    payload[key][0][field] = expected[key][0][FIELD[field]] = value
     monkeypatch.setattr(cli, "_dump_payload", lambda *_: payload)
-    assert cli._dump_text(schedule, algorithm) == json.dumps(expected, indent=2) + "\n"
+    text = cli._dump_text(schedule, algorithm)
+    assert text == reference_text(expected)
+    assert json.loads(text) == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -1267,11 +1337,10 @@ def test_reported_objective_is_measured_on_the_dumped_schedule(tmp_path_factory,
     objective = Fraction(json.loads(out.getvalue())["objective"])
     payload, loaded = json.loads(dump.read_text()), load_instance(path)
     if payload["kind"] == "minms":
-        segments = [JobSegment(s["job"], s["machine"], core.as_time(s["amount"]))
-                    for s in payload["segments"]]
+        segments = [JobSegment(j, m, core.as_time(a)) for j, m, a in payload["segments"]]
         assert objective == MigrationSchedule(loaded, tuple(segments)).makespan()
     else:
-        stints = [(s["job"], s["machine"], s["start"], s["end"]) for s in payload["stints"]]
+        stints = list(map(tuple, payload["stints"]))
         assert objective == IntervalSchedule(loaded, tuple(stints)).total_power_on_time()
 
 
@@ -1331,12 +1400,9 @@ DERIVED_DIGIT_LIMIT = {
         "verify",
         _put(tmp / "x.inst", "minms 1\nmachines 1\njob 0 1\n"),
         _put(tmp / "d.json", json.dumps({
-            "format": "migsched-dump", "version": 2, "kind": "minms", "algorithm": "lpt",
+            "format": "migsched-dump", "version": 3, "kind": "minms", "algorithm": "lpt",
             "machine_count": 1, "migrations": 1,
-            "segments": [
-                {"job": 0, "machine": 0, "amount": f"1/{10**4299 + 7}"},
-                {"job": 0, "machine": 0, "amount": f"1/{10**4299 + 9}"},
-            ],
+            "segments": [[0, 0, f"1/{10**4299 + 7}"], [0, 0, f"1/{10**4299 + 9}"]],
         })),
     ],
 }
@@ -1425,7 +1491,7 @@ def test_tick_counts_past_their_budget_are_input_errors(capsys, tmp_path):
     jobs = "".join(f"job {i} 1/{p}\n" for i, p in enumerate(_first_primes(10_000)))
     instance = _put(tmp_path / "primes.inst", "minms 1\nmachines 2\n" + jobs)
     dump = _put(tmp_path / "d.json", json.dumps({
-        "format": "migsched-dump", "version": 2, "kind": "minms", "algorithm": "lpt",
+        "format": "migsched-dump", "version": 3, "kind": "minms", "algorithm": "lpt",
         "machine_count": 2, "migrations": 0, "segments": [],
     }))
     message = (
@@ -1540,9 +1606,9 @@ def test_wraparound_overlap_verdict_matches_all_pairs(tmp_path_factory, case):
         f"minms 1\nmachines {m}\n" + "".join(f"job {j} {t}\n" for j, t in enumerate(times)),
     )
     dump = _put(tmp / "wrap.json", json.dumps({
-        "format": "migsched-dump", "version": 2, "kind": "minms", "algorithm": "wraparound",
+        "format": "migsched-dump", "version": 3, "kind": "minms", "algorithm": "wraparound",
         "machine_count": m, "migrations": len(segments) - len(times),
-        "segments": [{"job": j, "machine": k, "amount": str(a)} for j, k, a in segments],
+        "segments": [[j, k, str(a)] for j, k, a in segments],
     }))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

@@ -113,7 +113,7 @@ CASES: dict[str, list] = {
     ],
     "error-verify-not-a-dump": [("write", "x.json", "{}"), ["verify", "graham_m10.inst", "x.json"]],
     "error-verify-missing-dump": [["verify", "graham_m10.inst", "missing.json"]],
-    "fail-verify-amount": _tamper("graham_m10.inst", "pam", ["segments", 0, "amount"], "999"),
+    "fail-verify-amount": _tamper("graham_m10.inst", "pam", ["segments", 0, 2], "999"),
     "fail-verify-segment-malformed": _tamper("graham_m10.inst", "pam", ["segments", 1], "oops"),
     "fail-verify-machine-count": _tamper("graham_m10.inst", "lpt", ["machine_count"], 3),
     "fail-verify-migrations": _tamper("graham_m10.inst", "wraparound", ["migrations"], 0),
@@ -122,7 +122,7 @@ CASES: dict[str, list] = {
     "fail-verify-wrap-bound": _tamper("graham_m10.inst", "lpt", ["algorithm"], "wraparound"),
     "fail-verify-wrap-overlap": _tamper("graham_m10.inst", "pam", ["algorithm"], "wraparound"),
     "fail-verify-placement-moved": _tamper(
-        "intervals_g3.inst", "lbm", ["stints", 0, "start"], 9
+        "intervals_g3.inst", "lbm", ["stints", 0, 2], 9
     ),
     "fail-verify-placement-malformed": _tamper(
         "intervals_g3.inst", "lbm", ["stints", 0], {"job": 0}

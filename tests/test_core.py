@@ -267,7 +267,7 @@ class TestMigrationSchedule:
 
     def test_machine_out_of_range_rejected(self):
         inst = make_instance([5], 1)
-        with pytest.raises(InvariantError, match="out of range"):
+        with pytest.raises(InvariantError, match=r"machine id 1 is not an int in 0\.\.0"):
             MigrationSchedule(inst, (JobSegment(0, 1, 5),))
 
     @pytest.mark.parametrize(
@@ -288,7 +288,7 @@ class TestMigrationSchedule:
     def test_bool_machine_and_amount_are_violations(self):
         inst = make_instance([1, 1], 2)
         assert segment_violations(inst, [(0, True, 1), (1, 0, True)]) == [
-            "job 0: machine True out of range 0..1",
+            "job 0: machine id True is not an int in 0..1",
             "job 1: segment amount True is not an int or Fraction",
             "conservation: job 1 segments sum to 0, process time is 1",
         ]
@@ -321,8 +321,8 @@ class TestMigrationSchedule:
         inst = make_instance([3, 2], 2)
         t0, t1 = (job.process_time for job in inst.jobs)
         assert segment_violations(inst, [(0, 5, t0), (1, True, t1)]) == [
-            "job 0: machine 5 out of range 0..1",
-            "job 1: machine True out of range 0..1",
+            "job 0: machine id 5 is not an int in 0..1",
+            "job 1: machine id True is not an int in 0..1",
         ]
 
     def test_schedule_keeps_one_tick_count_per_segment(self):
