@@ -238,7 +238,8 @@ def _dump_text(schedule, algorithm: str) -> str:
         fields[2::3] = map(strings.__getitem__, map(id, amounts))
     else:
         template = _STINT
-    body = ",\n".join([template] * len(records)) % tuple(fields)
+    fields = tuple(fields)  # `%` needs a tuple; the list is freed before the text exists
+    body = ",\n".join([template] * len(records)) % fields
     return f'{head},\n  "{key}": [\n{body}\n  ]\n}}\n'
 
 

@@ -179,13 +179,15 @@ class MinMsInstance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "jobs", tuple(self.jobs))
-        self._check_shape()
+        self._check_shape(self.jobs, self.machine_count)
         _check_unique_ids(self.jobs)
 
-    def _check_shape(self) -> None:
-        if not self.jobs:
+    @staticmethod
+    def _check_shape(jobs, count) -> None:
+        """At least one job and a positive machine count. A reader that builds
+        no instance passes the ids it has read as `jobs`."""
+        if not jobs:
             raise InvariantError("instance needs at least one job")
-        count = self.machine_count
         if type(count) is not int or count < 1:  # a bool is no count
             raise InvariantError(f"machine count must be a positive integer, got {count!r}")
 
@@ -208,7 +210,7 @@ class MinMsInstance:
         instance = new(cls)
         store(instance, "jobs", tuple(jobs))
         store(instance, "machine_count", machine_count)
-        instance._check_shape()
+        instance._check_shape(instance.jobs, machine_count)
         return instance
 
     @cached_property

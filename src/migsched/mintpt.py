@@ -96,11 +96,11 @@ class IntervalInstance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "jobs", tuple(self.jobs))
-        self._check_capacity()
+        self._check_capacity(self.capacity)
         _check_unique_ids(self.jobs)
 
-    def _check_capacity(self) -> None:
-        capacity = self.capacity
+    @staticmethod
+    def _check_capacity(capacity) -> None:
         if type(capacity) is not int or capacity < 1:  # a bool is no capacity
             raise InvariantError(f"capacity must be a positive integer, got {capacity!r}")
 
@@ -125,7 +125,7 @@ class IntervalInstance:
         instance = new(cls)
         store(instance, "jobs", tuple(jobs))
         store(instance, "capacity", capacity)
-        instance._check_capacity()
+        instance._check_capacity(capacity)
         return instance
 
     @property

@@ -159,13 +159,25 @@ CASES: dict[str, list] = {
 }
 
 
+def _layout(payload: dict) -> str:
+    """A dump's text as `solve` lays it out: the header as `json.dumps(...,
+    indent=2)` writes it, then one line `"    " + json.dumps(record)` per
+    record of the last key's list (never empty in the cases below)."""
+    *header, (key, records) = payload.items()
+    head = json.dumps(dict(header), indent=2)[:-2]  # without its closing "\n}"
+    body = ",\n".join("    " + json.dumps(record) for record in records)
+    return f'{head},\n  "{key}": [\n{body}\n  ]\n}}\n'
+
+
 def _edit(path: Path, keys: list, value) -> None:
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    text = path.read_text(encoding="utf-8")
+    payload = json.loads(text)
+    assert _layout(payload) == text  # the tampered dump keeps solve's layout
     target = payload
     for key in keys[:-1]:
         target = target[key]
     target[keys[-1]] = value
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    path.write_text(_layout(payload), encoding="utf-8")
 
 
 def _run(argv: list[str]) -> dict:

@@ -1,12 +1,15 @@
 """Generators and the instance file format."""
 
+import importlib.util
 import os
+import random
 import re
 import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +29,8 @@ from migsched import (
     parse_instance,
     serialize_instance,
 )
+from migsched import instances
+from migsched.core import as_time
 from migsched.instances import _parse_int, load_instance
 
 from helpers import total_load
@@ -462,3 +467,272 @@ class TestParseFuzz:
         with pytest.raises(InstanceFormatError, match="digits") as err:
             parse_instance(text)
         assert err.value.line in (2, 3)
+
+
+def reference_parse(text):
+    """The line walk that read every document before the stride pass: each
+    stripped, non-comment line checked in turn, and the instance built from
+    the checked values. Kept as the oracle for parse_instance."""
+    rows = [
+        (i, row)
+        for i, line in enumerate(text.splitlines(), 1)
+        if (row := line.strip()) and not row.startswith("#")
+    ]
+    if not rows:
+        raise InstanceFormatError("empty document")
+
+    line, header = rows[0]
+    tokens = header.split()
+    if len(tokens) != 2 or tokens[0] not in ("minms", "mintpt"):
+        raise InstanceFormatError("expected 'minms 1' or 'mintpt 1' header", line)
+    if tokens[1] != "1":
+        raise InstanceFormatError(f"unsupported format version {tokens[1]!r}", line)
+    kind = tokens[0]
+
+    if len(rows) < 2:
+        raise InstanceFormatError("missing parameter line after header", line)
+    line, param = rows[1]
+    ptokens = param.split()
+    expected = "machines" if kind == "minms" else "capacity"
+    if len(ptokens) != 2 or ptokens[0] != expected:
+        raise InstanceFormatError(f"expected '{expected} <int>', got {param!r}", line)
+    param_value = _parse_int(ptokens[1], expected, line)
+
+    minms = kind == "minms"
+    usage = "job <id> <time>" if minms else "job <id> <start> <end> <demand>"
+    size = len(usage.split())
+    seen, memo, jobs = set(), {}, []
+    for line, row in rows[2:]:
+        tokens = row.split()
+        if len(tokens) != size or tokens[0] != "job":
+            raise InstanceFormatError(f"expected '{usage}', got {row!r}", line)
+        job_id = _parse_int(tokens[1], "job id", line)
+        if job_id in seen:
+            raise InstanceFormatError(f"duplicate job id {job_id}", line)
+        seen.add(job_id)
+        if minms:
+            token = tokens[2]
+            time = memo.get(token)
+            if time is None:
+                try:
+                    time = as_time(token)
+                except ValueError as exc:
+                    raise InstanceFormatError(str(exc), line) from exc
+                if not time:
+                    raise InstanceFormatError(f"job {job_id}: process time must be positive", line)
+                memo[token] = time
+            jobs.append((job_id, time))
+        else:
+            start = _parse_int(tokens[2], "start slot", line)
+            end = _parse_int(tokens[3], "end slot", line)
+            if tokens[4] != "1" or end <= start:
+                try:
+                    IntervalJob(job_id, start, end, _parse_int(tokens[4], "demand", line))
+                except InvariantError as exc:
+                    raise InstanceFormatError(str(exc), line) from exc
+            jobs.append((job_id, start, end))
+    try:
+        return (MinMsInstance if minms else IntervalInstance)._trusted(jobs, param_value)
+    except InvariantError as exc:
+        raise InstanceFormatError(str(exc)) from exc
+
+
+def assert_reads_as_the_reference(text):
+    try:
+        expected = reference_parse(text)
+    except InstanceFormatError as exc:
+        with pytest.raises(InstanceFormatError) as err:
+            parse_instance(text)
+        assert (str(err.value), err.value.line) == (str(exc), exc.line)
+        return
+    got = parse_instance(text)
+    assert got == expected
+    if isinstance(got, MinMsInstance):
+        assert all(type(job.process_time) is Fraction for job in got.jobs)
+    else:
+        assert all(type(job) is IntervalJob and job.demand == 1 for job in got.jobs)
+
+
+# Every line boundary of str.splitlines() but "\n". str.split() splits at
+# each of them too, so a reader of tokens must not take them for spaces.
+LINE_BREAKS = ("\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+# Whitespace that is no line boundary: "\x1f" and "\xa0" split tokens and are
+# stripped, as a space is.
+SPACES = (" ", " ", "  ", "\t", "\x1f", "\xa0")
+
+
+@st.composite
+def hostile_documents(draw):
+    """An instance document, valid or nearly so, in the layouts a person or
+    another tool may write: comment and blank lines, indentation, tabs and
+    other whitespace, any line break, a record split across lines or two on
+    one line, a stray or misspelt `job` token, and odd tokens in the fields."""
+    minms = draw(st.booleans())
+    param = draw(st.sampled_from(["1", "2", "3", "0", "02", "\u0663"]))
+    lines = [["minms" if minms else "mintpt", "1"], ["machines" if minms else "capacity", param]]
+    ids = draw(st.permutations(range(draw(st.integers(0, 6)))))
+    odd_ints = ["01", "+1", "-1", "\u0663", "\u0661", "1" * 5000, "job"]
+    odd_times = ["0", "0/4", "3/0", "1.5", "\u0663/2", "01", "+1", "9" * 5000, "job"]
+    for k, job_id in enumerate(ids):
+        if k and draw(st.integers(0, 11)) == 0:
+            job_id = ids[draw(st.integers(0, k - 1))]
+        if minms:
+            fields = [str(job_id), draw(st.sampled_from(["3", "7/2", "14/4", "1", "5"]))]
+        else:
+            start = draw(st.integers(0, 4))
+            end = start + draw(st.sampled_from([1, 2, 3] * 3 + [0, -1]))
+            fields = [str(job_id), str(start), str(end), "1"]
+        if draw(st.integers(0, 11)) == 0:
+            i = draw(st.integers(0, len(fields) - 1))
+            fields[i] = draw(st.sampled_from(odd_times if minms and i == 1 else odd_ints))
+        keyword = "job" if draw(st.integers(0, 11)) else draw(st.sampled_from(["jobs", "Job", "jo"]))
+        lines.append([keyword, *fields])
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):  # faults of the line layout
+        i = draw(st.integers(0, len(lines) - 1))
+        trap = draw(st.sampled_from(["split", "merge", "job last", "end comment"]))
+        if trap == "split" and len(lines[i]) > 1:
+            cut = draw(st.integers(1, len(lines[i]) - 1))
+            lines[i : i + 1] = [lines[i][:cut], lines[i][cut:]]
+        elif trap == "merge" and i + 1 < len(lines):
+            lines[i : i + 2] = [lines[i] + lines[i + 1]]
+        elif trap == "job last":
+            lines[i] = lines[i] + ["job"]
+        elif trap == "end comment":
+            lines[i] = lines[i] + ["#note"]
+    for _ in range(draw(st.integers(0, 3))):  # lines the rows leave out
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from([[], ["#", "note"]])))
+    odd = draw(st.sampled_from(LINE_BREAKS))
+    breaks = draw(st.sampled_from([("\n",), ("\n",), ("\n",) * 3 + (odd,), (odd,)]))
+    margins = draw(st.sampled_from([("",), ("",), ("", "", " ", "\t", "\x1f", "\xa0")]))
+    text = ""
+    for tokens in lines:
+        text += draw(st.sampled_from(margins))
+        for k, token in enumerate(tokens):
+            text += (draw(st.sampled_from(SPACES)) if k else "") + token
+        text += draw(st.sampled_from(margins)) + draw(st.sampled_from(breaks))
+    if draw(st.integers(0, 3)) == 0:
+        text = text.rstrip("".join(LINE_BREAKS) + "\n")
+    return text
+
+
+class TestStrideReaderMatchesTheLineWalk:
+    """parse_instance reads by column, on the raw text or on its stripped
+    rows; its instances and errors, with their lines, are the line walk's."""
+
+    @settings(max_examples=500, deadline=None)
+    @example("# demo\n\nminms 1\nmachines 2\n  job 0 3\r\njob\t1 7/2 \n")  # valid, read by rows
+    @example("minms 1\nmachines 2\njob 0 3 # three\n")  # '#' inside a row
+    @example("minms\x1c1\nmachines 1\njob 0 3\n")  # str.split() reads one line, splitlines two
+    @example("minms 1\x85machines 1\x85job 0 3\x85")  # valid, split by "\x85" alone
+    @example("minms 1\nmachines 1\njob 0\n3 job 1 4\n")  # a record across two lines
+    @example("minms 1\nmachines 1\njob 0 3\njob\n1 4\n")  # a record across two lines
+    @example("minms 1\nmachines 1\njob 0\n 3\njob 1 4\n")  # an indented line inside a record
+    @example("minms 1\nmachines 1\njob 0 3 job\njobs 4\n")  # `job` as a line's last token
+    @example("minms 1\nmachines 1\njob 0 3 job 1 4\n")  # two records on one line
+    @example("minms 1\nmachines 1\n\njob 0 3 job 1 4\njob 2 5\n")  # ... after a blank line
+    @example("minms 1\nmachines 1\njob 0 3\njob 1 4 job\n")  # `job` as the last token
+    @example("minms 1\nmachines 1 job 0 3\n")  # a record on the parameter line
+    @example("minms 1\nmachines 1\njob 0 3\njobs 1 4\n")  # a misspelt `job`
+    @example("minms 1\nmachines 2\njob 0 3\njob 0 4\n")  # a repeated id
+    @example("minms 1\nmachines 2\njob 0 3\njob 1 0/7\n")  # a zero time
+    @example("minms 1\nmachines 2\njob 0 3\njob 1 1.5\n")  # a malformed time
+    @example("mintpt 1\ncapacity 2\njob 0 3 3 1\n")  # end <= start
+    @example("minms 1\nmachines 0\njob 0 3\n")  # zero machines, after the jobs
+    @example("mintpt 1\ncapacity 0\njob 0 0 3 1\n")  # zero capacity, after the jobs
+    @example("minms 1\nmachines 1\n")  # no minms job
+    @example("minms 1\nmachines 1\njob " + "1" * 5000 + " 3\n")  # past the digit limit
+    @example("mintpt 1\ncapacity 2\njob 0 0 3 01\njob 1 1 2 \u0661\n")  # demands 01 and \u0661
+    @example("minms 1\nmachines \u0663\njob \u0663 \u0663/2\n")  # \u0663 digits in every number
+    @example("mintpt 1\ncapacity 2\n")  # zero mintpt jobs
+    @example("mintpt 1\ncapacity 2")  # zero mintpt jobs, no final line break
+    @given(hostile_documents())
+    def test_same_instance_or_same_error(self, text):
+        assert_reads_as_the_reference(text)
+
+    @pytest.mark.parametrize("brk", LINE_BREAKS, ids=[b.encode("unicode_escape").decode() for b in LINE_BREAKS])
+    def test_every_line_break_reads_as_the_line_walk_reads_it(self, brk):
+        for text in (
+            f"minms{brk}1\nmachines 1\njob 0 3\n",
+            f"minms 1{brk}machines 1{brk}job 0 3{brk}job 1 7/2{brk}",
+            f"mintpt 1\ncapacity 2\njob 0 0{brk}3 1\n",
+        ):
+            assert_reads_as_the_reference(text)
+
+
+@pytest.fixture(scope="module")
+def perfbench_workloads():
+    """perfbench's workload definitions, loaded from its source file."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(sys.modules, {spec.name: module}):  # dataclasses look their module up
+        spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+canonical_instances = st.one_of(
+    st.builds(
+        gen_random_minms,
+        st.integers(1, 60),
+        st.integers(1, 12),
+        st.tuples(st.integers(1, 5), st.integers(5, 10**6)),
+        st.integers(0, 2**32),
+    ),
+    st.builds(gen_random_mintpt, st.integers(1, 60), st.integers(1, 10**6), st.integers(1, 5), st.integers(0, 2**32)),
+    st.builds(gen_graham_worst_case, st.integers(2, 40)),
+    st.builds(
+        lambda times, m: MinMsInstance(tuple(Job(i, t) for i, t in enumerate(times)), m),
+        st.lists(st.fractions(min_value=Fraction(1, 10**9), max_denominator=10**9), min_size=1, max_size=30),
+        st.integers(1, 12),
+    ),
+)
+
+
+class TestCanonicalDocumentsNeverReachTheWalk:
+    """A stride pass that declines a document costs the rows and a second
+    pass, which no correctness test sees: canonical documents are read by
+    the first pass, on the raw text."""
+
+    @staticmethod
+    def read_by_the_first_pass(text):
+        walk = mock.patch.object(instances, "_raise_first_error", side_effect=AssertionError("walk reached"))
+        with walk, mock.patch.object(instances, "_stride", wraps=instances._stride) as stride:
+            instance = parse_instance(text)
+        assert stride.call_count == 1
+        return instance
+
+    @settings(max_examples=150, deadline=None)
+    @given(canonical_instances)
+    def test_serialized_instances(self, instance):
+        assert self.read_by_the_first_pass(serialize_instance(instance)) == instance
+
+    @pytest.mark.parametrize("workload", ["minms-balance", "mintpt-sweep", "oracle-sweep"])
+    def test_perfbench_documents(self, workload, perfbench_workloads):
+        first_of_each_kind = {}
+        for instance in perfbench_workloads[workload].instances(seed=1):
+            first_of_each_kind.setdefault(instance.kind, instance.text)
+        for text in first_of_each_kind.values():
+            assert self.read_by_the_first_pass(text) == reference_parse(text)
+
+
+@pytest.mark.parametrize("kind", ["minms", "mintpt"])
+def test_stride_reader_peaks_within_the_line_walk(kind):
+    # The stride pass holds every token of the file at once; the line walk
+    # held every row. Rational times, as perfbench writes them.
+    rng = random.Random(5)
+    if kind == "minms":
+        times = [Fraction(rng.randint(1, 100), rng.randint(1, 6)) for _ in range(50_000)]
+        instance = MinMsInstance(tuple(Job(i, t) for i, t in enumerate(times)), 10)
+    else:
+        instance = gen_random_mintpt(50_000, 150, 4, seed=5)
+    text = serialize_instance(instance)
+
+    def peak(read):
+        tracemalloc.start()
+        try:
+            read(text)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(parse_instance) < 1.15 * peak(reference_parse)
