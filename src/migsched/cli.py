@@ -13,6 +13,7 @@ import argparse
 import functools
 import itertools
 import json
+import operator
 import sys
 import time
 from collections.abc import Iterator, Sequence
@@ -41,7 +42,7 @@ from .oracles import InstanceTooLargeError, exact_minms, exact_mintpt
 from .report import ReportRow, render_csv, render_json, render_markdown
 
 DUMP_FORMAT = "migsched-dump"
-DUMP_VERSION = 3
+DUMP_VERSION = 4
 
 
 class CliError(Exception):
@@ -155,11 +156,12 @@ def _report(args, name: str, instance, algorithms: list[str]) -> list[tuple]:
 
 
 # One record of each kind as its dump line, `"    " + json.dumps(list(record))`:
-# ids, machines and slots are ints (`%d`), and an amount is a string escaped as
-# `json` does (`%s`). A dump's whole record list is one `%` call over its
-# template repeated once per record, fed every record's fields as one flat
-# tuple, and each distinct amount object becomes a string once.
-_SEGMENT = "    [%d, %d, %s]"
+# ids, machines and slots are ints (`%d`). A segment's amount is written only
+# when it is not its job's whole process time: its `%s` takes `, "amount"`,
+# the amount's string escaped as `json` does, or "" for a whole job. A dump's
+# whole record list is one `%` call over its template repeated once per
+# record, fed every record's fields as one flat tuple.
+_SEGMENT = "    [%d, %d%s]"
 _STINT = "    [%d, %d, %d, %d]"
 
 
@@ -220,10 +222,13 @@ def _dump_text(schedule, algorithm: str) -> str:
 
     Only the header goes through `json.dumps`; with `indent` set that is the
     stdlib's pure-Python encoder, too slow for thousands of records, so the
-    record list is formatted from its template instead. A `minms` amount is
-    written as its `str()`, made once per distinct amount object (looked up
-    by `id`): `pam`'s pieces and the reader's time objects are each shared by
-    many segments.
+    record list is formatted from its template instead. A `minms` segment
+    whose amount equals its job's process time is written `[job, machine]`:
+    the bulk hold the job's own time object, found by identity, and any
+    other amount is compared by value, so the bytes depend only on values.
+    The comparison and the `str()` of a written amount are made once per
+    distinct pair of amount and time objects (looked up by `id`): `pam`
+    deals one piece object to many machines.
     """
     *header, (key, records) = _dump_payload(schedule, algorithm).items()
     head = json.dumps(dict(header), indent=2)[:-2]  # without its closing "\n}"
@@ -233,9 +238,17 @@ def _dump_text(schedule, algorithm: str) -> str:
     if key == "segments":
         template = _SEGMENT
         amounts = fields[2::3]
-        distinct = dict(zip(map(id, amounts), amounts))
-        strings = {i: encode_basestring_ascii(str(a)) for i, a in distinct.items()}
-        fields[2::3] = map(strings.__getitem__, map(id, amounts))
+        own = list(map(schedule.instance.ticks.times.get, fields[0::3]))
+        fields[2::3] = itertools.repeat("", len(records))
+        texts: dict[tuple[int, int], str] = {}  # (id(amount), id(job time)) -> text
+        for i in itertools.compress(itertools.count(), map(operator.is_not, amounts, own)):
+            amount, whole = amounts[i], own[i]
+            pair = id(amount), id(whole)
+            text = texts.get(pair)
+            if text is None:
+                text = "" if amount == whole else ", " + encode_basestring_ascii(str(amount))
+                texts[pair] = text
+            fields[3 * i + 2] = text
     else:
         template = _STINT
     fields = tuple(fields)  # `%` needs a tuple; the list is freed before the text exists
@@ -337,41 +350,58 @@ def _same_int(value, expected: int) -> bool:
     return type(value) is int and value == expected
 
 
+_WHOLE = object()  # the amount column's value for a segment written without one
+
+
 def _columns(
-    dump: dict, key: str, width: int, issues: list[str], memo: dict[str, Fraction] | None = None
+    dump: dict, key: str, widths: tuple[int, ...], issues: list[str], times: dict | None = None
 ) -> list[tuple]:
-    """The dump's records under `key`, JSON arrays of `width` values, as `width`
-    columns. With `memo`, the last field is an amount: each distinct amount
-    string is decoded once, into `memo`. The shape is checked in bulk; only
-    when a record is not an array of `width` values, or its amount string
-    fails, are the records walked, to word one malformed issue per such record
-    and keep the rest. Other values stay as written, for the schedule check."""
+    """The dump's records under `key`, JSON arrays of one of `widths` values,
+    as columns of the widest. With `times`, the records are segments: a
+    record one value short holds its whole job, and its amount is the job's
+    own time object from `times`, which the schedule check takes unconverted;
+    each distinct amount string of the other records is decoded once. The
+    shape is checked in bulk; only when a record is not an array of an
+    allowed width, or its amount string fails, are the records walked, to
+    word one malformed issue per such record and keep the rest. Other values
+    stay as written, for the schedule check."""
+    width = widths[-1]
     records = dump.get(key, [])
     if not isinstance(records, list):
         issues.append(f"{key} malformed: expected a list, got {type(records).__name__}")
         return [()] * width
-    shaped = set(map(type, records)) <= {list} and set(map(len, records)) <= {width}
-    columns = (list(zip(*records)) or [()] * width) if shaped else None
-    failed = {}  # amount string -> its error, never stored in `memo`
-    if memo is not None:
-        last = columns[-1] if shaped else [r[-1] for r in records if type(r) is list and r]
-        for text in {v for v in last if type(v) is str}.difference(memo):
+    shaped = set(map(type, records)) <= {list} and set(map(len, records)) <= set(widths)
+    memo, failed = {}, {}  # amount string -> its value, or its error
+    if times is not None:
+        long = [r[-1] for r in records if type(r) is list and len(r) == width]
+        for text in {a for a in long if type(a) is str}:
             try:
                 memo[text] = as_time(text)
             except ValueError as exc:
                 failed[text] = str(exc)
-    if shaped and not failed:
+    kept = records
+    if not shaped or failed:
+        kept = []
+        expected = f"expected a list of {' or '.join(map(str, widths))} values"
+        for i, record in enumerate(records):
+            if type(record) is not list or len(record) not in widths:
+                found = f"a list of {len(record)}" if type(record) is list else type(record).__name__
+                issues.append(f"{key[:-1]} {i} malformed: {expected}, got {found}")
+            elif len(record) == width and type(record[-1]) is str and record[-1] in failed:
+                issues.append(f"{key[:-1]} {i} malformed: {failed[record[-1]]}")
+            else:
+                kept.append(record)
+    columns = list(itertools.zip_longest(*kept, fillvalue=_WHOLE))
+    columns += [(_WHOLE,) * len(kept)] * (width - len(columns))
+    if times is None:
         return columns
-    kept = []
-    for i, record in enumerate(records):
-        if type(record) is not list or len(record) != width:
-            found = f"a list of {len(record)}" if type(record) is list else type(record).__name__
-            issues.append(f"{key[:-1]} {i} malformed: expected a list of {width} values, got {found}")
-        elif type(record[-1]) is str and record[-1] in failed:
-            issues.append(f"{key[:-1]} {i} malformed: {failed[record[-1]]}")
-        else:
-            kept.append(record)
-    return list(zip(*kept)) or [()] * width
+    jobs, machines, amounts = columns
+    try:
+        own = list(map(times.get, jobs))
+    except TypeError:  # an unhashable job, which the schedule check calls unknown
+        own = [times.get(j) if type(j) is int else None for j in jobs]
+    amounts = [t if a is _WHOLE else memo[a] if type(a) is str else a for a, t in zip(amounts, own)]
+    return [jobs, machines, amounts]
 
 
 def _rebuild(schedule_type, instance, raw: tuple[tuple, ...], issues: list):
@@ -404,13 +434,7 @@ def _verify_minms(
             f"machine_count {dump.get('machine_count')!r} does not match instance "
             f"{instance.machine_count}"
         )
-    # A whole job's amount decodes to the job's own time object, whose ticks the
-    # check takes unconverted; `str` runs once per distinct time object.
-    times = instance.ticks.times.values()
-    distinct = dict(zip(map(id, times), times)).values()
-    memo = dict(zip(map(str, distinct), distinct))
-    jobs, machines, amounts = _columns(dump, "segments", 3, issues, memo)
-    raw = tuple(zip(jobs, machines, [memo[a] if type(a) is str else a for a in amounts]))
+    raw = tuple(zip(*_columns(dump, "segments", (2, 3), issues, instance.ticks.times)))
     schedule = _rebuild(MigrationSchedule, instance, raw, issues)
     if schedule is not None:
         notes.append(
@@ -424,7 +448,7 @@ def _verify_mintpt(
     instance: IntervalInstance, dump: dict, issues: list, notes: list
 ) -> IntervalSchedule | None:
     """The dump's own checks: its schedule, or None when that fails its check."""
-    raw = tuple(zip(*_columns(dump, "stints", 4, issues)))
+    raw = tuple(zip(*_columns(dump, "stints", (4,), issues)))
     schedule = _rebuild(IntervalSchedule, instance, raw, issues)
     if schedule is not None:
         notes.append(

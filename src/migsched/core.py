@@ -277,12 +277,13 @@ def segment_violations(
                 problems.append(f"job {job_id}: non-positive segment amount {amount}")
         totals[job_id] += t
         out.append(t)
-    for job in instance.jobs:
-        if totals[job.id] != sizes[job.id]:
-            problems.append(
-                f"conservation: job {job.id} segments sum to {view.time(totals[job.id])}, "
-                f"process time is {job.process_time}"
-            )
+    if totals != sizes:  # both keyed in instance order; walked only to word the failures
+        for job in instance.jobs:
+            if totals[job.id] != sizes[job.id]:
+                problems.append(
+                    f"conservation: job {job.id} segments sum to {view.time(totals[job.id])}, "
+                    f"process time is {job.process_time}"
+                )
     return problems
 
 

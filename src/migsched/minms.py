@@ -236,9 +236,9 @@ def timeline_ticks(
     Fraction of a tick once one is off it. Only meaningful for schedules
     built with that convention (wraparound_schedule). The ticks are the ones
     the schedule kept, from its construction check or from its solver, so
-    nothing is converted again; `verify` seeds its amount memo with the
-    instance's own times, so a dump's whole jobs reach that check as those
-    objects.
+    nothing is converted again; `verify` reads a dump's short whole-job
+    records as the instance's own time objects, whose ticks that check takes
+    unconverted.
     """
     clocks: dict[int, int | Fraction] = {}
     out = []

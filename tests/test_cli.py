@@ -56,6 +56,13 @@ JOB, MACHINE, AMOUNT, START, END = 0, 1, 2, 2, 3
 FIELD = {"job": JOB, "machine": MACHINE, "amount": AMOUNT, "start": START, "end": END}
 
 
+def _long_form(segments, instance):
+    """Dump segments as [job, machine, "amount"] lists. A short record, which
+    holds its whole job, takes the job's process time in the instance file."""
+    times = load_instance(instance).ticks.times
+    return [[*s, str(times[s[JOB]])] if len(s) == 2 else list(s) for s in segments]
+
+
 class TestSolve:
     def test_lpt_row(self, capsys, graham10):
         code, out, _ = run(capsys, "solve", graham10, "--algorithm", "lpt")
@@ -211,7 +218,7 @@ class TestVerify:
         dump = tmp_path / "pam.json"
         run(capsys, "solve", graham10, "--algorithm", "pam", "--dump", str(dump))
         payload = json.loads(dump.read_text())
-        segment = payload["segments"][0]
+        segment = payload["segments"][0] = _long_form(payload["segments"][:1], graham10)[0]
         segment[AMOUNT] = str(Fraction(segment[AMOUNT]) + 1)
         dump.write_text(json.dumps(payload, indent=2) + "\n")
         code, out, _ = run(capsys, "verify", graham10, str(dump))
@@ -251,6 +258,7 @@ class TestVerify:
         run(capsys, "solve", instance, "--algorithm", algorithm, "--dump", str(dump))
         payload = json.loads(dump.read_text())
         if algorithm == "pam":
+            payload["segments"] = _long_form(payload["segments"], instance)
             first, second = payload["segments"][:2]
             first[AMOUNT] = str(Fraction(first[AMOUNT]) + 1)
             second[MACHINE] = 99
@@ -287,7 +295,7 @@ class TestVerify:
         segments = payload["segments"]
         jobs = [s[JOB] for s in segments]
         k = next(k for k, job in enumerate(jobs) if jobs.count(job) == 1)
-        job, machine, whole = segments[k]
+        [(job, machine, whole)] = _long_form(segments[k : k + 1], graham10)
         segments[k : k + 1] = [
             [job, machine, str(Fraction(whole) / 7)],
             [job, machine, str(Fraction(whole) * 6 / 7)],
@@ -309,6 +317,7 @@ class TestVerify:
         run(capsys, "solve", instance, "--algorithm", algorithm, "--dump", str(dump))
         payload = json.loads(dump.read_text())
         segments = payload["segments"]
+        segments[:] = _long_form(segments, instance)
         # Split the first segment into a third and two thirds on its machine.
         job, machine, first = segments[0]
         segments[0:1] = [
@@ -332,11 +341,11 @@ class TestVerify:
         ]
 
     def test_non_canonical_whole_job_amount_verifies(self, capsys, tmp_path):
-        # "6/2" is not the string verify's amount memo holds for job 0's time
-        # 3, so it is read and converted as any other amount.
+        # A long record whose amount equals its job's time, "6/2" for job 0's
+        # 3: it is decoded and converted as any other amount.
         instance = _put(tmp_path / "t.inst", "minms 1\nmachines 2\njob 0 3\njob 1 2\n")
         dump = _put(tmp_path / "d.json", json.dumps({
-            "format": "migsched-dump", "version": 3, "kind": "minms", "algorithm": "lpt",
+            "format": "migsched-dump", "version": 4, "kind": "minms", "algorithm": "lpt",
             "machine_count": 2, "migrations": 0,
             "segments": [[0, 0, "6/2"], [1, 1, "2"]],
         }))
@@ -353,7 +362,7 @@ class TestVerify:
         instance = _put(tmp_path / "ones.inst", "minms 1\nmachines 1\n" + jobs)
         amounts = ["1", "1/0", "1", "1/0", 1, 1.0]
         dump = _put(tmp_path / "d.json", json.dumps({
-            "format": "migsched-dump", "version": 3, "kind": "minms", "algorithm": "lpt",
+            "format": "migsched-dump", "version": 4, "kind": "minms", "algorithm": "lpt",
             "machine_count": 1, "migrations": 0,
             "segments": [[i, 0, a] for i, a in enumerate(amounts)],
         }))
@@ -376,7 +385,7 @@ class TestVerify:
         # Python counts a JSON true as the int 1, which would conserve this job.
         instance = _put(tmp_path / "one.inst", "minms 1\nmachines 1\njob 0 1\n")
         dump = _put(tmp_path / "d.json", json.dumps({
-            "format": "migsched-dump", "version": 3, "kind": "minms", "algorithm": "lpt",
+            "format": "migsched-dump", "version": 4, "kind": "minms", "algorithm": "lpt",
             "machine_count": 1, "migrations": 0,
             "segments": [[0, 0, amount]],
         }))
@@ -389,7 +398,7 @@ class TestVerify:
         instance = _put(tmp_path / "two.inst", "minms 1\nmachines 2\njob 0 2\njob 1 2\n")
         segments = [[0, 0, "1"], [0, 1, "1"], [1, 0, "1"], [1, 1, "1"]]
         dump = _put(tmp_path / "d.json", json.dumps({
-            "format": "migsched-dump", "version": 3, "kind": "minms", "algorithm": "wraparound",
+            "format": "migsched-dump", "version": 4, "kind": "minms", "algorithm": "wraparound",
             "machine_count": 2, "migrations": 2, "segments": segments,
         }))
         code, out, _ = run(capsys, "verify", instance, dump)
@@ -428,8 +437,8 @@ class TestVerify:
              "FAIL: migrations recorded as 0.0, recomputed 0"),
             ("intervals_g3.inst", "estf", "machines_used", 2.0, 1,
              "FAIL: machines_used recorded as 2.0, recomputed 2"),
-            ("graham_m2.inst", "lpt", "version", 3.0, 2,
-             "error: dump version 3.0 is not supported; this verify reads version 3"),
+            ("graham_m2.inst", "lpt", "version", 4.0, 2,
+             "error: dump version 4.0 is not supported; this verify reads version 4"),
         ],
         ids=["machine_count", "minms-migrations", "mintpt-migrations", "machines_used", "version"],
     )
@@ -474,7 +483,7 @@ class TestVerify:
         dump = tmp_path / "pam.json"
         run(capsys, "solve", graham10, "--algorithm", "pam", "--dump", str(dump))
         payload = json.loads(dump.read_text())
-        payload["segments"][0][AMOUNT] = "999"
+        payload["segments"][0] = [*payload["segments"][0], "999"]
         payload["migrations"] = 7
         dump.write_text(json.dumps(payload))
         code, out, _ = run(capsys, "verify", graham10, str(dump))
@@ -484,12 +493,12 @@ class TestVerify:
             "verification failed (1 issue(s))",
         ]
 
-    @pytest.mark.parametrize("version", [1, 2, None, "3", 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, None, "4", 5])
     def test_other_dump_versions_are_input_errors(self, capsys, intervals, tmp_path, version):
         dump = tmp_path / "lbm.json"
         run(capsys, "solve", intervals, "--algorithm", "lbm", "--dump", str(dump))
         payload = json.loads(dump.read_text())
-        assert payload["version"] == 3
+        assert payload["version"] == 4
         payload["version"] = version
         if version == 1:  # the v1 layout: one record per active slot
             payload["placements"] = [
@@ -504,7 +513,7 @@ class TestVerify:
         assert err.startswith("error: dump version ")
 
     def test_a_version_2_dump_is_refused(self, capsys, tmp_path):
-        # The v2 layout, five lines and three keys per record; solve writes v3.
+        # The v2 layout, five lines and three keys per record; solve writes v4.
         instance = _put(tmp_path / "two.inst", "minms 1\nmachines 2\njob 0 3\njob 1 2\n")
         dump = _put(tmp_path / "d.json", """{
   "format": "migsched-dump",
@@ -528,7 +537,27 @@ class TestVerify:
 }
 """)
         assert run(capsys, "verify", instance, dump) == (
-            2, "", "error: dump version 2 is not supported; this verify reads version 3\n"
+            2, "", "error: dump version 2 is not supported; this verify reads version 4\n"
+        )
+
+    def test_a_version_3_dump_is_refused(self, capsys, tmp_path):
+        # The v3 layout, which wrote every amount; solve writes v4.
+        instance = _put(tmp_path / "two.inst", "minms 1\nmachines 2\njob 0 3\njob 1 2\n")
+        dump = _put(tmp_path / "d.json", """{
+  "format": "migsched-dump",
+  "version": 3,
+  "kind": "minms",
+  "algorithm": "lpt",
+  "machine_count": 2,
+  "migrations": 0,
+  "segments": [
+    [0, 0, "3"],
+    [1, 1, "2"]
+  ]
+}
+""")
+        assert run(capsys, "verify", instance, dump) == (
+            2, "", "error: dump version 3 is not supported; this verify reads version 4\n"
         )
 
     @pytest.mark.parametrize(
@@ -634,13 +663,14 @@ class TestVerifyMalformedDumps:
     @example(algorithm="pam", records=["abc"])  # unpacks into three characters
     @example(algorithm="lbm", records=["abcd", [0, 0, 0, 3], [0, 0, 0], True])
     @example(algorithm="pam", records=[[3, 0, "1/0"], [3, 0, [3]], 3.0, [1, 1, "1/0", 0]])
+    @example(algorithm="pam", records=[[[3], 0], [3], [True, 1], [3, 1], [{}, 0, "1"], []])
     def test_any_records_end_in_ok_or_fail_lines(self, valid_dumps, algorithm, records):
-        # A v3 dump whose records are any JSON values: each one that is not a
-        # list of the kind's width gets its own malformed line, and the dump
-        # ends in exit 0 or 1 with ok/FAIL lines, never an error line.
+        # A v4 dump whose records are any JSON values: each one that is not a
+        # list of one of the kind's widths gets its own malformed line, and
+        # the dump ends in exit 0 or 1 with ok/FAIL lines, never an error line.
         tmp, dumps = valid_dumps
         instance, dump = copy.deepcopy(dumps[algorithm])
-        key, width = ("segments", 3) if "segments" in dump else ("stints", 4)
+        key, widths = ("segments", (2, 3)) if "segments" in dump else ("stints", (4,))
         dump[key] = records
         path = tmp / "tampered.json"
         path.write_text(json.dumps(dump))
@@ -650,16 +680,16 @@ class TestVerifyMalformedDumps:
         assert (code in (0, 1), err.getvalue()) == (True, "")
         lines = out.getvalue().splitlines()
         assert all(line.startswith(("ok: ", "FAIL: ", "verification ")) for line in lines)
-        shape = f"malformed: expected a list of {width} values, got "
+        shape = f"malformed: expected a list of {' or '.join(map(str, widths))} values, got "
         assert [line.split()[2] for line in lines if shape in line] == [
-            str(i) for i, r in enumerate(records) if type(r) is not list or len(r) != width
+            str(i) for i, r in enumerate(records) if type(r) is not list or len(r) not in widths
         ]
 
     # The line for each record field replaced below. Decoding reads only an
     # amount string; every other field value reaches the kind's schedule
     # check as written, and the check's line names the value.
     FIELD_LINES = {
-        ("pam", 0, "amount"): "FAIL: segment 0 malformed: time must be n or num/den with a "
+        ("pam", 2, "amount"): "FAIL: segment 2 malformed: time must be n or num/den with a "
         "nonzero denominator, got '1/0'",
         ("lbm", 0, "machine"): "FAIL: job 0: machine id 0.9 is not a non-negative int",
         ("lbm", 0, "start"): "FAIL: job 0: stint [' 0 ', 3) is not a slot range",
@@ -674,7 +704,7 @@ class TestVerifyMalformedDumps:
     @pytest.mark.parametrize(
         "algorithm, keys, value",
         [
-            ("pam", ("segments", 0, "amount"), "1/0"),
+            ("pam", ("segments", 2, "amount"), "1/0"),
             ("pam", ("segments",), 5),
             ("lbm", ("stints",), None),
             ("lbm", ("stints", 0, "machine"), 0.9),
@@ -706,12 +736,14 @@ class TestVerifyMalformedDumps:
     @pytest.mark.parametrize(
         "algorithm, record, line",
         [
-            ("pam", [0, "1"], "FAIL: segment 0 malformed: expected a list of 3 values, "
-             "got a list of 2"),
+            ("pam", [0], "FAIL: segment 0 malformed: expected a list of 2 or 3 values, "
+             "got a list of 1"),
+            ("pam", [3, 0, "3", 0], "FAIL: segment 0 malformed: expected a list of 2 or 3 "
+             "values, got a list of 4"),
             ("lbm", [0, 0, 0], "FAIL: stint 0 malformed: expected a list of 4 values, "
              "got a list of 3"),
             ("pam", {"job": 3, "machine": 0, "amount": "3"}, "FAIL: segment 0 malformed: "
-             "expected a list of 3 values, got dict"),
+             "expected a list of 2 or 3 values, got dict"),
             ("lbm", 7, "FAIL: stint 0 malformed: expected a list of 4 values, got int"),
         ],
     )
@@ -726,6 +758,27 @@ class TestVerifyMalformedDumps:
         code, out, _ = run(capsys, "verify", instance, str(path))
         assert code == 1
         assert line in out.splitlines()
+
+    @pytest.mark.parametrize("job", [99, True, 3.0, "3", None, [3], {"3": 3}])
+    def test_a_short_record_of_a_bad_job_fails_as_a_long_one(self, capsys, valid_dumps, job):
+        # A short record reads its job's time only for the schedule check,
+        # which names an unknown, non-int or unhashable job before its amount.
+        tmp, dumps = valid_dumps
+        instance, dump = copy.deepcopy(dumps["pam"])
+        assert dump["segments"][0] == [3, 0]
+        outputs = []
+        for record in ([job, 0], [job, 0, "3"]):
+            dump["segments"][0] = record
+            path = tmp / "tampered.json"
+            path.write_text(json.dumps(dump))
+            outputs.append(run(capsys, "verify", instance, str(path)))
+        code, out, _ = outputs[0]
+        assert code == 1
+        assert out.splitlines()[:2] == [
+            f"FAIL: segment references unknown job {job!r}",
+            "FAIL: conservation: job 3 segments sum to 0, process time is 3",
+        ]
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize(
         "algorithm, changes, line",
@@ -767,13 +820,13 @@ class TestVerifyMalformedDumps:
     ):
         tmp, dumps = valid_dumps
         instance, dump = copy.deepcopy(dumps["pam"])
-        dump["segments"][0][AMOUNT] = amount
+        dump["segments"][2][AMOUNT] = amount
         path = tmp / "tampered.json"
         path.write_text(json.dumps(dump))
         code, out, _ = run(capsys, "verify", instance, str(path))
         assert code == 1
         if isinstance(amount, str):  # decoded by the time grammar
-            assert "FAIL: segment 0 malformed" in out
+            assert "FAIL: segment 2 malformed" in out
         else:  # judged as written by the schedule check
             assert f"segment amount {amount!r} is not an int or Fraction" in out
 
@@ -887,7 +940,7 @@ def test_solve_does_not_scale_with_the_machine_count(capsys, tmp_path, algorithm
     assert (row["optimum"], row["objective"], row["oracle"]) == ("17/2000000000000", "5", "5")
     if dump_argv:
         assert capsys.readouterr().out.endswith("verification passed\n")
-        assert [s[AMOUNT] for s in json.loads(dump.read_text())["segments"]] == ["5", "7/2"]
+        assert json.loads(dump.read_text())["segments"] == [[0, 0], [1, 1]]
     assert peak < 5 * 2**20
 
 
@@ -938,7 +991,7 @@ def test_verify_pam_does_not_scale_with_the_machine_count(capsys, tmp_path, mach
     instance = _put(tmp_path / "wide.inst", f"minms 1\nmachines {machines}\njob 0 5\n")
     dump = tmp_path / "d.json"
     dump.write_text(json.dumps({
-        "format": "migsched-dump", "version": 3, "kind": "minms", "algorithm": "pam",
+        "format": "migsched-dump", "version": 4, "kind": "minms", "algorithm": "pam",
         "machine_count": machines, "migrations": 0, "segments": [[0, 0, "5"]],
     }))
     tracemalloc.start()
@@ -1221,16 +1274,20 @@ def _pam_with_off_grid_amounts():
 
 
 def reference_payload(schedule, algorithm):
-    """The dump as JSON data, one list per record and `str()` of every amount:
-    the writer's text must be `reference_text` of it."""
+    """The dump as JSON data, one list per record: [job, machine] for a
+    segment whose amount equals its job's process time, and `str()` of every
+    other amount. The writer's text must be `reference_text` of it."""
     header = {"format": cli.DUMP_FORMAT, "version": cli.DUMP_VERSION}
     if isinstance(schedule, MigrationSchedule):
+        times = {job.id: job.process_time for job in schedule.instance.jobs}
         return header | {
             "kind": "minms",
             "algorithm": algorithm,
             "machine_count": schedule.instance.machine_count,
             "migrations": schedule.migrations,
-            "segments": [[j, m, str(a)] for j, m, a in schedule.segments],
+            "segments": [
+                [j, m] if a == times[j] else [j, m, str(a)] for j, m, a in schedule.segments
+            ],
         }
     return header | {
         "kind": "mintpt",
@@ -1337,11 +1394,97 @@ def test_reported_objective_is_measured_on_the_dumped_schedule(tmp_path_factory,
     objective = Fraction(json.loads(out.getvalue())["objective"])
     payload, loaded = json.loads(dump.read_text()), load_instance(path)
     if payload["kind"] == "minms":
-        segments = [JobSegment(j, m, core.as_time(a)) for j, m, a in payload["segments"]]
+        records = _long_form(payload["segments"], path)
+        segments = [JobSegment(j, m, core.as_time(a)) for j, m, a in records]
         assert objective == MigrationSchedule(loaded, tuple(segments)).makespan()
     else:
         stints = list(map(tuple, payload["stints"]))
         assert objective == IntervalSchedule(loaded, tuple(stints)).total_power_on_time()
+
+
+# A prime above every tick count in `minms_dump_cases`: a time of at most 40,
+# with denominators of at most 12, on at most 5 machines is at most
+# 40 x lcm(1..12) x 5 ticks, so a cut at k/OFF_GRID_PRIME is never a whole tick.
+OFF_GRID_PRIME = 2**31 - 1
+
+
+@st.composite
+def minms_dump_cases(draw):
+    """(builder of a schedule, algorithm, index of a job): a minms solver's
+    schedule of a drawn instance, or, half the time, that schedule built in
+    public with one segment cut at k/OFF_GRID_PRIME of its amount, which is
+    off the tick grid."""
+    sizes = draw(st.lists(
+        st.fractions(Fraction(1, 9), 40, max_denominator=12), min_size=1, max_size=10
+    ))
+    instance = MinMsInstance(tuple(Job(i, p) for i, p in enumerate(sizes)), draw(st.integers(1, 5)))
+    algorithm = draw(st.sampled_from(["lpt", "pam", "wraparound"]))
+    cut = draw(st.none() | st.tuples(st.integers(0, 99), st.integers(1, OFF_GRID_PRIME - 1)))
+
+    def build():
+        schedule = cli.ALGORITHMS[algorithm][1](instance)
+        if cut is None:
+            return schedule
+        segments = list(schedule.segments)
+        k = cut[0] % len(segments)
+        job, machine, amount = segments[k]
+        piece = amount * Fraction(cut[1], OFF_GRID_PRIME)
+        segments[k : k + 1] = [
+            JobSegment(job, machine, piece), JobSegment(job, machine, amount - piece)
+        ]
+        return MigrationSchedule(instance, tuple(segments))
+
+    return build, algorithm, draw(st.integers(0, len(sizes) - 1))
+
+
+def _verify_text(tmp, instance_path, payload):
+    """verify's exit code and stdout on `payload` written as a dump."""
+    dump = _put(tmp / "whole.json", json.dumps(payload))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", instance_path, dump])
+    return code, out.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=minms_dump_cases())
+@example(case=(_pam_with_off_grid_amounts, "pam", 0))
+@example(case=(_equal_amounts_in_distinct_objects, "pam", 1))
+@example(case=(_int_amounts, "wraparound", 1))
+def test_a_whole_job_record_is_short_by_value_and_reads_as_its_long_form(
+    tmp_path_factory, case
+):
+    build, algorithm, extra = case
+    schedule = build()
+    instance = schedule.instance
+    tmp = tmp_path_factory.getbasetemp()
+    path = _put(tmp / "whole.inst", serialize_instance(instance))
+    text = cli._dump_text(schedule, algorithm)
+
+    # The same values in other objects write the same bytes.
+    def copy_of(value):
+        return Fraction(value.numerator, value.denominator)
+
+    copied = MinMsInstance(
+        tuple(Job(job.id, copy_of(job.process_time)) for job in instance.jobs),
+        instance.machine_count,
+    )
+    segments = tuple(JobSegment(j, m, copy_of(a)) for j, m, a in schedule.segments)
+    assert cli._dump_text(MigrationSchedule(copied, segments), algorithm) == text
+
+    # Every short record written long gives the same verdict, line for line.
+    payload = json.loads(text)
+    assert _verify_text(tmp, path, payload) == _verify_text(tmp, path, payload | {
+        "segments": _long_form(payload["segments"], path)
+    })
+
+    # A second record of a job, written short, adds its whole time again.
+    job = instance.jobs[extra]
+    payload["segments"].append([job.id, 0])
+    assert _verify_text(tmp, path, payload) == (1, (
+        f"FAIL: conservation: job {job.id} segments sum to {2 * job.process_time}, "
+        f"process time is {job.process_time}\nverification failed (1 issue(s))\n"
+    ))
 
 
 def test_pam_dump_text_on_many_machines_peaks_near_its_length():
@@ -1400,7 +1543,7 @@ DERIVED_DIGIT_LIMIT = {
         "verify",
         _put(tmp / "x.inst", "minms 1\nmachines 1\njob 0 1\n"),
         _put(tmp / "d.json", json.dumps({
-            "format": "migsched-dump", "version": 3, "kind": "minms", "algorithm": "lpt",
+            "format": "migsched-dump", "version": 4, "kind": "minms", "algorithm": "lpt",
             "machine_count": 1, "migrations": 1,
             "segments": [[0, 0, f"1/{10**4299 + 7}"], [0, 0, f"1/{10**4299 + 9}"]],
         })),
@@ -1491,7 +1634,7 @@ def test_tick_counts_past_their_budget_are_input_errors(capsys, tmp_path):
     jobs = "".join(f"job {i} 1/{p}\n" for i, p in enumerate(_first_primes(10_000)))
     instance = _put(tmp_path / "primes.inst", "minms 1\nmachines 2\n" + jobs)
     dump = _put(tmp_path / "d.json", json.dumps({
-        "format": "migsched-dump", "version": 3, "kind": "minms", "algorithm": "lpt",
+        "format": "migsched-dump", "version": 4, "kind": "minms", "algorithm": "lpt",
         "machine_count": 2, "migrations": 0, "segments": [],
     }))
     message = (
@@ -1606,7 +1749,7 @@ def test_wraparound_overlap_verdict_matches_all_pairs(tmp_path_factory, case):
         f"minms 1\nmachines {m}\n" + "".join(f"job {j} {t}\n" for j, t in enumerate(times)),
     )
     dump = _put(tmp / "wrap.json", json.dumps({
-        "format": "migsched-dump", "version": 3, "kind": "minms", "algorithm": "wraparound",
+        "format": "migsched-dump", "version": 4, "kind": "minms", "algorithm": "wraparound",
         "machine_count": m, "migrations": len(segments) - len(times),
         "segments": [[j, k, str(a)] for j, k, a in segments],
     }))

@@ -113,7 +113,8 @@ CASES: dict[str, list] = {
     ],
     "error-verify-not-a-dump": [("write", "x.json", "{}"), ["verify", "graham_m10.inst", "x.json"]],
     "error-verify-missing-dump": [["verify", "graham_m10.inst", "missing.json"]],
-    "fail-verify-amount": _tamper("graham_m10.inst", "pam", ["segments", 0, 2], "999"),
+    # Segment 0 holds job 19 whole, so it is written short; the case writes it long.
+    "fail-verify-amount": _tamper("graham_m10.inst", "pam", ["segments", 0], [19, 0, "999"]),
     "fail-verify-segment-malformed": _tamper("graham_m10.inst", "pam", ["segments", 1], "oops"),
     "fail-verify-machine-count": _tamper("graham_m10.inst", "lpt", ["machine_count"], 3),
     "fail-verify-migrations": _tamper("graham_m10.inst", "wraparound", ["migrations"], 0),

@@ -293,6 +293,16 @@ class TestMigrationSchedule:
             "conservation: job 1 segments sum to 0, process time is 1",
         ]
 
+    def test_every_conservation_failure_is_reported_in_instance_order(self):
+        # Jobs 9 and 5 fail, met in that order in the segments; the lines
+        # follow the instance order, 5 before 9, and job 1 conserves.
+        inst = MinMsInstance((Job(5, 2), Job(1, 3), Job(9, 4)), 2)
+        segments = [(9, 0, 1), (1, 1, 3), (5, 0, 1), (9, 1, Fraction(1, 2))]
+        assert segment_violations(inst, segments) == [
+            "conservation: job 5 segments sum to 1, process time is 2",
+            "conservation: job 9 segments sum to 3/2, process time is 4",
+        ]
+
     def test_job_placed_twice_with_its_own_time_objects(self):
         # The first segment is job 0's own time object, the second an equal
         # Fraction of its own: both count, whichever path converts them.

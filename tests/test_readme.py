@@ -1,5 +1,6 @@
-"""README's code runs: the library example gives its documented results, and
-every `migsched` line of the CLI example exits 0."""
+"""README's code runs: the library example gives its documented results,
+every `migsched` line of the CLI example exits 0, and the schedule dump
+example is the dump `solve` writes."""
 
 import ast
 import shlex
@@ -45,3 +46,16 @@ def test_cli_example_lines_exit_0(capsys, tmp_path, monkeypatch):
     for argv in commands:
         assert main(argv[1:]) == 0, argv
         capsys.readouterr()
+
+
+def test_dump_example_is_what_solve_writes(capsys, tmp_path, monkeypatch):
+    # The example's instance is the fixture it names, and `solve --dump`
+    # writes the example byte for byte.
+    instance = _block("Schedule dumps", "text")
+    fixture = Path(__file__).parent / "fixtures" / "graham_m2.inst"
+    assert instance == fixture.read_text(encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    Path("graham_m2.inst").write_text(instance, encoding="utf-8")
+    assert main(["solve", "graham_m2.inst", "--algorithm", "pam", "--dump", "d.json"]) == 0
+    capsys.readouterr()
+    assert Path("d.json").read_text(encoding="utf-8") == _block("Schedule dumps", "json")
