@@ -109,10 +109,10 @@ def _report(args, name: str, instance, algorithms: list[str]) -> list[tuple]:
             raise CliError(f"algorithm {algorithm!r} does not apply to {kind} instances")
     if kind == "minms":
         param, optimum = instance.machine_count, minms.opt_balance(instance)
-        oracle, measure = exact_minms, "makespan"
+        oracle, measure, n = exact_minms, "makespan", len(instance.ticks.sizes)
     else:
         param, optimum = instance.capacity, mintpt.mintpt_lower_bound(instance)
-        oracle, measure = exact_mintpt, "total_power_on_time"
+        oracle, measure, n = exact_mintpt, "total_power_on_time", len(instance.jobs)
 
     witness, oracle_ms = None, None
     refusal = "exact solve requested but the oracle is disabled"
@@ -141,7 +141,7 @@ def _report(args, name: str, instance, algorithms: list[str]) -> list[tuple]:
         row = ReportRow(
             instance=name,
             kind=kind,
-            n=len(instance.jobs),
+            n=n,
             param=param,
             optimum=optimum,
             algorithm=algorithm,
@@ -438,7 +438,7 @@ def _verify_minms(
     schedule = _rebuild(MigrationSchedule, instance, raw, issues)
     if schedule is not None:
         notes.append(
-            f"per-job conservation holds ({len(instance.jobs)} jobs, {len(raw)} segments)"
+            f"per-job conservation holds ({len(instance.ticks.sizes)} jobs, {len(raw)} segments)"
         )
         _check_recorded(dump, "migrations", schedule.migrations, issues, notes)
     return schedule

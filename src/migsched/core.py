@@ -4,9 +4,10 @@ segment-level schedules for load balancing across identical machines.
 All continuous quantities (process times, loads, makespans) are exact
 rationals, never floats, so "load equals the balanced optimum" can be
 asserted as a true equality with no tolerance. The API speaks `Fraction`;
-the arithmetic runs on Python ints. Each instance has one cached `TickView`:
+the arithmetic runs on Python ints. Each instance has one `TickView`:
 one tick is 1/(lcm of the process-time denominators x machine count), so
-every process time and the balanced load W/m are whole numbers of ticks.
+every process time and the balanced load W/m are whole numbers of ticks. An
+instance read from text gets it from the reader's columns, and no `Job`s.
 Schedule checks and loads add every amount as ticks: an amount on that grid
 is an int count, and one off it (a dump's 1/7 where the instance's times are
 halves) is a `Fraction` of a tick, added into the same sums. The construction
@@ -25,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
     "InstanceTooLargeError",
@@ -114,13 +115,15 @@ class Job:
 
 
 class TickView:
-    """An instance's process times as whole numbers of ticks.
+    """An instance's process times as whole numbers of ticks, built from a
+    dictionary-encoded column: job `ids[i]` has the time `table[keys[i]]`,
+    and the lcm and the tick counts are computed once per table entry.
 
     `unit` is the number of ticks per time unit: the lcm of the process-time
     denominators times the machine count, so that the total `total` is a
     multiple of the machine count and W/m is `total // machine_count` ticks.
     `sizes` maps each job id to its process time in ticks, in instance order,
-    and `times` maps it to the job's own `process_time` object.
+    and `times` maps it to the job's own process-time object, the table's.
 
     When the job count times the bits of the lcm and of the machine count
     passes MAX_TICK_BITS, the view raises InstanceTooLargeError while the lcm
@@ -130,10 +133,10 @@ class TickView:
 
     __slots__ = ("unit", "sizes", "times", "total")
 
-    def __init__(self, jobs: tuple[Job, ...], machine_count: int) -> None:
-        n, machine_bits = len(jobs), machine_count.bit_length()
+    def __init__(self, ids: Sequence[int], keys: Sequence, table: dict, machine_count: int) -> None:
+        n, machine_bits = len(ids), machine_count.bit_length()
         lcm = 1
-        for den in {job.process_time.denominator for job in jobs}:
+        for den in {time.denominator for time in table.values()}:
             lcm = math.lcm(lcm, den)
             if n * (lcm.bit_length() + machine_bits) > MAX_TICK_BITS:
                 raise InstanceTooLargeError(
@@ -141,12 +144,10 @@ class TickView:
                     f"{MAX_TICK_BITS} bits (jobs x bits of the tick unit)"
                 )
         unit = lcm * machine_count
+        counts = {key: time.numerator * (unit // time.denominator) for key, time in table.items()}
         self.unit = unit
-        self.sizes = {
-            job.id: job.process_time.numerator * (unit // job.process_time.denominator)
-            for job in jobs
-        }
-        self.times = {job.id: job.process_time for job in jobs}
+        self.sizes = dict(zip(ids, map(counts.__getitem__, keys)))
+        self.times = dict(zip(ids, map(table.__getitem__, keys)))
         self.total = sum(self.sizes.values())
 
     def of(self, amount: int | Fraction) -> int | Fraction:
@@ -171,7 +172,8 @@ class MinMsInstance:
 
     Machines are dense 0-based indices 0..machine_count-1. Job ids are
     unique; the job tuple order is the canonical instance order used by
-    serialization and by the wrap-around scheduler.
+    serialization and by the wrap-around scheduler. An instance read from
+    text (`_trusted`) builds its `jobs` only when something asks for them.
     """
 
     jobs: tuple[Job, ...]
@@ -192,14 +194,27 @@ class MinMsInstance:
             raise InvariantError(f"machine count must be a positive integer, got {count!r}")
 
     @classmethod
-    def _trusted(cls, times: Iterable[tuple[int, Fraction]], machine_count: int) -> MinMsInstance:
-        """The instance of `(job id, process time)` pairs that a reader has
-        already checked: unique non-negative int ids and positive `Fraction`
-        times. `Job`'s checks and the duplicate scan are skipped; the shape
-        checks (at least one job, a positive machine count) still run."""
+    def _trusted(cls, ids: Sequence, keys: Sequence, table: dict, machine_count: int) -> MinMsInstance:
+        """The instance of a reader's checked columns (see TickView): its ids,
+        time tokens and token memo, with unique non-negative int ids and
+        positive `Fraction` times. `Job`'s checks and the duplicate scan are
+        skipped; the shape checks still run. The view is built here, so the
+        tick budget is checked while the file is read."""
+        cls._check_shape(ids, machine_count)
+        instance, store = object.__new__(cls), object.__setattr__
+        store(instance, "machine_count", machine_count)
+        store(instance, "ticks", TickView(ids, keys, table, machine_count))
+        return instance
+
+    def __getattr__(self, name: str):
+        """A `_trusted` instance's `jobs`, built from its view and kept. Without
+        a view (a half-built object, as while unpickling) it is missing too."""
+        view = vars(self).get("ticks") if name == "jobs" else None
+        if view is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         new, store = object.__new__, object.__setattr__
         jobs = []
-        for job_id, time in times:
+        for job_id, time in view.times.items():
             # Stored as the dataclass's own __init__ stores them, past the
             # frozen __setattr__: reaching for __dict__ instead gives every job
             # a dict of its own, and later checked jobs lose the shared keys too.
@@ -207,16 +222,14 @@ class MinMsInstance:
             store(job, "id", job_id)
             store(job, "process_time", time)
             jobs.append(job)
-        instance = new(cls)
-        store(instance, "jobs", tuple(jobs))
-        store(instance, "machine_count", machine_count)
-        instance._check_shape(instance.jobs, machine_count)
-        return instance
+        store(self, "jobs", tuple(jobs))
+        return self.jobs
 
     @cached_property
     def ticks(self) -> TickView:
         """The integer view of the process times, computed on first use."""
-        return TickView(self.jobs, self.machine_count)
+        ids = [job.id for job in self.jobs]
+        return TickView(ids, ids, {job.id: job.process_time for job in self.jobs}, self.machine_count)
 
 
 class JobSegment(NamedTuple):
@@ -278,11 +291,11 @@ def segment_violations(
         totals[job_id] += t
         out.append(t)
     if totals != sizes:  # both keyed in instance order; walked only to word the failures
-        for job in instance.jobs:
-            if totals[job.id] != sizes[job.id]:
+        for job_id, time in times.items():
+            if totals[job_id] != sizes[job_id]:
                 problems.append(
-                    f"conservation: job {job.id} segments sum to {view.time(totals[job.id])}, "
-                    f"process time is {job.process_time}"
+                    f"conservation: job {job_id} segments sum to {view.time(totals[job_id])}, "
+                    f"process time is {time}"
                 )
     return problems
 
@@ -355,7 +368,7 @@ class MigrationSchedule:
     @property
     def migrations(self) -> int:
         """Count of segments beyond one per job."""
-        return len(self.segments) - len(self.instance.jobs)
+        return len(self.segments) - len(self.instance.ticks.sizes)
 
     def _loads(self) -> dict[int, int | Fraction]:
         """Per loaded machine, its load in ticks: the sum of its int ticks plus

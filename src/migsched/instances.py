@@ -107,13 +107,13 @@ def parse_instance(text: str) -> MinMsInstance | IntervalInstance:
     on the document's rows, each line stripped, with blank and comment lines
     dropped, joined by "\n": that reads indented, commented, blank-line and
     CRLF files. A document that both passes decline is malformed, and the
-    walk over its rows raises the first error, with its line.
+    walk over its rows raises the first error, with its line. A `minms`
+    file past the tick budget raises InstanceTooLargeError while it is read.
 
-    Parse costs on a 2-vCPU Xeon VM under Python 3.11 (best of 40 rounds,
-    against the line walk that read every document before the stride pass):
-    1000 `minms` jobs 1.64 -> 1.25 ms, 300 `mintpt` jobs 0.57 -> 0.43 ms,
-    1000 distinct time tokens 2.62 -> 2.19 ms, and the 1000 jobs with two
-    comment lines and a blank one, read by the second pass, 1.60 -> 1.45 ms.
+    Parse with the first `.ticks`, 2-vCPU Xeon VM, Python 3.11 (best of 40
+    rounds; line walk -> stride pass with jobs -> view from its columns):
+    1000 `minms` jobs 1.73 -> 1.38 -> 0.92 ms, 1000 distinct time tokens
+    2.50 -> 2.11 -> 1.81 ms; 300 `mintpt` jobs, parse alone, 0.48 -> 0.38 ms.
     """
     instance = _stride(text)
     if instance is None:
@@ -192,7 +192,7 @@ def _stride(text: str) -> MinMsInstance | IntervalInstance | None:
         ids = list(map(int, ids))
         if minms:
             times = tokens[6::3]
-            del tokens  # each token string not in a column goes before the jobs exist
+            del tokens  # each token string not in a column goes before the view exists
             memo = {token: as_time(token) for token in set(times)}
         else:
             starts, ends, demands = tokens[6::5], tokens[7::5], tokens[8::5]
@@ -209,7 +209,8 @@ def _stride(text: str) -> MinMsInstance | IntervalInstance | None:
     if minms:
         if not all(memo.values()):
             return None
-        return MinMsInstance._trusted(zip(ids, map(memo.__getitem__, times)), count)
+        # Past the handler: the tick budget's error is a ValueError to raise.
+        return MinMsInstance._trusted(ids, times, memo, count)
     if not all(map(operator.lt, starts, ends)):
         return None
     return IntervalInstance._trusted(zip(ids, starts, ends), count)
@@ -290,4 +291,5 @@ def serialize_instance(instance: MinMsInstance | IntervalInstance) -> str:
 
 
 def load_instance(path: str | Path) -> MinMsInstance | IntervalInstance:
+    """parse_instance of the UTF-8 file at `path`, with its errors."""
     return parse_instance(Path(path).read_text(encoding="utf-8"))

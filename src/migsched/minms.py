@@ -206,11 +206,10 @@ def wraparound_schedule(instance: MinMsInstance) -> MigrationSchedule:
     bound = _wrap_bound_ticks(instance)
     segments, kept = [], []
     machine = clock = 0
-    for job in instance.jobs:
-        remaining = ticks.sizes[job.id]
+    for job_id, remaining in ticks.sizes.items():
         while remaining > 0:
             take = min(remaining, bound - clock)
-            segments.append(JobSegment(job.id, machine, _piece(instance, job.id, take, ticks.time)))
+            segments.append(JobSegment(job_id, machine, _piece(instance, job_id, take, ticks.time)))
             kept.append(take)
             clock += take
             remaining -= take

@@ -58,11 +58,11 @@ def exact_minms(instance: MinMsInstance, max_jobs: int = MINMS_MAX_JOBS) -> Migr
     count. The search runs on the instance's integer tick sizes, so all
     comparisons stay exact. Each job's segment holds its own process time.
     """
-    n = len(instance.jobs)
+    view = instance.ticks
+    n = len(view.sizes)
     _refuse_above(n, max_jobs)
     m = min(instance.machine_count, n)
 
-    view = instance.ticks
     order, sizes = zip(*sorted(view.sizes.items(), key=lambda item: -item[1]))
 
     # Self-contained greedy (largest job to least-loaded machine) seeds the

@@ -12,6 +12,16 @@ def make_instance(sizes, m):
     return MinMsInstance(tuple(Job(i, p) for i, p in enumerate(sizes)), m)
 
 
+def first_primes(n):
+    """The first n primes (n up to 11,300)."""
+    sieve = bytearray([1]) * 120_000
+    sieve[:2] = b"\0\0"
+    for i in range(2, 347):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(sieve[i * i::i]))
+    return [p for p in range(len(sieve)) if sieve[p]][:n]
+
+
 def interval_length(intervals):
     """Sum of the intervals' lengths, overlaps counted multiply."""
     return sum(t - s for s, t in intervals)

@@ -25,7 +25,7 @@ from migsched.instances import load_instance, serialize_instance
 from migsched.mintpt import IntervalInstance, IntervalJob, IntervalSchedule
 from migsched.report import CSV_COLUMNS
 
-from helpers import total_load
+from helpers import first_primes, total_load
 
 
 def run(capsys, *argv):
@@ -1618,20 +1618,33 @@ def test_bench_json_approx_past_float_range_is_null(capsys):
     assert [r["objective"] for r in rows] == [NINES, NINES]
 
 
-def _first_primes(n):
-    sieve = bytearray([1]) * 120_000
-    sieve[:2] = b"\0\0"
-    for i in range(2, 347):
-        if sieve[i]:
-            sieve[i * i::i] = bytes(len(sieve[i * i::i]))
-    return [p for p in range(len(sieve)) if sieve[p]][:n]
+def test_commands_on_a_read_instance_build_no_jobs(capsys, tmp_path, monkeypatch, fixtures_dir):
+    # solve in every format, the oracle column included, and verify of each
+    # minms solver's dump read the job count and order from the tick view.
+    read = []
+
+    def load(path):
+        read.append(load_instance(path))
+        return read[-1]
+
+    monkeypatch.setattr(cli, "load_instance", load)
+    rational = _put(tmp_path / "r.inst", "minms 1\nmachines 3\njob 4 7/2\njob 0 3\njob 2 5/3\njob 1 1\n")
+    for path in (str(fixtures_dir / "graham_m2.inst"), rational):
+        for algorithm in ("lpt", "pam", "wraparound"):
+            dump = str(tmp_path / f"{algorithm}.json")
+            for fmt in ("csv", "md", "json"):
+                argv = ["solve", path, "--algorithm", algorithm, "--format", fmt, "--dump", dump]
+                assert run(capsys, *argv)[0] == 0
+            assert run(capsys, "verify", path, dump)[0] == 0
+    assert len(read) == 24
+    assert [sorted(vars(instance)) for instance in read] == [["machine_count", "ticks"]] * 24
 
 
 def test_tick_counts_past_their_budget_are_input_errors(capsys, tmp_path):
     # 10,000 jobs of 1/p, one distinct prime each: every tick count would
-    # carry the lcm's 150,000 bits, about 200 MB in all. The tick view refuses
-    # while it builds the lcm, so only the parsed instance is ever held.
-    jobs = "".join(f"job {i} 1/{p}\n" for i, p in enumerate(_first_primes(10_000)))
+    # carry the lcm's 150,000 bits, about 200 MB in all. The reader refuses
+    # while it builds the tick view's lcm, so only the file's columns are held.
+    jobs = "".join(f"job {i} 1/{p}\n" for i, p in enumerate(first_primes(10_000)))
     instance = _put(tmp_path / "primes.inst", "minms 1\nmachines 2\n" + jobs)
     dump = _put(tmp_path / "d.json", json.dumps({
         "format": "migsched-dump", "version": 4, "kind": "minms", "algorithm": "lpt",

@@ -15,6 +15,7 @@ from migsched import (
     MigrationSchedule,
     MinMsInstance,
     as_time,
+    parse_instance,
 )
 from migsched.core import MAX_TICK_BITS, InstanceTooLargeError, segment_violations
 
@@ -302,6 +303,19 @@ class TestMigrationSchedule:
             "conservation: job 5 segments sum to 1, process time is 2",
             "conservation: job 9 segments sum to 3/2, process time is 4",
         ]
+
+    def test_conservation_failures_follow_the_instance_order_not_the_ids(self):
+        # Job 9 comes first in the instance and job 5 last; the segments meet
+        # 5 first. A read instance words them from its view, as a checked one.
+        jobs = (Job(9, 4), Job(1, 3), Job(5, 2))
+        read = parse_instance("minms 1\nmachines 2\njob 9 4\njob 1 3\njob 5 2\n")
+        segments = [(5, 0, 1), (1, 1, 3), (9, 0, 1), (9, 1, Fraction(1, 2))]
+        for inst in (MinMsInstance(jobs, 2), read):
+            assert segment_violations(inst, segments) == [
+                "conservation: job 9 segments sum to 3/2, process time is 4",
+                "conservation: job 5 segments sum to 1, process time is 2",
+            ]
+        assert "jobs" not in vars(read)
 
     def test_job_placed_twice_with_its_own_time_objects(self):
         # The first segment is job 0's own time object, the second an equal

@@ -1,7 +1,9 @@
 """Generators and the instance file format."""
 
+import copy
 import importlib.util
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -29,11 +31,11 @@ from migsched import (
     parse_instance,
     serialize_instance,
 )
-from migsched import instances
-from migsched.core import as_time
+from migsched import core, instances
+from migsched.core import InstanceTooLargeError, as_time
 from migsched.instances import _parse_int, load_instance
 
-from helpers import total_load
+from helpers import first_primes, total_load
 
 
 class TestGrahamFamily:
@@ -501,7 +503,7 @@ def reference_parse(text):
     minms = kind == "minms"
     usage = "job <id> <time>" if minms else "job <id> <start> <end> <demand>"
     size = len(usage.split())
-    seen, memo, jobs = set(), {}, []
+    seen, memo, jobs, tokens_of = set(), {}, [], []
     for line, row in rows[2:]:
         tokens = row.split()
         if len(tokens) != size or tokens[0] != "job":
@@ -521,7 +523,8 @@ def reference_parse(text):
                 if not time:
                     raise InstanceFormatError(f"job {job_id}: process time must be positive", line)
                 memo[token] = time
-            jobs.append((job_id, time))
+            jobs.append(job_id)
+            tokens_of.append(token)
         else:
             start = _parse_int(tokens[2], "start slot", line)
             end = _parse_int(tokens[3], "end slot", line)
@@ -532,7 +535,9 @@ def reference_parse(text):
                     raise InstanceFormatError(str(exc), line) from exc
             jobs.append((job_id, start, end))
     try:
-        return (MinMsInstance if minms else IntervalInstance)._trusted(jobs, param_value)
+        if minms:  # the id column, the time-token column and the token memo
+            return MinMsInstance._trusted(jobs, tokens_of, memo, param_value)
+        return IntervalInstance._trusted(jobs, param_value)
     except InvariantError as exc:
         raise InstanceFormatError(str(exc)) from exc
 
@@ -736,3 +741,77 @@ def test_stride_reader_peaks_within_the_line_walk(kind):
             tracemalloc.stop()
 
     assert peak(parse_instance) < 1.15 * peak(reference_parse)
+
+
+# Time tokens the stride pass reads: repeats, equal values written apart
+# ("1/2" and "2/4", "3" and "03", "1" and Arabic-Indic "1"), and numbers past
+# float range.
+TIME_TOKENS = (
+    "1", "3", "03", "\u0661", "\u0663/\u0666", "1/2", "2/4", "7/2", "14/4",
+    "9" * 400, "1" + "0" * 400 + "/3", "5/" + "7" * 300,
+)
+
+
+@st.composite
+def stride_documents(draw):
+    """A minms document the stride pass reads (the second pass when it has a
+    comment line), with its machine count, job ids and time tokens."""
+    ids = draw(st.permutations(range(draw(st.integers(1, 8)))))
+    tokens = [draw(st.sampled_from(TIME_TOKENS)) for _ in ids]
+    machines = draw(st.integers(1, 5))
+    lines = ["minms 1", f"machines {machines}"] + [f"job {i} {t}" for i, t in zip(ids, tokens)]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(1, len(lines))), "# a comment")
+    return "\n".join(lines) + "\n", machines, list(ids), tokens
+
+
+@settings(max_examples=200, deadline=None)
+@given(stride_documents())
+def test_a_read_instance_is_the_checked_one_with_one_time_object_per_token(document):
+    text, machines, ids, tokens = document
+    got = parse_instance(text)
+    assert "jobs" not in vars(got)
+    view = got.ticks
+    checked = MinMsInstance(tuple(Job(i, as_time(t)) for i, t in zip(ids, tokens)), machines)
+    expected = checked.ticks
+    assert (view.unit, view.total) == (expected.unit, expected.total)
+    assert list(view.sizes.items()) == list(expected.sizes.items())
+    assert list(view.times.items()) == list(expected.times.items())
+    # The memo's one object per token: jobs of a token share it, and no two
+    # tokens do, also where their values are equal.
+    of_token = {}
+    for job_id, token in zip(ids, tokens):
+        assert of_token.setdefault(token, view.times[job_id]) is view.times[job_id]
+    assert len(set(map(id, of_token.values()))) == len(of_token)
+    assert "jobs" not in vars(got)
+    assert (got, hash(got), repr(got)) == (checked, hash(checked), repr(checked))
+    assert got.jobs is got.jobs  # built once, then kept
+    assert [job.process_time for job in got.jobs] == [view.times[i] for i in ids]
+    assert serialize_instance(got) == serialize_instance(checked)
+
+
+def test_the_jobs_of_a_read_instance_are_built_from_its_view_alone():
+    got = parse_instance("minms 1\nmachines 2\njob 3 7/2\njob 1 3\njob 2 7/2\n")
+    # Pickled before its jobs exist, it builds them after unpickling.
+    assert pickle.loads(pickle.dumps(got)) == got
+    assert copy.deepcopy(got) == got
+    assert [job.id for job in got.jobs] == [3, 1, 2]
+    bare = object.__new__(MinMsInstance)  # no jobs and no view: no recursion
+    for name in ("jobs", "ticks", "__setstate__"):
+        with pytest.raises(AttributeError):
+            getattr(bare, name)
+
+
+@pytest.mark.parametrize("comment", ["", "# a comment\n"], ids=["first-pass", "second-pass"])
+def test_a_file_past_the_tick_budget_is_refused_while_it_is_read(comment):
+    # The document of the CLI's budget test: 10,000 jobs of 1/p, one distinct
+    # prime each. Whichever pass reads it, the view's refusal is the error.
+    text = "minms 1\nmachines 2\n" + comment
+    text += "".join(f"job {i} 1/{p}\n" for i, p in enumerate(first_primes(10_000)))
+    message = (
+        f"the tick counts of 10000 jobs exceed the budget of {core.MAX_TICK_BITS} bits "
+        "(jobs x bits of the tick unit)"
+    )
+    with pytest.raises(InstanceTooLargeError) as err:
+        parse_instance(text)
+    assert str(err.value) == message

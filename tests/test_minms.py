@@ -20,6 +20,7 @@ from migsched import (
     lpt_schedule,
     opt_balance,
     pam_schedule,
+    parse_instance,
     wraparound_schedule,
 )
 from migsched.minms import timeline_ticks
@@ -379,6 +380,23 @@ class TestTicksMatchFractionReference:
         for schedule in (lpt, trace.schedule, sched):
             assert all_fractions(s.amount for s in schedule.segments)
             assert all_fractions(schedule.machine_loads() + (schedule.makespan(),))
+
+    @settings(max_examples=150, deadline=None)
+    @given(coprime_sizes | rational_sizes, st.integers(min_value=1, max_value=8), st.data())
+    def test_read_instances_with_ids_out_of_order_match_the_references(self, sizes, m, data):
+        # A read instance holds its job order in its tick view alone; the
+        # solvers take it from there and build no jobs.
+        ids = data.draw(st.permutations(range(len(sizes))))
+        text = "".join(f"job {i} {p}\n" for i, p in zip(ids, sizes))
+        inst = parse_instance(f"minms 1\nmachines {m}\n" + text)
+        schedules = lpt_schedule(inst), pam_schedule(inst), wraparound_schedule(inst)
+        assert "jobs" not in vars(inst)
+        lpt, trace, wrap = schedules
+        assert lpt.segments == tuple(reference_lpt(inst))
+        assert (trace.lpt_loads, trace.excess, trace.deficit, trace.schedule.segments) == (
+            reference_pam(inst)
+        )
+        assert (wrap.segments, wrap.makespan()) == reference_wraparound(inst)
 
     @settings(max_examples=300, deadline=None)
     @given(
