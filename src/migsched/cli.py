@@ -112,7 +112,7 @@ def _report(args, name: str, instance, algorithms: list[str]) -> list[tuple]:
         oracle, measure, n = exact_minms, "makespan", len(instance.ticks.sizes)
     else:
         param, optimum = instance.capacity, mintpt.mintpt_lower_bound(instance)
-        oracle, measure, n = exact_mintpt, "total_power_on_time", len(instance.jobs)
+        oracle, measure, n = exact_mintpt, "total_power_on_time", len(instance.rows)
 
     witness, oracle_ms = None, None
     refusal = "exact solve requested but the oracle is disabled"
@@ -463,7 +463,7 @@ def cmd_verify(args) -> int:
     instance = _load(args.instance)
     try:
         dump = json.loads(Path(args.dump).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or int digits
+    except (OSError, ValueError, RecursionError) as exc:  # bad JSON, UTF-8, int digits or nesting
         raise CliError(f"cannot read dump {args.dump}: {exc}") from exc
     if not isinstance(dump, dict) or dump.get("format") != DUMP_FORMAT:
         raise CliError("not a schedule dump")

@@ -212,17 +212,8 @@ class MinMsInstance:
         view = vars(self).get("ticks") if name == "jobs" else None
         if view is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        new, store = object.__new__, object.__setattr__
-        jobs = []
-        for job_id, time in view.times.items():
-            # Stored as the dataclass's own __init__ stores them, past the
-            # frozen __setattr__: reaching for __dict__ instead gives every job
-            # a dict of its own, and later checked jobs lose the shared keys too.
-            job = new(Job)
-            store(job, "id", job_id)
-            store(job, "process_time", time)
-            jobs.append(job)
-        store(self, "jobs", tuple(jobs))
+        # `Job` keeps a Fraction time as it is, so each job holds the view's object.
+        object.__setattr__(self, "jobs", tuple(map(Job, view.times, view.times.values())))
         return self.jobs
 
     @cached_property

@@ -113,7 +113,8 @@ def parse_instance(text: str) -> MinMsInstance | IntervalInstance:
     Parse with the first `.ticks`, 2-vCPU Xeon VM, Python 3.11 (best of 40
     rounds; line walk -> stride pass with jobs -> view from its columns):
     1000 `minms` jobs 1.73 -> 1.38 -> 0.92 ms, 1000 distinct time tokens
-    2.50 -> 2.11 -> 1.81 ms; 300 `mintpt` jobs, parse alone, 0.48 -> 0.38 ms.
+    2.50 -> 2.11 -> 1.81 ms; 300 `mintpt` jobs, parse alone, 0.48 -> 0.38 ms,
+    and 0.35 -> 0.20 ms once the instance keeps the reader's rows, no jobs.
     """
     instance = _stride(text)
     if instance is None:
@@ -213,7 +214,7 @@ def _stride(text: str) -> MinMsInstance | IntervalInstance | None:
         return MinMsInstance._trusted(ids, times, memo, count)
     if not all(map(operator.lt, starts, ends)):
         return None
-    return IntervalInstance._trusted(zip(ids, starts, ends), count)
+    return IntervalInstance._trusted(tuple(zip(ids, starts, ends)), count)
 
 
 def _raise_first_error(rows: list[tuple[int, str]]) -> NoReturn:
@@ -255,11 +256,9 @@ def _raise_first_error(rows: list[tuple[int, str]]) -> NoReturn:
         seen.add(job_id)
         if minms:
             try:
-                time = as_time(tokens[2])
-            except ValueError as exc:
+                Job(job_id, tokens[2])
+            except ValueError as exc:  # InvariantError included
                 raise InstanceFormatError(str(exc), line) from exc
-            if not time:
-                raise InstanceFormatError(f"job {job_id}: process time must be positive", line)
         else:
             start = _parse_int(tokens[2], "start slot", line)
             end = _parse_int(tokens[3], "end slot", line)

@@ -88,7 +88,10 @@ class IntervalInstance:
     """Unit-demand interval jobs plus the per-machine slot capacity g >= 1.
 
     The slot horizon is derived: the largest end slot over all jobs (0 when
-    empty). Every job therefore lies within [0, horizon).
+    empty). Every job therefore lies within [0, horizon). `rows` holds each
+    job's (id, start slot, end slot) in instance order, and every reader of
+    the job fields reads it. An instance read from text (`_trusted`) keeps
+    the reader's rows and builds its `jobs` only when something asks for them.
     """
 
     jobs: tuple[IntervalJob, ...]
@@ -98,6 +101,7 @@ class IntervalInstance:
         object.__setattr__(self, "jobs", tuple(self.jobs))
         self._check_capacity(self.capacity)
         _check_unique_ids(self.jobs)
+        object.__setattr__(self, "rows", tuple((job.id, *job.interval) for job in self.jobs))
 
     @staticmethod
     def _check_capacity(capacity) -> None:
@@ -105,32 +109,29 @@ class IntervalInstance:
             raise InvariantError(f"capacity must be a positive integer, got {capacity!r}")
 
     @classmethod
-    def _trusted(cls, intervals: Iterable[tuple[int, int, int]], capacity: int) -> IntervalInstance:
-        """The instance of `(job id, start slot, end slot)` unit-demand jobs
-        that a reader has already checked: unique non-negative int ids and int
-        slots with 0 <= start < end. `IntervalJob`'s checks and the duplicate
-        scan are skipped; the capacity check still runs."""
-        new, store = object.__new__, object.__setattr__
-        jobs = []
-        for job_id, start, end in intervals:
-            # Stored as the dataclass's own __init__ stores them, past the
-            # frozen __setattr__: reaching for __dict__ instead would give
-            # every job a dict of its own, about 65 bytes more per job.
-            job = new(IntervalJob)
-            store(job, "id", job_id)
-            store(job, "start_slot", start)
-            store(job, "end_slot", end)
-            store(job, "demand", 1)
-            jobs.append(job)
-        instance = new(cls)
-        store(instance, "jobs", tuple(jobs))
+    def _trusted(cls, rows: tuple[tuple[int, int, int], ...], capacity: int) -> IntervalInstance:
+        """The instance of a reader's checked `(job id, start slot, end slot)`
+        rows of unit-demand jobs: unique non-negative int ids and int slots
+        with 0 <= start < end. The rows are kept as they are, and no job is
+        built; the capacity check still runs."""
+        cls._check_capacity(capacity)
+        instance, store = object.__new__(cls), object.__setattr__
         store(instance, "capacity", capacity)
-        instance._check_capacity(capacity)
+        store(instance, "rows", rows)
         return instance
+
+    def __getattr__(self, name: str):
+        """A `_trusted` instance's `jobs`, built from its rows and kept. Without
+        rows (a half-built object, as while unpickling) it is missing too."""
+        rows = vars(self).get("rows") if name == "jobs" else None
+        if rows is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, "jobs", tuple(IntervalJob(*row) for row in rows))
+        return self.jobs
 
     @property
     def horizon(self) -> int:
-        return max((j.end_slot for j in self.jobs), default=0)
+        return max(map(operator.itemgetter(2), self.rows), default=0)
 
 
 @dataclass(frozen=True)
@@ -185,7 +186,7 @@ def _per_slot(runs: Iterable[tuple[int, int, int]], horizon: int) -> tuple[int, 
 
 def slot_profile(instance: IntervalInstance) -> SlotProfile:
     """Count active jobs per slot and the resulting machine-count floor."""
-    loads = _per_slot(_runs(job.interval for job in instance.jobs), instance.horizon)
+    loads = _per_slot(_runs(row[1:] for row in instance.rows), instance.horizon)
     g = instance.capacity
     return SlotProfile(loads, tuple(-(-load // g) for load in loads))
 
@@ -196,7 +197,7 @@ def mintpt_lower_bound(instance: IntervalInstance) -> int:
     No schedule, migratory or not, can power on fewer machine-slots.
     """
     g = instance.capacity
-    return sum(-(-count // g) * (t - s) for s, t, count in _runs(j.interval for j in instance.jobs))
+    return sum(-(-count // g) * (t - s) for s, t, count in _runs(row[1:] for row in instance.rows))
 
 
 def placement_violations(
@@ -222,7 +223,7 @@ def placement_violations(
     comes before start[i + 1].
     """
     problems: list[str] = []
-    covered: dict[int, list[tuple[int, int]]] = {job.id: [] for job in instance.jobs}
+    covered: dict[int, list[tuple[int, int]]] = {job_id: [] for job_id, _, _ in instance.rows}
     per_machine: dict[int, list[tuple[int, int]]] = {}
     for job_id, machine_id, start, end in stints:
         if type(job_id) is not int or job_id not in covered:
@@ -236,28 +237,27 @@ def placement_violations(
             continue
         covered[job_id].append((start, end))
         per_machine.setdefault(machine_id, []).append((start, end))
-    for job in instance.jobs:
-        cursor = job.start_slot
-        spans = covered[job.id]
+    for job_id, first, last in instance.rows:
+        cursor = first
+        spans = covered[job_id]
         if len(spans) > 1:
             spans.sort()
         for start, end in spans:
-            if start < job.start_slot or end > job.end_slot:
+            if start < first or end > last:
                 problems.append(
-                    f"job {job.id}: stint [{start}, {end}) outside its interval "
-                    f"[{job.start_slot}, {job.end_slot})"
+                    f"job {job_id}: stint [{start}, {end}) outside its interval [{first}, {last})"
                 )
-                start, end = max(start, job.start_slot), min(end, job.end_slot)
+                start, end = max(start, first), min(end, last)
                 if start >= end:
                     continue
             if start > cursor:
-                problems.append(f"job {job.id}: no placement for slots [{cursor}, {start})")
+                problems.append(f"job {job_id}: no placement for slots [{cursor}, {start})")
             elif start < cursor:
                 twice = f"[{start}, {min(end, cursor)})"
-                problems.append(f"job {job.id}: placed twice in slots {twice}")
+                problems.append(f"job {job_id}: placed twice in slots {twice}")
             cursor = max(cursor, end)
-        if cursor < job.end_slot:
-            problems.append(f"job {job.id}: no placement for slots [{cursor}, {job.end_slot})")
+        if cursor < last:
+            problems.append(f"job {job_id}: no placement for slots [{cursor}, {last})")
     g = instance.capacity
     for machine_id, intervals in sorted(per_machine.items()):
         starts, ends = map(sorted, zip(*intervals))
@@ -359,9 +359,9 @@ class IntervalSchedule:
         return self._power_on
 
 
-def _allocation_order(instance: IntervalInstance) -> list[IntervalJob]:
-    # Earliest start first, ties by job id.
-    return sorted(instance.jobs, key=lambda j: (j.start_slot, j.id))
+def _allocation_order(instance: IntervalInstance) -> list[tuple[int, int, int]]:
+    # The (id, start, end) rows, earliest start first, ties by job id.
+    return sorted(instance.rows, key=operator.itemgetter(1, 0))
 
 
 def estf_schedule(instance: IntervalInstance) -> IntervalSchedule:
@@ -391,8 +391,7 @@ def estf_schedule(instance: IntervalInstance) -> IntervalSchedule:
     running: list[tuple[int, int]] = []  # min-heap of (end slot, machine) of live jobs
     stints: list[tuple[int, int, int, int]] = []
     power_on = 0
-    for job in _allocation_order(instance):
-        start = job.start_slot
+    for job_id, start, end in _allocation_order(instance):
         while running and running[0][0] <= start:
             machine = heapq.heappop(running)[1]
             live[machine] -= 1
@@ -406,12 +405,11 @@ def estf_schedule(instance: IntervalInstance) -> IntervalSchedule:
         live[machine] += 1
         if live[machine] == g:
             heapq.heappop(room)
-        end = job.end_slot
         if end > reach[machine]:
             power_on += end - max(start, reach[machine])
             reach[machine] = end
         heapq.heappush(running, (end, machine))
-        stints.append((job.id, machine, start, end))
+        stints.append((job_id, machine, start, end))
     return IntervalSchedule._trusted(instance, stints, power_on, len(live))
 
 
@@ -450,12 +448,12 @@ def lbm_schedule(instance: IntervalInstance) -> IntervalSchedule:
     """
     g = instance.capacity
     order = _allocation_order(instance)
-    rank = {job.id: k for k, job in enumerate(order)}
+    rank = {job_id: k for k, (job_id, _, _) in enumerate(order)}
     starts: dict[int, list[int]] = {}
     ends: dict[int, list[int]] = {}
-    for job in order:
-        starts.setdefault(job.start_slot, []).append(job.id)
-        ends.setdefault(job.end_slot, []).append(job.id)
+    for job_id, start, end in order:
+        starts.setdefault(start, []).append(job_id)
+        ends.setdefault(end, []).append(job_id)
 
     stints: list[tuple[int, int, int, int]] = []
     hosted: list[set[int]] = []  # per allowed machine: the job ids on it

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 
 from .core import InstanceTooLargeError, JobSegment, MigrationSchedule, MinMsInstance
 from .mintpt import IntervalInstance, IntervalSchedule
@@ -113,15 +114,15 @@ def exact_mintpt(instance: IntervalInstance, max_jobs: int = MINTPT_MAX_JOBS) ->
     of ceil(jobs in the piece / g) x width, computed here from the same
     pieces.
     """
-    n = len(instance.jobs)
+    n = len(instance.rows)
     _refuse_above(n, max_jobs)
 
     g = instance.capacity
-    jobs = sorted(instance.jobs, key=lambda j: (j.start_slot, j.id))
-    cuts = sorted({slot for job in jobs for slot in job.interval})
+    jobs = sorted(instance.rows, key=operator.itemgetter(1, 0))
+    cuts = sorted({slot for _, start, end in jobs for slot in (start, end)})
     widths = [t - s for s, t in zip(cuts, cuts[1:])]
     piece = {slot: p for p, slot in enumerate(cuts)}
-    spans = [range(piece[job.start_slot], piece[job.end_slot]) for job in jobs]
+    spans = [range(piece[start], piece[end]) for _, start, end in jobs]
     counts = [[0] * len(widths) for _ in range(n)]
     # The floor: a piece with L jobs keeps at least ceil(L / g) machines on.
     # No assignment costs less, so a leaf that reaches it ends the search.
@@ -160,5 +161,5 @@ def exact_mintpt(instance: IntervalInstance, max_jobs: int = MINTPT_MAX_JOBS) ->
                         return
 
     place(0, 0, 0)
-    stints = [(job.id, i, *job.interval) for job, i in zip(jobs, witness)]
+    stints = [(job_id, i, start, end) for (job_id, start, end), i in zip(jobs, witness)]
     return IntervalSchedule(instance, stints)

@@ -893,6 +893,15 @@ def test_file_and_number_errors_are_input_errors(capsys, tmp_path, fixtures_dir,
     assert err.startswith("error: "), err
 
 
+def test_a_deeply_nested_dump_is_an_input_error(capsys, tmp_path, intervals):
+    # json.loads refuses nesting past the recursion limit with a
+    # RecursionError, not a ValueError; verify words it as any unreadable dump.
+    dump = _put(tmp_path / "d.json", "[" * 200_000)
+    code, out, err = run(capsys, "verify", intervals, dump)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read dump {dump}: "), err
+
+
 @pytest.mark.parametrize("algorithm", ["estf", "lbm"])
 def test_solve_does_not_scale_with_the_horizon(capsys, tmp_path, algorithm):
     # One job a million or ten billion slots long: a schedule of stints holds
@@ -1620,7 +1629,8 @@ def test_bench_json_approx_past_float_range_is_null(capsys):
 
 def test_commands_on_a_read_instance_build_no_jobs(capsys, tmp_path, monkeypatch, fixtures_dir):
     # solve in every format, the oracle column included, and verify of each
-    # minms solver's dump read the job count and order from the tick view.
+    # solver's dump read the job count and order from the tick view of a
+    # minms instance and from the rows of a mintpt one; so does exact.
     read = []
 
     def load(path):
@@ -1629,15 +1639,25 @@ def test_commands_on_a_read_instance_build_no_jobs(capsys, tmp_path, monkeypatch
 
     monkeypatch.setattr(cli, "load_instance", load)
     rational = _put(tmp_path / "r.inst", "minms 1\nmachines 3\njob 4 7/2\njob 0 3\njob 2 5/3\njob 1 1\n")
-    for path in (str(fixtures_dir / "graham_m2.inst"), rational):
-        for algorithm in ("lpt", "pam", "wraparound"):
+    shuffled = _put(
+        tmp_path / "s.inst", "mintpt 1\ncapacity 2\njob 3 1 4 1\njob 0 0 2 1\njob 5 2 3 1\njob 1 0 5 1\n"
+    )
+    minms_files = (str(fixtures_dir / "graham_m2.inst"), rational)
+    mintpt_files = (str(fixtures_dir / "intervals_g3.inst"), shuffled)
+    cases = [(path, ("lpt", "pam", "wraparound")) for path in minms_files]
+    cases += [(path, ("estf", "lbm")) for path in mintpt_files]
+    for path, algorithms in cases:
+        for algorithm in algorithms:
             dump = str(tmp_path / f"{algorithm}.json")
             for fmt in ("csv", "md", "json"):
                 argv = ["solve", path, "--algorithm", algorithm, "--format", fmt, "--dump", dump]
                 assert run(capsys, *argv)[0] == 0
             assert run(capsys, "verify", path, dump)[0] == 0
-    assert len(read) == 24
-    assert [sorted(vars(instance)) for instance in read] == [["machine_count", "ticks"]] * 24
+        if path in mintpt_files:
+            assert run(capsys, "solve", path, "--algorithm", "exact")[0] == 0
+    assert [sorted(vars(instance)) for instance in read] == (
+        [["machine_count", "ticks"]] * 24 + [["capacity", "rows"]] * 18
+    )
 
 
 def test_tick_counts_past_their_budget_are_input_errors(capsys, tmp_path):

@@ -347,9 +347,11 @@ class TestIntervalParserMatchesTheCheckedPath:
 
 
 def test_parsed_interval_jobs_take_no_more_memory_than_checked_ones():
-    # The reader's jobs skip IntervalJob's checks but are stored as its
-    # __init__ stores them; a __dict__ of their own would cost about 65 more
-    # bytes per job. Slots 0 and 1 are cached small ints on both sides.
+    # The reader keeps its rows, and the jobs it builds from them when asked
+    # are IntervalJob's own, so with its jobs a parsed instance keeps what a
+    # checked one keeps: the jobs and their rows. Jobs filled through a
+    # __dict__ of their own cost about 65 more bytes each. Slots 0 and 1 are
+    # cached small ints on both sides.
     n = 20000
     text = "mintpt 1\ncapacity 2\n" + "".join(f"job {i} 0 1 1\n" for i in range(n))
 
@@ -361,8 +363,13 @@ def test_parsed_interval_jobs_take_no_more_memory_than_checked_ones():
         finally:
             tracemalloc.stop()
 
+    def parsed():
+        instance = parse_instance(text)
+        assert instance.jobs
+        return instance
+
     checked = retained(lambda: IntervalInstance(tuple(IntervalJob(i, 0, 1) for i in range(n)), 2))
-    assert retained(lambda: parse_instance(text)) < checked * 1.1
+    assert retained(parsed) < checked * 1.1
 
 
 # Run in a fresh interpreter: how much a Job keeps depends on which Jobs the
@@ -391,9 +398,9 @@ print(retained(lambda: MinMsInstance(tuple(Job(i, one) for i in range(n)), 2)))
 
 
 def test_parsed_minms_jobs_take_no_more_memory_than_checked_ones():
-    # The reader's jobs skip Job's checks but are stored as its __init__
-    # stores them; filled through __dict__ instead, each parsed job kept a
-    # dict of its own, and every checked Job built after them grew as well.
+    # The reader builds no Job, and its deferred jobs come from Job itself.
+    # Jobs once filled through __dict__ kept a dict each, and every checked
+    # Job built after them grew as well.
     env = dict(os.environ, PYTHONPATH=str(Path(migsched.__file__).parents[1]))
 
     def run(mode):
@@ -791,15 +798,59 @@ def test_a_read_instance_is_the_checked_one_with_one_time_object_per_token(docum
 
 
 def test_the_jobs_of_a_read_instance_are_built_from_its_view_alone():
-    got = parse_instance("minms 1\nmachines 2\njob 3 7/2\njob 1 3\njob 2 7/2\n")
-    # Pickled before its jobs exist, it builds them after unpickling.
-    assert pickle.loads(pickle.dumps(got)) == got
-    assert copy.deepcopy(got) == got
-    assert [job.id for job in got.jobs] == [3, 1, 2]
-    bare = object.__new__(MinMsInstance)  # no jobs and no view: no recursion
-    for name in ("jobs", "ticks", "__setstate__"):
-        with pytest.raises(AttributeError):
-            getattr(bare, name)
+    # The view of a minms instance, the rows of a mintpt one.
+    for text, kind, source in (
+        ("minms 1\nmachines 2\njob 3 7/2\njob 1 3\njob 2 7/2\n", MinMsInstance, "ticks"),
+        ("mintpt 1\ncapacity 2\njob 3 1 4 1\njob 1 0 2 1\njob 2 1 4 1\n", IntervalInstance, "rows"),
+    ):
+        got = parse_instance(text)
+        # Pickled before its jobs exist, it builds them after unpickling.
+        assert pickle.loads(pickle.dumps(got)) == got
+        assert copy.deepcopy(got) == got
+        assert [job.id for job in got.jobs] == [3, 1, 2]
+        bare = object.__new__(kind)  # no jobs and no view: no recursion
+        for name in ("jobs", source, "__setstate__"):
+            with pytest.raises(AttributeError):
+                getattr(bare, name)
+
+
+# Ways to write an id or slot the stride pass reads as its int: plain, with a
+# leading zero, and in Arabic-Indic digits.
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+SLOT_SPELLINGS = (str, "0{}".format, lambda n: str(n).translate(ARABIC_INDIC))
+
+
+@st.composite
+def interval_stride_documents(draw):
+    """A mintpt document the stride pass reads (the second pass when it has a
+    comment line), with its capacity and (id, start, end) rows."""
+    rows = []
+    for job_id in draw(st.permutations(range(draw(st.integers(0, 8))))):
+        start = draw(st.integers(0, 12))
+        rows.append((job_id, start, start + draw(st.integers(1, 6))))
+    capacity = draw(st.integers(1, 4))
+    lines = ["mintpt 1", f"capacity {capacity}"]
+    for row in rows:
+        lines.append("job " + " ".join(draw(st.sampled_from(SLOT_SPELLINGS))(n) for n in row) + " 1")
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(1, len(lines))), "# a comment")
+    return "\n".join(lines) + "\n", capacity, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(interval_stride_documents())
+def test_a_read_interval_instance_keeps_its_rows_and_builds_the_checked_jobs(document):
+    text, capacity, rows = document
+    got = parse_instance(text)
+    assert "jobs" not in vars(got)
+    checked = IntervalInstance(tuple(IntervalJob(*row) for row in rows), capacity)
+    assert got.rows == checked.rows == tuple(rows)
+    assert all(type(value) is int for row in got.rows for value in row)
+    assert (got.horizon, got.capacity) == (checked.horizon, checked.capacity)
+    assert "jobs" not in vars(got)
+    assert (got, hash(got), repr(got)) == (checked, hash(checked), repr(checked))
+    assert got.jobs is got.jobs  # built once, then kept
+    assert serialize_instance(got) == serialize_instance(checked)
 
 
 @pytest.mark.parametrize("comment", ["", "# a comment\n"], ids=["first-pass", "second-pass"])
