@@ -16,7 +16,7 @@ import json
 import operator
 import sys
 import time
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -163,41 +163,27 @@ def _report(args, name: str, instance, algorithms: list[str]) -> list[tuple]:
 # record, fed every record's fields as one flat tuple.
 _SEGMENT = "    [%d, %d%s]"
 _STINT = "    [%d, %d, %d, %d]"
+_FIELDS = {"segments": ("job", "machine", "amount"), "stints": ("job", "machine", "start", "end")}
 
 
-class _Records(Sequence):
-    """A dump's record list, read from the schedule's own rows.
+class _Records(dict):
+    """A dump's `count` records, the schedule's rows, which `rows` builds when
+    first called. `records[i]` is record i as a dict keyed by field name,
+    built on first use and kept; the writer formats each kept dict's values,
+    in field order, in place of its row, so a record can be changed before the
+    dump is written (perfbench's smoke test corrupts a `pam` dump this way)."""
 
-    The writer formats the rows as they are, one array line per record.
-    Indexing gives one record as a dict keyed by field name; the dict is
-    kept, and the writer formats its values, in field order, in place of its
-    row, so a record can be changed before the dump is written (perfbench's
-    smoke test corrupts a `pam` dump this way).
-    """
+    def __init__(self, fields: tuple[str, ...], count: int, rows: Callable[[], Sequence]) -> None:
+        super().__init__()
+        self.fields, self.count, self.rows = fields, count, rows
 
-    def __init__(self, fields: tuple[str, ...], rows: tuple[tuple, ...]) -> None:
-        self.fields, self._rows, self._taken = fields, rows, {}
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, i: int) -> dict:
-        if i not in self._taken:
-            self._taken[i] = dict(zip(self.fields, self._rows[i]))
-        return self._taken[i]
-
-    def rows(self) -> Sequence[tuple]:
-        """Each record's fields in order: its row, or the dict taken for it."""
-        if not self._taken:
-            return self._rows
-        rows = list(self._rows)
-        for i, record in self._taken.items():
-            rows[i] = tuple(record[name] for name in self.fields)
-        return rows
+    def __missing__(self, i: int) -> dict:
+        i = range(self.count)[i]  # a negative index counts from the end
+        return self.setdefault(i, dict(zip(self.fields, self.rows()[i])))
 
 
 def _dump_payload(schedule, algorithm: str) -> dict:
-    """The dump's header fields, then its record list last."""
+    """The dump's header fields, then its records last."""
     header = {"format": DUMP_FORMAT, "version": DUMP_VERSION}
     if isinstance(schedule, MigrationSchedule):
         return header | {
@@ -205,15 +191,29 @@ def _dump_payload(schedule, algorithm: str) -> dict:
             "algorithm": algorithm,
             "machine_count": schedule.instance.machine_count,
             "migrations": schedule.migrations,
-            "segments": _Records(("job", "machine", "amount"), schedule.segments),
+            "segments": _Records(_FIELDS["segments"], len(schedule._ticks), lambda: schedule.segments),
         }
     return header | {
         "kind": "mintpt",
         "algorithm": algorithm,
         "machines_used": schedule.machines_used,
         "migrations": schedule.migrations,
-        "stints": _Records(("job", "machine", "start", "end"), schedule.stints),
+        "stints": _Records(_FIELDS["stints"], len(schedule.stints), lambda: schedule.stints),
     }
+
+
+def _segment_fields(schedule: MigrationSchedule) -> list:
+    """The flat (job, machine, amount text) fields of the schedule's columns:
+    "" for a segment whose ticks are its job's size, else its amount's text,
+    made once per distinct tick count (`pam` deals one piece to many machines)."""
+    view, jobs, ticks = schedule.instance.ticks, schedule._jobs, schedule._ticks
+    sizes = map(view.sizes.__getitem__, jobs)
+    pieces = list(itertools.compress(range(len(ticks)), map(operator.ne, ticks, sizes)))
+    made = {t: ", " + encode_basestring_ascii(str(view.time(t))) for t in {ticks[i] for i in pieces}}
+    texts = [""] * len(ticks)
+    for i in pieces:
+        texts[i] = made[ticks[i]]
+    return list(itertools.chain.from_iterable(zip(jobs, schedule._machines, texts)))
 
 
 def _dump_text(schedule, algorithm: str) -> str:
@@ -222,37 +222,30 @@ def _dump_text(schedule, algorithm: str) -> str:
 
     Only the header goes through `json.dumps`; with `indent` set that is the
     stdlib's pure-Python encoder, too slow for thousands of records, so the
-    record list is formatted from its template instead. A `minms` segment
-    whose amount equals its job's process time is written `[job, machine]`:
-    the bulk hold the job's own time object, found by identity, and any
-    other amount is compared by value, so the bytes depend only on values.
-    The comparison and the `str()` of a written amount are made once per
-    distinct pair of amount and time objects (looked up by `id`): `pam`
-    deals one piece object to many machines.
+    record list is formatted from its template instead, straight from the
+    schedule's columns. A `minms` segment whose ticks equal its job's size is
+    written `[job, machine]`; a record taken from the payload is compared by
+    value with its job's time, so the bytes depend only on values.
     """
     *header, (key, records) = _dump_payload(schedule, algorithm).items()
     head = json.dumps(dict(header), indent=2)[:-2]  # without its closing "\n}"
-    if not records:
+    if not records.count:
         return f'{head},\n  "{key}": []\n}}\n'
-    fields = list(itertools.chain.from_iterable(records.rows()))
+    width = len(records.fields)
     if key == "segments":
-        template = _SEGMENT
-        amounts = fields[2::3]
-        own = list(map(schedule.instance.ticks.times.get, fields[0::3]))
-        fields[2::3] = itertools.repeat("", len(records))
-        texts: dict[tuple[int, int], str] = {}  # (id(amount), id(job time)) -> text
-        for i in itertools.compress(itertools.count(), map(operator.is_not, amounts, own)):
-            amount, whole = amounts[i], own[i]
-            pair = id(amount), id(whole)
-            text = texts.get(pair)
-            if text is None:
-                text = "" if amount == whole else ", " + encode_basestring_ascii(str(amount))
-                texts[pair] = text
-            fields[3 * i + 2] = text
+        template, fields = _SEGMENT, _segment_fields(schedule)
+        times = schedule.instance.ticks.times if records else {}
+        for i, record in records.items():
+            job, machine, amount = map(record.__getitem__, records.fields)
+            whole = amount == times.get(job)
+            text = "" if whole else ", " + encode_basestring_ascii(str(amount))
+            fields[width * i : width * i + width] = job, machine, text
     else:
-        template = _STINT
+        template, fields = _STINT, list(itertools.chain.from_iterable(records.rows()))
+        for i, record in records.items():
+            fields[width * i : width * i + width] = map(record.__getitem__, records.fields)
     fields = tuple(fields)  # `%` needs a tuple; the list is freed before the text exists
-    body = ",\n".join([template] * len(records)) % fields
+    body = ",\n".join([template] * records.count) % fields
     return f'{head},\n  "{key}": [\n{body}\n  ]\n}}\n'
 
 

@@ -7,23 +7,22 @@ asserted as a true equality with no tolerance. The API speaks `Fraction`;
 the arithmetic runs on Python ints. Each instance has one `TickView`:
 one tick is 1/(lcm of the process-time denominators x machine count), so
 every process time and the balanced load W/m are whole numbers of ticks. An
-instance read from text gets it from the reader's columns, and no `Job`s.
-Schedule checks and loads add every amount as ticks: an amount on that grid
-is an int count, and one off it (a dump's 1/7 where the instance's times are
-halves) is a `Fraction` of a tick, added into the same sums. The construction
-check of a `MigrationSchedule` converts each amount to ticks once and the
-schedule keeps them, so its loads convert nothing again; a segment that holds
-a job's own process-time object takes the job's size in ticks unconverted.
-A failing check raises one InvariantError that carries every problem in `args`.
-The check runs on public construction and in `verify`; a solver builds its
-schedule through `MigrationSchedule._trusted` from its own bookkeeping, with
-the ticks it has already counted, and the check does not run again on it.
+instance read from text gets it from the reader's int pairs, and builds no
+`Job` and no time `Fraction` until asked. Checks and loads add every amount
+as ticks: an int on that grid, a `Fraction` of a tick off it (a dump's 1/7
+where the times are halves). A `MigrationSchedule` keeps three columns, one
+entry per segment: job, machine, ticks. A failing construction check raises
+one InvariantError that carries every problem in `args`. The check runs on
+public construction and in `verify`; a solver hands its columns to
+`MigrationSchedule._trusted`, unchecked, and no `JobSegment` exists until
+something asks for `segments`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -61,25 +60,29 @@ MAX_MACHINES = 1_000_000  # for what takes one entry per machine: pam, machine_l
 MAX_TICK_BITS = 2**24
 
 
-def as_time(value: int | str | Fraction) -> Fraction:
-    """Coerce an int, exact string ("7" or "7/2"), or Fraction to an exact time.
+def _time_terms(text: str) -> tuple[int, int]:
+    """A time string's reduced (numerator, denominator), by the one time
+    grammar of instance files and dumps: "n" or "n/d" in decimal digits (any
+    Unicode decimal digit, as `int` reads them), d != 0, the denominator
+    converted first; no sign, space, point or exponent, so the value's size
+    is bounded by the string's."""
+    num, slash, den = text.partition("/")
+    if num.isdecimal():
+        if not slash:
+            return int(num), 1
+        if den.isdecimal() and (d := int(den)):
+            g = math.gcd(n := int(num), d)
+            return n // g, d // g
+    raise ValueError(f"time must be n or num/den with a nonzero denominator, got {text!r}")
 
-    The one time grammar, for instance files and schedule dumps: a string is
-    "n" or "n/d" in decimal digits (any Unicode decimal digit, as `int` reads
-    them) with d != 0: no sign, space, point or exponent, so the value's size
-    is bounded by the string's. The denominator is converted first. Floats
-    are rejected outright: a float that has already drifted cannot be
-    recovered, and exact-equality guarantees downstream depend on never
-    letting one in. A bool is no time either, though Python counts it an int.
-    """
+
+def as_time(value: int | str | Fraction) -> Fraction:
+    """Coerce an int, exact string ("7" or "7/2", see _time_terms), or Fraction
+    to an exact time. Floats are rejected outright: a float that has already
+    drifted cannot be recovered, and exact-equality guarantees downstream
+    depend on never letting one in. A bool is no time either."""
     if isinstance(value, str):
-        num, slash, den = value.partition("/")
-        if num.isdecimal():
-            if not slash:
-                return Fraction(int(num))
-            if den.isdecimal() and (d := int(den)):
-                return Fraction(int(num), d)
-        raise ValueError(f"time must be n or num/den with a nonzero denominator, got {value!r}")
+        return Fraction(*_time_terms(value))
     if isinstance(value, float):
         raise TypeError(f"refusing inexact float time value {value!r}")
     if type(value) is bool:
@@ -117,13 +120,13 @@ class Job:
 class TickView:
     """An instance's process times as whole numbers of ticks, built from a
     dictionary-encoded column: job `ids[i]` has the time `table[keys[i]]`,
-    and the lcm and the tick counts are computed once per table entry.
+    a reduced (numerator, denominator) int pair, and the lcm and the tick
+    counts are computed once per table entry.
 
     `unit` is the number of ticks per time unit: the lcm of the process-time
     denominators times the machine count, so that the total `total` is a
     multiple of the machine count and W/m is `total // machine_count` ticks.
-    `sizes` maps each job id to its process time in ticks, in instance order,
-    and `times` maps it to the job's own process-time object, the table's.
+    `sizes` maps each job id to its process time in ticks, in instance order.
 
     When the job count times the bits of the lcm and of the machine count
     passes MAX_TICK_BITS, the view raises InstanceTooLargeError while the lcm
@@ -131,24 +134,28 @@ class TickView:
     grows with each one.
     """
 
-    __slots__ = ("unit", "sizes", "times", "total")
-
     def __init__(self, ids: Sequence[int], keys: Sequence, table: dict, machine_count: int) -> None:
         n, machine_bits = len(ids), machine_count.bit_length()
         lcm = 1
-        for den in {time.denominator for time in table.values()}:
+        for den in {den for _, den in table.values()}:
             lcm = math.lcm(lcm, den)
             if n * (lcm.bit_length() + machine_bits) > MAX_TICK_BITS:
                 raise InstanceTooLargeError(
                     f"the tick counts of {n} jobs exceed the budget of "
                     f"{MAX_TICK_BITS} bits (jobs x bits of the tick unit)"
                 )
-        unit = lcm * machine_count
-        counts = {key: time.numerator * (unit // time.denominator) for key, time in table.items()}
-        self.unit = unit
+        self.unit = unit = lcm * machine_count
+        counts = {key: num * (unit // den) for key, (num, den) in table.items()}
         self.sizes = dict(zip(ids, map(counts.__getitem__, keys)))
-        self.times = dict(zip(ids, map(table.__getitem__, keys)))
         self.total = sum(self.sizes.values())
+        self._keys, self._table = keys, table
+
+    @cached_property
+    def times(self) -> dict[int, Fraction]:
+        """Each job's process-time object, built on first use: one `Fraction` per
+        table entry, shared by its jobs (a public instance sets its jobs' own)."""
+        table = dict(zip(self._table, itertools.starmap(Fraction, self._table.values())))
+        return dict(zip(self.sizes, map(table.__getitem__, self._keys)))
 
     def of(self, amount: int | Fraction) -> int | Fraction:
         """`amount` in ticks: an int on the tick grid, a Fraction of a tick off it.
@@ -197,7 +204,7 @@ class MinMsInstance:
     def _trusted(cls, ids: Sequence, keys: Sequence, table: dict, machine_count: int) -> MinMsInstance:
         """The instance of a reader's checked columns (see TickView): its ids,
         time tokens and token memo, with unique non-negative int ids and
-        positive `Fraction` times. `Job`'s checks and the duplicate scan are
+        positive reduced int pairs. `Job`'s checks and the duplicate scan are
         skipped; the shape checks still run. The view is built here, so the
         tick budget is checked while the file is read."""
         cls._check_shape(ids, machine_count)
@@ -219,8 +226,11 @@ class MinMsInstance:
     @cached_property
     def ticks(self) -> TickView:
         """The integer view of the process times, computed on first use."""
-        ids = [job.id for job in self.jobs]
-        return TickView(ids, ids, {job.id: job.process_time for job in self.jobs}, self.machine_count)
+        times = {job.id: job.process_time for job in self.jobs}
+        ids, pairs = list(times), {i: (t.numerator, t.denominator) for i, t in times.items()}
+        view = TickView(ids, ids, pairs, self.machine_count)
+        view.times = times
+        return view
 
 
 class JobSegment(NamedTuple):
@@ -259,16 +269,14 @@ def segment_violations(
     totals: dict[int, int | Fraction] = dict.fromkeys(sizes, 0)  # per job, in ticks
     out = [] if ticks is None else ticks
     shared: dict[int | Fraction, int | Fraction] = {}
+    m = instance.machine_count
     # Ids are exactly int: a bool is an int to isinstance, and True a key of `totals`.
     for job_id, machine_id, amount in segments:
         if type(job_id) is not int or job_id not in totals:
             problems.append(f"segment references unknown job {job_id!r}")
             continue
-        if type(machine_id) is not int or not 0 <= machine_id < instance.machine_count:
-            problems.append(
-                f"job {job_id}: machine id {machine_id!r} is not an int in "
-                f"0..{instance.machine_count - 1}"
-            )
+        if type(machine_id) is not int or not 0 <= machine_id < m:
+            problems.append(f"job {job_id}: machine id {machine_id!r} is not an int in 0..{m - 1}")
         if amount is times[job_id]:
             t = sizes[job_id]
         else:
@@ -316,11 +324,13 @@ class MigrationSchedule:
       - amounts are positive ints or Fractions,
       - per job, segment amounts sum exactly to its process time.
 
-    The check converts each amount to ticks once, and the schedule keeps
-    those ticks (`_ticks`, one per segment) for its loads and timelines. A
+    The schedule keeps three columns, one entry per segment: `_jobs`,
+    `_machines` and `_ticks` (amounts in ticks), read by its migrations,
+    loads, timelines and dump; a public one builds the first two on use. A
     failing check raises InvariantError(*segment_violations(...)). A solver's
-    output is built by `_trusted` and is not checked: `verify` checks every
-    dump from outside.
+    columns go through `_trusted` unchecked (`verify` checks every dump from
+    outside), and its `segments` are built on first access: a whole job's
+    holds the job's own time object, a piece one `Fraction` per tick count.
 
     A job split into k segments accounts for k-1 migrations; a schedule that
     keeps every job whole has zero migrations. Segment tuple order is
@@ -330,43 +340,57 @@ class MigrationSchedule:
 
     instance: MinMsInstance
     segments: tuple[JobSegment, ...]
-    _ticks: tuple[int | Fraction, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "segments", tuple(self.segments))
+        segments = tuple(self.segments)
         ticks: list[int | Fraction] = []
-        problems = segment_violations(self.instance, self.segments, ticks=ticks)
+        problems = segment_violations(self.instance, segments, ticks=ticks)
         if problems:
             raise InvariantError(*problems)
-        object.__setattr__(self, "_ticks", tuple(ticks))
+        vars(self).update(segments=segments, _ticks=tuple(ticks))
 
     @classmethod
     def _trusted(
-        cls,
-        instance: MinMsInstance,
-        segments: Iterable[JobSegment],
-        ticks: Iterable[int | Fraction],
+        cls, instance: MinMsInstance, jobs: Iterable[int], machines: Iterable[int], ticks: Iterable[int]
     ) -> MigrationSchedule:
-        """The schedule of `segments` that a solver built from its own
-        bookkeeping, with `ticks` each segment's amount in ticks, as the
-        construction check would count it. segment_violations is skipped."""
-        schedule, store = object.__new__(cls), object.__setattr__
-        store(schedule, "instance", instance)
-        store(schedule, "segments", tuple(segments))
-        store(schedule, "_ticks", tuple(ticks))
+        """The schedule of a solver's own columns: per segment its job, machine
+        and amount in ticks (an int, at most the job's size). Unchecked."""
+        schedule = object.__new__(cls)
+        columns = {"_jobs": tuple(jobs), "_machines": tuple(machines), "_ticks": tuple(ticks)}
+        vars(schedule).update(instance=instance, **columns)
         return schedule
+
+    def __getattr__(self, name: str):
+        """A `_trusted` schedule's `segments`, built from its columns, or a
+        public one's `_jobs` and `_machines`, from its segments; each is kept.
+        Missing on a half-built object (as while unpickling), as other names are."""
+        state = vars(self)
+        if name in ("_jobs", "_machines") and "segments" in state:
+            state["_jobs"], state["_machines"], _ = zip(*state["segments"])  # checked, so not empty
+            return state[name]
+        if name != "segments" or "_ticks" not in state:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        view, jobs = state["instance"].ticks, state["_jobs"]
+        sizes, times, time = view.sizes, view.times, view.time
+        pieces: dict[int, Fraction] = {}
+        amounts = [
+            times[job] if t == sizes[job] else pieces.get(t) or pieces.setdefault(t, time(t))
+            for job, t in zip(jobs, state["_ticks"])
+        ]
+        state["segments"] = tuple(map(JobSegment, jobs, state["_machines"], amounts))
+        return self.segments
 
     @property
     def migrations(self) -> int:
         """Count of segments beyond one per job."""
-        return len(self.segments) - len(self.instance.ticks.sizes)
+        return len(self._ticks) - len(self.instance.ticks.sizes)
 
     def _loads(self) -> dict[int, int | Fraction]:
         """Per loaded machine, its load in ticks: the sum of its int ticks plus
         the pairwise sum of its off-grid (Fraction) ticks."""
         loads: dict[int, int | Fraction] = {}
         off_grid: dict[int, list[Fraction]] = {}
-        for (_, machine, _), t in zip(self.segments, self._ticks):
+        for machine, t in zip(self._machines, self._ticks):
             if type(t) is int:
                 loads[machine] = loads.get(machine, 0) + t
             else:

@@ -22,7 +22,7 @@ import random
 from pathlib import Path
 from typing import NoReturn
 
-from .core import InvariantError, Job, MinMsInstance, as_time
+from .core import InvariantError, Job, MinMsInstance, _time_terms
 from .mintpt import IntervalInstance, IntervalJob
 
 __all__ = [
@@ -110,11 +110,12 @@ def parse_instance(text: str) -> MinMsInstance | IntervalInstance:
     walk over its rows raises the first error, with its line. A `minms`
     file past the tick budget raises InstanceTooLargeError while it is read.
 
-    Parse with the first `.ticks`, 2-vCPU Xeon VM, Python 3.11 (best of 40
-    rounds; line walk -> stride pass with jobs -> view from its columns):
-    1000 `minms` jobs 1.73 -> 1.38 -> 0.92 ms, 1000 distinct time tokens
-    2.50 -> 2.11 -> 1.81 ms; 300 `mintpt` jobs, parse alone, 0.48 -> 0.38 ms,
-    and 0.35 -> 0.20 ms once the instance keeps the reader's rows, no jobs.
+    Parse with the first `.ticks`, 2-vCPU Xeon VM, Python 3.11, best of 40
+    rounds. 1000 `minms` jobs: line walk 1.73 ms, stride pass with jobs 1.38,
+    view from its columns 0.92; in a later interleaved run, 1.00 with a
+    `Fraction` per distinct token and 0.68 with int pairs (0.98 once asked
+    for `.ticks.times`). 300 `mintpt` jobs, parse alone: 0.48, 0.38, and
+    0.20 ms once the instance keeps the reader's rows, no jobs.
     """
     instance = _stride(text)
     if instance is None:
@@ -155,7 +156,8 @@ def _stride(text: str) -> MinMsInstance | IntervalInstance | None:
     layout, and on any value the walk refuses: a repeated id, a zero or
     malformed time, end <= start, a demand other than 1 (`01` and `١` are 1),
     a zero machine count or capacity, no minms job, or an int past the digit
-    limit. Each distinct time token is converted once, through `as_time`.
+    limit. Each distinct time token is converted once, to the reduced
+    (numerator, denominator) pair of `as_time`'s grammar; no `Fraction` is made.
     """
     if any(mark in text for mark in _DECLINE):
         return None
@@ -194,7 +196,7 @@ def _stride(text: str) -> MinMsInstance | IntervalInstance | None:
         if minms:
             times = tokens[6::3]
             del tokens  # each token string not in a column goes before the view exists
-            memo = {token: as_time(token) for token in set(times)}
+            memo = {token: _time_terms(token) for token in set(times)}
         else:
             starts, ends, demands = tokens[6::5], tokens[7::5], tokens[8::5]
             del tokens
@@ -208,7 +210,7 @@ def _stride(text: str) -> MinMsInstance | IntervalInstance | None:
     if not count or len(set(ids)) != rows:
         return None
     if minms:
-        if not all(memo.values()):
+        if not all(num for num, _ in memo.values()):
             return None
         # Past the handler: the tick budget's error is a ValueError to raise.
         return MinMsInstance._trusted(ids, times, memo, count)

@@ -16,12 +16,11 @@ Four routes, from classical to exact:
     both.
 
 All of them, and timeline_ticks, compute on the instance's integer ticks
-(core.TickView) and make a Fraction only for what they return; a segment
-that holds a whole job carries the job's own process time. Each solver
-returns the schedule (pam inside its PamTrace) it builds from its own
-bookkeeping, with the ticks it has counted (core.MigrationSchedule._trusted),
-so the construction check does not run on it again; `verify` checks a dump of
-it from outside. Apart from pam, whose output has a segment per machine, their
+(core.TickView). Each solver returns its schedule (pam inside its PamTrace)
+as the job, machine and tick columns of its own bookkeeping, with no
+`JobSegment` and no `Fraction` per segment (core.MigrationSchedule._trusted);
+the construction check does not run on it again, and `verify` checks a dump
+of it from outside. Apart from pam, whose output has a segment per machine, their
 cost does not grow with the machine count beyond the job count. certificate
 checks each solver's claim on a schedule, such as one read back from a dump.
 """
@@ -34,9 +33,8 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
-from .core import MAX_MACHINES, InstanceTooLargeError, JobSegment, MigrationSchedule, MinMsInstance
+from .core import MAX_MACHINES, InstanceTooLargeError, MigrationSchedule, MinMsInstance
 
 __all__ = [
     "PamTrace",
@@ -56,8 +54,8 @@ def opt_balance(instance: MinMsInstance) -> Fraction:
     return ticks.time(ticks.total // instance.machine_count)
 
 
-def _lpt_greedy(instance: MinMsInstance) -> list[tuple[int, int, int]]:
-    """The greedy of lpt_schedule: (job id, machine, size in ticks) in allocation order.
+def _lpt_greedy(instance: MinMsInstance) -> tuple[list[int], list[int], list[int]]:
+    """The greedy of lpt_schedule: job, machine and tick columns in allocation order.
 
     Jobs go largest first, equal sizes by id: the ids are sorted, then sorted
     again by size with `reverse=True`, which keeps equal sizes in id order, so
@@ -67,14 +65,14 @@ def _lpt_greedy(instance: MinMsInstance) -> list[tuple[int, int, int]]:
     """
     sizes = instance.ticks.sizes
     order = sorted(sorted(sizes), key=sizes.__getitem__, reverse=True)
+    ticks = list(map(sizes.__getitem__, order))
     heap = [(0, i) for i in range(min(len(order), instance.machine_count))]
-    placed = []
-    for job_id in order:
+    machines = []
+    for size in ticks:
         load, i = heap[0]
-        size = sizes[job_id]
-        placed.append((job_id, i, size))
+        machines.append(i)
         heapq.heapreplace(heap, (load + size, i))
-    return placed
+    return order, machines, ticks
 
 
 def lpt_schedule(instance: MinMsInstance) -> MigrationSchedule:
@@ -85,10 +83,7 @@ def lpt_schedule(instance: MinMsInstance) -> MigrationSchedule:
     equal process times are ordered by job id. No job is split, so the result
     has zero migrations.
     """
-    times = instance.ticks.times
-    placed = _lpt_greedy(instance)
-    segments = [JobSegment(job_id, i, times[job_id]) for job_id, i, _ in placed]
-    return MigrationSchedule._trusted(instance, segments, map(operator.itemgetter(2), placed))
+    return MigrationSchedule._trusted(instance, *_lpt_greedy(instance))
 
 
 @dataclass(frozen=True)
@@ -108,17 +103,6 @@ class PamTrace:
     schedule: MigrationSchedule
 
 
-def _piece(
-    instance: MinMsInstance, job_id: int, ticks: int, time: Callable[[int], Fraction]
-) -> Fraction:
-    """The amount of `ticks` of job `job_id`: its own process time when it is
-    whole, else `time(ticks)`."""
-    view = instance.ticks
-    if ticks == view.sizes[job_id]:
-        return view.times[job_id]
-    return time(ticks)
-
-
 def pam_schedule(instance: MinMsInstance) -> PamTrace:
     """Balance every machine to exactly the ideal load by splitting jobs.
 
@@ -131,10 +115,9 @@ def pam_schedule(instance: MinMsInstance) -> PamTrace:
     Always feasible: load is treated as divisible. Its cost grows with the
     machine count, since every machine ends with at least one segment, so
     more than core.MAX_MACHINES machines raise InstanceTooLargeError before
-    anything is allocated. Equal tick counts share one Fraction, in the
-    pieces and in the trace alike, and one int among the schedule's kept
-    ticks, so the m near-equal loads, deficits and pieces take a few objects,
-    not one each; a whole job still carries its own process time.
+    anything is allocated. Equal dealt pieces share one int among the
+    schedule's ticks, and equal tick counts one Fraction in the trace, so the
+    m near-equal loads, deficits and pieces take a few objects, not one each.
     """
     ticks = instance.ticks
     m = instance.machine_count
@@ -142,12 +125,13 @@ def pam_schedule(instance: MinMsInstance) -> PamTrace:
         raise InstanceTooLargeError(f"{m} machines exceed the pam limit of {MAX_MACHINES}")
     opt = ticks.total // m
 
-    # Per-machine [job id, ticks] entries in allocation order.
-    stacks: list[list[list]] = [[] for _ in range(m)]
-    loads = [0] * m
-    for job_id, machine, size in _lpt_greedy(instance):
-        stacks[machine].append([job_id, size])
-        loads[machine] += size
+    # Per machine, its job ids and their ticks, in allocation order.
+    job_stacks: list[list[int]] = [[] for _ in range(m)]
+    tick_stacks: list[list[int]] = [[] for _ in range(m)]
+    for job_id, machine, size in zip(*_lpt_greedy(instance)):
+        job_stacks[machine].append(job_id)
+        tick_stacks[machine].append(size)
+    loads = list(map(sum, tick_stacks))
 
     over = sorted((i for i in range(m) if loads[i] > opt), key=lambda i: (-loads[i], i))
     under = sorted((i for i in range(m) if loads[i] < opt), key=lambda i: (loads[i], i))
@@ -159,29 +143,26 @@ def pam_schedule(instance: MinMsInstance) -> PamTrace:
     # No machine is both over and under opt, so a piece dealt to one never
     # becomes a source's last entry.
     room = [amount for _, amount in deficit]
+    shared: dict[int, int] = {}
     di = 0
     for src, rest in excess:
-        last = stacks[src][-1]
-        last[1] -= rest
+        job_id = job_stacks[src][-1]
+        tick_stacks[src][-1] -= rest
         while rest:
             take = min(rest, room[di])
-            stacks[deficit[di][0]].append([last[0], take])
+            job_stacks[deficit[di][0]].append(job_id)
+            tick_stacks[deficit[di][0]].append(shared.setdefault(take, take))
             rest -= take
             room[di] -= take
             if room[di] == 0:
                 di += 1
 
+    flat = itertools.chain.from_iterable
+    machines = flat(itertools.repeat(i, len(stack)) for i, stack in enumerate(job_stacks))
+    schedule = MigrationSchedule._trusted(instance, flat(job_stacks), machines, flat(tick_stacks))
     time = functools.cache(ticks.time)
-    segments = [
-        JobSegment(job_id, i, _piece(instance, job_id, amount, time))
-        for i in range(m)
-        for job_id, amount in stacks[i]
-    ]
-    shared: dict[int, int] = {}
-    kept = [shared.setdefault(amount, amount) for stack in stacks for _, amount in stack]
-    schedule = MigrationSchedule._trusted(instance, segments, kept)
     return PamTrace(
-        tuple(time(load) for load in loads),
+        tuple(map(time, loads)),
         tuple((i, time(amount)) for i, amount in excess),
         tuple((i, time(amount)) for i, amount in deficit),
         schedule,
@@ -202,21 +183,23 @@ def wraparound_schedule(instance: MinMsInstance) -> MigrationSchedule:
     wrap rule). Because no job exceeds the bound, the two pieces of a wrapped
     job never overlap in time; certificate checks both facts on a schedule.
     """
-    ticks = instance.ticks
     bound = _wrap_bound_ticks(instance)
-    segments, kept = [], []
+    jobs, machines, kept = [], [], []
     machine = clock = 0
-    for job_id, remaining in ticks.sizes.items():
-        while remaining > 0:
-            take = min(remaining, bound - clock)
-            segments.append(JobSegment(job_id, machine, _piece(instance, job_id, take, ticks.time)))
-            kept.append(take)
-            clock += take
-            remaining -= take
-            if clock == bound:
-                machine += 1
-                clock = 0
-    return MigrationSchedule._trusted(instance, segments, kept)
+    for job_id, size in instance.ticks.sizes.items():
+        take = min(size, bound - clock)
+        jobs.append(job_id)
+        machines.append(machine)
+        kept.append(take)
+        clock += take
+        if clock == bound:
+            machine += 1
+            clock = size - take
+            if clock:  # the rest of a wrapped job, from time 0 on the next machine
+                jobs.append(job_id)
+                machines.append(machine)
+                kept.append(clock)
+    return MigrationSchedule._trusted(instance, jobs, machines, kept)
 
 
 def lpt_ratio(instance: MinMsInstance) -> Fraction:
@@ -233,15 +216,13 @@ def timeline_ticks(
     Returns (job_id, machine_id, start, end) per segment, as tick clocks: an
     int while every amount on the machine so far is on the tick grid, a
     Fraction of a tick once one is off it. Only meaningful for schedules
-    built with that convention (wraparound_schedule). The ticks are the ones
-    the schedule kept, from its construction check or from its solver, so
-    nothing is converted again; `verify` reads a dump's short whole-job
-    records as the instance's own time objects, whose ticks that check takes
-    unconverted.
+    built with that convention (wraparound_schedule). It reads the schedule's
+    columns, with the ticks kept from its construction check or from its
+    solver, so nothing is converted again and no segment is built.
     """
     clocks: dict[int, int | Fraction] = {}
     out = []
-    for (job_id, machine, _), t in zip(schedule.segments, schedule._ticks):
+    for job_id, machine, t in zip(schedule._jobs, schedule._machines, schedule._ticks):
         start = clocks.get(machine, 0)
         clocks[machine] = end = start + t
         out.append((job_id, machine, start, end))

@@ -1387,6 +1387,19 @@ def test_an_edited_payload_record_is_written_in_place_of_its_row(
     assert json.loads(text) == expected
 
 
+def test_an_edited_amount_above_its_job_is_written_long(monkeypatch):
+    # Only an amount equal to its job's time is written short: one larger
+    # than the job (a corrupted record) keeps its amount.
+    schedule = minms.lpt_schedule(MinMsInstance((Job(0, Fraction(5, 2)), Job(1, 1)), 2))
+    payload = cli._dump_payload(schedule, "lpt")
+    expected = reference_payload(schedule, "lpt")
+    job, machine, amount = schedule.segments[0]
+    payload["segments"][0]["amount"] = amount + 1
+    expected["segments"][0] = [job, machine, str(amount + 1)]
+    monkeypatch.setattr(cli, "_dump_payload", lambda *_: payload)
+    assert cli._dump_text(schedule, "lpt") == reference_text(expected)
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=solver_cases())
 def test_reported_objective_is_measured_on_the_dumped_schedule(tmp_path_factory, case):
@@ -1658,6 +1671,28 @@ def test_commands_on_a_read_instance_build_no_jobs(capsys, tmp_path, monkeypatch
     assert [sorted(vars(instance)) for instance in read] == (
         [["machine_count", "ticks"]] * 24 + [["capacity", "rows"]] * 18
     )
+
+    # Without the oracle's witness, a minms solve builds no object per job
+    # either: the view's time objects and the schedule's segments stay unbuilt,
+    # and the report and the dump are made from the tick columns.
+    dumped = []
+
+    def dump_text(schedule, algorithm):
+        dumped.append(schedule)
+        return dump_text.original(schedule, algorithm)
+
+    dump_text.original = cli._dump_text
+    monkeypatch.setattr(cli, "_dump_text", dump_text)
+    for path in minms_files:
+        for algorithm in ("lpt", "pam", "wraparound"):
+            dump = str(tmp_path / f"{algorithm}.json")
+            for fmt in ("csv", "md", "json"):
+                argv = ["solve", path, "--algorithm", algorithm, "--format", fmt, "--dump", dump]
+                assert run(capsys, *argv, "--oracle-limit", "0")[0] == 0
+                assert "times" not in vars(read[-1].ticks)
+                assert "segments" not in vars(dumped[-1])
+                assert dumped[-1].instance is read[-1]
+    assert len(dumped) == 18
 
 
 def test_tick_counts_past_their_budget_are_input_errors(capsys, tmp_path):

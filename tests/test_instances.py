@@ -529,7 +529,7 @@ def reference_parse(text):
                     raise InstanceFormatError(str(exc), line) from exc
                 if not time:
                     raise InstanceFormatError(f"job {job_id}: process time must be positive", line)
-                memo[token] = time
+                memo[token] = time.numerator, time.denominator
             jobs.append(job_id)
             tokens_of.append(token)
         else:
@@ -542,7 +542,7 @@ def reference_parse(text):
                     raise InstanceFormatError(str(exc), line) from exc
             jobs.append((job_id, start, end))
     try:
-        if minms:  # the id column, the time-token column and the token memo
+        if minms:  # the id column, the time-token column and the token memo of reduced pairs
             return MinMsInstance._trusted(jobs, tokens_of, memo, param_value)
         return IntervalInstance._trusted(jobs, param_value)
     except InvariantError as exc:

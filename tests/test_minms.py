@@ -21,10 +21,11 @@ from migsched import (
     opt_balance,
     pam_schedule,
     parse_instance,
+    serialize_instance,
     wraparound_schedule,
 )
 from migsched.minms import timeline_ticks
-from migsched import core, minms, oracles
+from migsched import cli, core, minms, oracles
 from migsched.core import segment_violations
 
 from helpers import make_instance
@@ -477,14 +478,28 @@ class TestKeptTicks:
 @settings(max_examples=200, deadline=None)
 @given(job_sizes | coprime_sizes | rational_sizes, st.integers(min_value=1, max_value=8))
 def test_solver_output_has_no_segment_violations(sizes, m):
-    inst = make_instance(sizes, m)
-    for sched in (lpt_schedule(inst), pam_schedule(inst).schedule, wraparound_schedule(inst)):
-        assert segment_violations(inst, sched.segments) == []
-        # A solver's schedule skips the construction check and keeps its own
-        # ticks: they must be the ones the public rebuild of its segments counts.
-        rebuilt = MigrationSchedule(inst, sched.segments)
-        assert sched.segments == rebuilt.segments
-        assert sched._ticks == rebuilt._ticks
+    built = make_instance(sizes, m)
+    # Also on the instance read back, whose view makes its time objects from
+    # the reader's (numerator, denominator) pairs.
+    for inst in (built, parse_instance(serialize_instance(built))):
+        times = inst.ticks.times
+        for algorithm in ("lpt", "pam", "wraparound"):
+            sched = cli.ALGORITHMS[algorithm][1](inst)
+            assert "segments" not in vars(sched)
+            assert segment_violations(inst, sched.segments) == []
+            # A solver's schedule skips the construction check, keeps its own
+            # columns and builds its segments from them: they must be the ones
+            # of the public rebuild of those segments.
+            rebuilt = MigrationSchedule(inst, sched.segments)
+            assert sched.segments == rebuilt.segments
+            assert (sched._jobs, sched._machines, sched._ticks) == (
+                rebuilt._jobs, rebuilt._machines, rebuilt._ticks
+            )
+            # A whole job's segment holds the job's own time object.
+            sizes_of = inst.ticks.sizes
+            for (job, _, amount), t in zip(sched.segments, sched._ticks):
+                assert (amount is times[job]) == (t == sizes_of[job])
+            assert cli._dump_text(sched, algorithm) == cli._dump_text(rebuilt, algorithm)
 
 
 @settings(max_examples=60)

@@ -1,6 +1,7 @@
 """The mutant catalog stays applicable: a refactor that moves or rewrites a
-mutated line must update `mutants/catalog.json`, or this fails. The mutants
-themselves run outside this suite (`python3 mutants/run.py`)."""
+mutated line must update `mutants/catalog.json`, or this fails, and every
+mutated module still compiles. The mutants themselves run outside this suite
+(`python3 mutants/run.py`)."""
 
 import json
 from pathlib import Path
@@ -21,4 +22,7 @@ def test_each_mutant_applies_to_exactly_one_place(mutant):
     text = (ROOT / mutant["file"]).read_text(encoding="utf-8")
     assert text.count(mutant["old"]) == 1
     assert mutant["new"] != mutant["old"]
+    # A mutant that does not compile fails every test at import: its "kill"
+    # would show nothing about the tests.
+    compile(text.replace(mutant["old"], mutant["new"]), mutant["file"], "exec")
     assert mutant["tests"] and all((ROOT / test).is_file() for test in mutant["tests"])
