@@ -23,6 +23,7 @@ from pathlib import Path
 
 from . import minms, mintpt
 from .core import (
+    _WHOLE,
     InvariantError,
     MigrationSchedule,
     MinMsInstance,
@@ -343,21 +344,15 @@ def _same_int(value, expected: int) -> bool:
     return type(value) is int and value == expected
 
 
-_WHOLE = object()  # the amount column's value for a segment written without one
-
-
-def _columns(
-    dump: dict, key: str, widths: tuple[int, ...], issues: list[str], times: dict | None = None
-) -> list[tuple]:
+def _columns(dump: dict, key: str, widths: tuple[int, ...], issues: list[str]) -> list[tuple]:
     """The dump's records under `key`, JSON arrays of one of `widths` values,
-    as columns of the widest. With `times`, the records are segments: a
-    record one value short holds its whole job, and its amount is the job's
-    own time object from `times`, which the schedule check takes unconverted;
-    each distinct amount string of the other records is decoded once. The
-    shape is checked in bulk; only when a record is not an array of an
-    allowed width, or its amount string fails, are the records walked, to
-    word one malformed issue per such record and keep the rest. Other values
-    stay as written, for the schedule check."""
+    as columns of the widest. A record one value short is a segment that
+    holds its whole job: its amount is `core._WHOLE`, which the schedule
+    check takes as the job's size. Each distinct amount string of the other
+    segments is decoded once. The shape is checked in bulk; only when a
+    record is not an array of an allowed width, or its amount string fails,
+    are the records walked, to word one malformed issue per such record and
+    keep the rest. Other values stay as written, for the schedule check."""
     width = widths[-1]
     records = dump.get(key, [])
     if not isinstance(records, list):
@@ -365,7 +360,7 @@ def _columns(
         return [()] * width
     shaped = set(map(type, records)) <= {list} and set(map(len, records)) <= set(widths)
     memo, failed = {}, {}  # amount string -> its value, or its error
-    if times is not None:
+    if key == "segments":
         long = [r[-1] for r in records if type(r) is list and len(r) == width]
         for text in {a for a in long if type(a) is str}:
             try:
@@ -386,15 +381,9 @@ def _columns(
                 kept.append(record)
     columns = list(itertools.zip_longest(*kept, fillvalue=_WHOLE))
     columns += [(_WHOLE,) * len(kept)] * (width - len(columns))
-    if times is None:
-        return columns
-    jobs, machines, amounts = columns
-    try:
-        own = list(map(times.get, jobs))
-    except TypeError:  # an unhashable job, which the schedule check calls unknown
-        own = [times.get(j) if type(j) is int else None for j in jobs]
-    amounts = [t if a is _WHOLE else memo[a] if type(a) is str else a for a, t in zip(amounts, own)]
-    return [jobs, machines, amounts]
+    if memo:
+        columns[-1] = [memo[a] if type(a) is str else a for a in columns[-1]]
+    return columns
 
 
 def _rebuild(schedule_type, instance, raw: tuple[tuple, ...], issues: list):
@@ -427,7 +416,7 @@ def _verify_minms(
             f"machine_count {dump.get('machine_count')!r} does not match instance "
             f"{instance.machine_count}"
         )
-    raw = tuple(zip(*_columns(dump, "segments", (2, 3), issues, instance.ticks.times)))
+    raw = tuple(zip(*_columns(dump, "segments", (2, 3), issues)))
     schedule = _rebuild(MigrationSchedule, instance, raw, issues)
     if schedule is not None:
         notes.append(

@@ -10,12 +10,14 @@ every process time and the balanced load W/m are whole numbers of ticks. An
 instance read from text gets it from the reader's int pairs, and builds no
 `Job` and no time `Fraction` until asked. Checks and loads add every amount
 as ticks: an int on that grid, a `Fraction` of a tick off it (a dump's 1/7
-where the times are halves). A `MigrationSchedule` keeps three columns, one
-entry per segment: job, machine, ticks. A failing construction check raises
-one InvariantError that carries every problem in `args`. The check runs on
-public construction and in `verify`; a solver hands its columns to
-`MigrationSchedule._trusted`, unchecked, and no `JobSegment` exists until
-something asks for `segments`.
+where the times are halves). A `MigrationSchedule` keeps only three columns,
+one entry per segment: job, machine, ticks. A failing construction check
+raises one InvariantError that carries every problem in `args`. The check
+runs on public construction and in `verify`; a solver hands its columns to
+`MigrationSchedule._trusted`, unchecked. A segment given with the private
+marker `_WHOLE` as its amount holds its whole job, so a dump's short record
+or an oracle's witness needs no time object, and no `JobSegment` exists
+until something asks for `segments`.
 """
 
 from __future__ import annotations
@@ -55,9 +57,11 @@ class InstanceTooLargeError(ValueError):
 
 
 MAX_MACHINES = 1_000_000  # for what takes one entry per machine: pam, machine_loads()
+MAX_SLOTS = 1_000_000  # for what takes one entry per slot: slot_profile, machines_per_slot()
 # For TickView: every job's tick count carries the whole tick unit, so its
 # memory is about jobs x bits of the unit. 2**24 bits are 2 MiB of tick counts.
 MAX_TICK_BITS = 2**24
+_WHOLE = object()  # a segment amount: its job's whole process time
 
 
 def _time_terms(text: str) -> tuple[int, int]:
@@ -257,15 +261,15 @@ def segment_violations(
 
     `ticks`, if given, is an output list: each segment's amount in ticks is
     appended to it in segment order, so when no violation is found it holds
-    one entry per segment. An amount that is its job's own process-time
-    object takes the job's size in ticks unconverted; that object is a
-    positive Fraction of exactly that size, so every check keeps its meaning.
-    Other amounts are converted, and equal counts share one object: `pam`
-    on many machines deals the same piece to each empty one.
+    one entry per segment. The private amount `_WHOLE` takes its job's size
+    in ticks, a positive count, so every check keeps its meaning. Other
+    amounts are converted, and equal counts share one object: `pam` on many
+    machines deals the same piece to each empty one. The time objects of
+    `instance.ticks.times` are read only to word a conservation failure.
     """
     problems: list[str] = []
     view = instance.ticks
-    sizes, times = view.sizes, view.times
+    sizes = view.sizes
     totals: dict[int, int | Fraction] = dict.fromkeys(sizes, 0)  # per job, in ticks
     out = [] if ticks is None else ticks
     shared: dict[int | Fraction, int | Fraction] = {}
@@ -277,7 +281,7 @@ def segment_violations(
             continue
         if type(machine_id) is not int or not 0 <= machine_id < m:
             problems.append(f"job {job_id}: machine id {machine_id!r} is not an int in 0..{m - 1}")
-        if amount is times[job_id]:
+        if amount is _WHOLE:
             t = sizes[job_id]
         else:
             if type(amount) is not int and not isinstance(amount, Fraction):
@@ -290,7 +294,7 @@ def segment_violations(
         totals[job_id] += t
         out.append(t)
     if totals != sizes:  # both keyed in instance order; walked only to word the failures
-        for job_id, time in times.items():
+        for job_id, time in view.times.items():
             if totals[job_id] != sizes[job_id]:
                 problems.append(
                     f"conservation: job {job_id} segments sum to {view.time(totals[job_id])}, "
@@ -324,13 +328,15 @@ class MigrationSchedule:
       - amounts are positive ints or Fractions,
       - per job, segment amounts sum exactly to its process time.
 
-    The schedule keeps three columns, one entry per segment: `_jobs`,
+    The schedule keeps only three columns, one entry per segment: `_jobs`,
     `_machines` and `_ticks` (amounts in ticks), read by its migrations,
-    loads, timelines and dump; a public one builds the first two on use. A
-    failing check raises InvariantError(*segment_violations(...)). A solver's
-    columns go through `_trusted` unchecked (`verify` checks every dump from
-    outside), and its `segments` are built on first access: a whole job's
-    holds the job's own time object, a piece one `Fraction` per tick count.
+    loads, timelines and dump. Public construction checks the given segments
+    in one walk, keeps their columns and drops the tuple; a failing check
+    raises InvariantError(*segment_violations(...)). A solver's columns go
+    through `_trusted` unchecked (`verify` checks every dump from outside).
+    Either way `segments` is built from the columns on first access, equal
+    to what was given: a whole job's holds the job's own time object (also
+    where `_WHOLE` was given), a piece one `Fraction` per tick count.
 
     A job split into k segments accounts for k-1 migrations; a schedule that
     keeps every job whole has zero migrations. Segment tuple order is
@@ -347,7 +353,9 @@ class MigrationSchedule:
         problems = segment_violations(self.instance, segments, ticks=ticks)
         if problems:
             raise InvariantError(*problems)
-        vars(self).update(segments=segments, _ticks=tuple(ticks))
+        jobs, machines, _ = zip(*segments)  # checked, so not empty
+        del vars(self)["segments"]  # built again from the columns when asked for
+        vars(self).update(_jobs=jobs, _machines=machines, _ticks=tuple(ticks))
 
     @classmethod
     def _trusted(
@@ -361,13 +369,9 @@ class MigrationSchedule:
         return schedule
 
     def __getattr__(self, name: str):
-        """A `_trusted` schedule's `segments`, built from its columns, or a
-        public one's `_jobs` and `_machines`, from its segments; each is kept.
-        Missing on a half-built object (as while unpickling), as other names are."""
+        """`segments`, built from the columns and kept. Missing on a half-built
+        object (as while unpickling), as other names are."""
         state = vars(self)
-        if name in ("_jobs", "_machines") and "segments" in state:
-            state["_jobs"], state["_machines"], _ = zip(*state["segments"])  # checked, so not empty
-            return state[name]
         if name != "segments" or "_ticks" not in state:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         view, jobs = state["instance"].ticks, state["_jobs"]

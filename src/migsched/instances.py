@@ -109,13 +109,6 @@ def parse_instance(text: str) -> MinMsInstance | IntervalInstance:
     CRLF files. A document that both passes decline is malformed, and the
     walk over its rows raises the first error, with its line. A `minms`
     file past the tick budget raises InstanceTooLargeError while it is read.
-
-    Parse with the first `.ticks`, 2-vCPU Xeon VM, Python 3.11, best of 40
-    rounds. 1000 `minms` jobs: line walk 1.73 ms, stride pass with jobs 1.38,
-    view from its columns 0.92; in a later interleaved run, 1.00 with a
-    `Fraction` per distinct token and 0.68 with int pairs (0.98 once asked
-    for `.ticks.times`). 300 `mintpt` jobs, parse alone: 0.48, 0.38, and
-    0.20 ms once the instance keeps the reader's rows, no jobs.
     """
     instance = _stride(text)
     if instance is None:

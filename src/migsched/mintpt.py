@@ -17,17 +17,17 @@ A schedule is run-length: each (job, machine, start, end) stint places a job
 on one machine for the slots [start, end). The floor, both solvers and the
 schedule's checks and totals work from the sorted start and end events, so
 their cost does not grow with the horizon; only the per-slot views
-(slot_profile, machines_per_slot) walk every slot. Both solvers find the
-lowest-indexed machine with room through a min-heap, not a scan of the
-machines, so each job costs O(log machines). The schedule check tests each
-machine's capacity on its sorted stint starts and ends, and the schedule
-keeps the power-on time that the same lists give. A failing check raises
-one InvariantError that carries every problem in `args`. The check runs on
-public construction and in `verify`; each solver builds its schedule from
-its own bookkeeping (IntervalSchedule._trusted), with the busy slots and the
-machine count it has counted on the stints it placed, and the check does not
-run again on it. certificate checks each solver's claim on a schedule, such
-as one read back from a dump.
+(slot_profile, machines_per_slot) walk every slot, up to core.MAX_SLOTS.
+Both solvers find the lowest-indexed machine with room through a min-heap,
+not a scan of the machines, so each job costs O(log machines). The schedule
+check tests each machine's capacity on its sorted stint starts and ends, and
+the schedule keeps the power-on time that the same lists give. A failing
+check raises one InvariantError that carries every problem in `args`. The
+check runs on public construction and in `verify`; each solver builds its
+schedule from its own bookkeeping (IntervalSchedule._trusted), with the busy
+slots and the machine count it has counted on the stints it placed, and the
+check does not run again on it. certificate checks each solver's claim on a
+schedule, such as one read back from a dump.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import InvariantError, _check_unique_ids
+from .core import MAX_SLOTS, InstanceTooLargeError, InvariantError, _check_unique_ids
 
 __all__ = [
     "IntervalJob",
@@ -176,6 +176,14 @@ def _runs(intervals: Iterable[tuple[int, int]]) -> list[tuple[int, int, int]]:
     return runs
 
 
+def _slots(instance: IntervalInstance, name: str) -> int:
+    """The horizon, for `name`'s one entry per slot: more than MAX_SLOTS slots
+    raise InstanceTooLargeError before anything is allocated."""
+    if (horizon := instance.horizon) > MAX_SLOTS:
+        raise InstanceTooLargeError(f"{horizon} slots exceed the {name} limit of {MAX_SLOTS}")
+    return horizon
+
+
 def _per_slot(runs: Iterable[tuple[int, int, int]], horizon: int) -> tuple[int, ...]:
     """Each run's count in every slot of [0, horizon) it covers; 0 elsewhere."""
     counts = [0] * horizon
@@ -186,7 +194,8 @@ def _per_slot(runs: Iterable[tuple[int, int, int]], horizon: int) -> tuple[int, 
 
 def slot_profile(instance: IntervalInstance) -> SlotProfile:
     """Count active jobs per slot and the resulting machine-count floor."""
-    loads = _per_slot(_runs(row[1:] for row in instance.rows), instance.horizon)
+    horizon = _slots(instance, "slot_profile")
+    loads = _per_slot(_runs(row[1:] for row in instance.rows), horizon)
     g = instance.capacity
     return SlotProfile(loads, tuple(-(-load // g) for load in loads))
 
@@ -342,7 +351,8 @@ class IntervalSchedule:
         return self._migrations
 
     def machines_per_slot(self) -> tuple[int, ...]:
-        """Distinct machines powered on in each slot of the horizon."""
+        """Distinct machines powered on in each slot of the horizon (see slot_profile)."""
+        horizon = _slots(self.instance, "machines_per_slot")
         per_machine: dict[int, list[tuple[int, int]]] = {}
         for _, machine_id, start, end in self.stints:
             per_machine.setdefault(machine_id, []).append((start, end))
@@ -352,7 +362,7 @@ class IntervalSchedule:
             for start, end, jobs in _runs(intervals)
             if jobs
         )
-        return _per_slot(_runs(busy), self.instance.horizon)
+        return _per_slot(_runs(busy), horizon)
 
     def total_power_on_time(self) -> int:
         """Total busy machine-slots: slots where a machine hosts >= 1 job."""

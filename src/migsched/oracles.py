@@ -12,7 +12,9 @@ seeds its bound and witness with its own greedy, and exact_mintpt has no
 separate seed, since its first leaf is already first fit by start time; it
 stops at a floor that it computes from its own interval pieces, not from
 mintpt_lower_bound. exact_minms searches the instance's integer tick sizes
-(core.TickView), the same view the solvers read; it has no scaling of its own.
+(core.TickView), the same view the solvers read; it has no scaling of its own,
+and its witness gives each job the private whole-job amount `core._WHOLE`,
+so the construction check still runs and no time object is built.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import heapq
 import math
 import operator
 
-from .core import InstanceTooLargeError, JobSegment, MigrationSchedule, MinMsInstance
+from .core import _WHOLE, InstanceTooLargeError, MigrationSchedule, MinMsInstance
 from .mintpt import IntervalInstance, IntervalSchedule
 
 __all__ = [
@@ -57,7 +59,7 @@ def exact_minms(instance: MinMsInstance, max_jobs: int = MINMS_MAX_JOBS) -> Migr
     min(m, n) machines are searched: n jobs load at most n identical
     machines, so the optimum is the same and nothing grows with the machine
     count. The search runs on the instance's integer tick sizes, so all
-    comparisons stay exact. Each job's segment holds its own process time.
+    comparisons stay exact. Each job's segment holds its whole process time.
     """
     view = instance.ticks
     n = len(view.sizes)
@@ -96,8 +98,7 @@ def exact_minms(instance: MinMsInstance, max_jobs: int = MINMS_MAX_JOBS) -> Migr
             loads[i] = load
 
     place(0)
-    segments = [JobSegment(j, i, view.times[j]) for j, i in zip(order, witness)]
-    return MigrationSchedule(instance, segments)
+    return MigrationSchedule(instance, [(j, i, _WHOLE) for j, i in zip(order, witness)])
 
 
 def exact_mintpt(instance: IntervalInstance, max_jobs: int = MINTPT_MAX_JOBS) -> IntervalSchedule:

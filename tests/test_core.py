@@ -17,7 +17,7 @@ from migsched import (
     as_time,
     parse_instance,
 )
-from migsched.core import MAX_TICK_BITS, InstanceTooLargeError, segment_violations
+from migsched.core import _WHOLE, MAX_TICK_BITS, InstanceTooLargeError, segment_violations
 
 from helpers import make_instance, total_load
 
@@ -350,8 +350,8 @@ class TestMigrationSchedule:
         ]
 
     def test_schedule_keeps_one_tick_count_per_segment(self):
-        # Job 0 whole, as its own time object (602 ticks, past the small-int
-        # cache), and job 1 in two thirds off the quarter-tick grid.
+        # Job 0 whole (602 ticks, past the small-int cache), and job 1 in two
+        # thirds off the quarter-tick grid.
         inst = make_instance([Fraction(301, 2), 2], 2)
         segments = (
             JobSegment(0, 0, inst.jobs[0].process_time),
@@ -361,7 +361,12 @@ class TestMigrationSchedule:
         sched = MigrationSchedule(inst, segments)
         view = inst.ticks
         assert sched._ticks == tuple(view.of(amount) for _, _, amount in segments)
-        assert sched._ticks[0] is view.sizes[0]
+        # The job's own time object is converted like any amount, to an equal
+        # count; the whole-job marker takes the job's size itself.
+        assert sched._ticks[0] == view.sizes[0]
+        marked = MigrationSchedule(inst, ((0, 0, _WHOLE),) + segments[1:])
+        assert marked._ticks[0] is view.sizes[0]
+        assert marked == sched
         # An int amount is its own numerator over denominator 1.
         assert [view.of(3), view.of(0)] == [3 * view.unit, 0]
         assert type(view.of(3)) is int

@@ -1,6 +1,7 @@
 """Makespan solvers: greedy, exact balancing via splits, wrap-around."""
 
 import heapq
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -453,10 +454,9 @@ class TestKeptTicks:
         view = inst.ticks
         for sched in (lpt_schedule(inst), pam_schedule(inst).schedule, wraparound_schedule(inst)):
             # The same amounts as fresh objects, which no job's time is.
-            fresh = MigrationSchedule(
-                inst, tuple(JobSegment(j, i, as_time(str(a))) for j, i, a in sched.segments)
-            )
-            assert not any(a is view.times[j] for j, _, a in fresh.segments)
+            given = tuple(JobSegment(j, i, as_time(str(a))) for j, i, a in sched.segments)
+            assert not any(a is view.times[j] for j, _, a in given)
+            fresh = MigrationSchedule(inst, given)
             for schedule in (sched, fresh):
                 assert schedule._ticks == tuple(view.of(s.amount) for s in schedule.segments)
                 loads, walk = reference_tick_walk(schedule)
@@ -500,6 +500,53 @@ def test_solver_output_has_no_segment_violations(sizes, m):
             for (job, _, amount), t in zip(sched.segments, sched._ticks):
                 assert (amount is times[job]) == (t == sizes_of[job])
             assert cli._dump_text(sched, algorithm) == cli._dump_text(rebuilt, algorithm)
+
+
+COLUMNS = ["_jobs", "_machines", "_ticks", "instance"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(job_sizes | coprime_sizes | rational_sizes, st.integers(min_value=1, max_value=8))
+def test_every_path_keeps_three_columns_and_builds_equal_segments(sizes, m):
+    # A schedule from a solver, from the public constructor with fresh amounts
+    # or with the jobs' own time objects, from verify's rebuild of a dump, or
+    # the oracle's witness keeps only its columns, and builds segments equal
+    # to the ones it was given, each whole job holding its own time object.
+    built = make_instance(sizes, m)
+    for inst in (built, parse_instance(serialize_instance(built))):
+        view = inst.ticks
+        paths = []
+        for algorithm in ("lpt", "pam", "wraparound"):
+            solved = cli.ALGORITHMS[algorithm][1](inst)
+            assert sorted(vars(solved)) == COLUMNS
+            given = solved.segments
+            fresh = tuple(JobSegment(j, i, as_time(str(a))) for j, i, a in given)
+            dump = json.loads(cli._dump_text(solved, algorithm))
+            issues = []
+            built_here = [
+                (MigrationSchedule(inst, fresh), fresh),
+                (MigrationSchedule(inst, given), given),
+                (cli._verify_minms(inst, dump, issues, []), given),
+            ]
+            assert issues == []
+            for schedule, _ in built_here:
+                assert sorted(vars(schedule)) == COLUMNS
+            paths.append([(solved, given)] + built_here)
+        if len(sizes) <= oracles.MINMS_MAX_JOBS:
+            witness = oracles.exact_minms(inst)
+            assert sorted(vars(witness)) == COLUMNS
+            # Each job whole on its machine, holding its own time object.
+            jobs = witness._jobs
+            given = tuple(map(JobSegment, jobs, witness._machines, map(view.times.get, jobs)))
+            paths.append([(witness, given), (MigrationSchedule(inst, given), given)])
+        for same in paths:
+            first = same[0][0]
+            for schedule, given in same:
+                assert schedule.segments == given
+                for (job, _, amount), t in zip(schedule.segments, schedule._ticks):
+                    assert amount is not core._WHOLE
+                    assert (amount is view.times[job]) == (t == view.sizes[job])
+                assert schedule == first and hash(schedule) == hash(first)
 
 
 @settings(max_examples=60)

@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +12,7 @@ from migsched import (
     IntervalInstance,
     IntervalJob,
     IntervalSchedule,
+    InstanceTooLargeError,
     InvariantError,
     estf_schedule,
     gen_random_mintpt,
@@ -20,6 +22,7 @@ from migsched import (
     mintpt_lower_bound,
     slot_profile,
 )
+from migsched import core
 from migsched.mintpt import placement_violations
 
 from helpers import four_job_instance, interval_length
@@ -337,6 +340,28 @@ class TestSlotProfile:
         jobs = tuple(IntervalJob(i, 0, 1) for i in range(5))
         profile = slot_profile(IntervalInstance(jobs, 2))
         assert profile.min_machines == (3,)
+
+    def test_per_slot_views_refuse_a_horizon_past_the_budget(self):
+        # One job over 10^12 slots: the floor and estf follow its two events,
+        # but a count per slot would end in a MemoryError, so both per-slot
+        # views refuse before they allocate anything.
+        inst = IntervalInstance((IntervalJob(0, 0, 10**12),), 1)
+        tracemalloc.start()
+        try:
+            schedule = estf_schedule(inst)
+            views = {"slot_profile": lambda: slot_profile(inst), "machines_per_slot": schedule.machines_per_slot}
+            for name, view in views.items():
+                message = f"^1000000000000 slots exceed the {name} limit of {core.MAX_SLOTS}$"
+                with pytest.raises(InstanceTooLargeError, match=message):
+                    view()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert mintpt_lower_bound(inst) == schedule.total_power_on_time() == 10**12
+        at_budget = IntervalInstance((IntervalJob(0, core.MAX_SLOTS - 1, core.MAX_SLOTS),), 1)
+        assert slot_profile(at_budget).loads[-2:] == (0, 1)
+        assert estf_schedule(at_budget).machines_per_slot()[-2:] == (0, 1)
 
     def test_lower_bound_four_jobs(self):
         assert mintpt_lower_bound(four_job_instance()) == 4
