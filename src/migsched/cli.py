@@ -235,10 +235,10 @@ def _dump_text(schedule, algorithm: str) -> str:
     width = len(records.fields)
     if key == "segments":
         template, fields = _SEGMENT, _segment_fields(schedule)
-        times = schedule.instance.ticks.times if records else {}
+        view = schedule.instance.ticks
         for i, record in records.items():
             job, machine, amount = map(record.__getitem__, records.fields)
-            whole = amount == times.get(job)
+            whole = job in view.sizes and amount == view.time(view.sizes[job])
             text = "" if whole else ", " + encode_basestring_ascii(str(amount))
             fields[width * i : width * i + width] = job, machine, text
     else:

@@ -6,26 +6,27 @@ rationals, never floats, so "load equals the balanced optimum" can be
 asserted as a true equality with no tolerance. The API speaks `Fraction`;
 the arithmetic runs on Python ints. Each instance has one `TickView`:
 one tick is 1/(lcm of the process-time denominators x machine count), so
-every process time and the balanced load W/m are whole numbers of ticks. An
-instance read from text gets it from the reader's int pairs, and builds no
-`Job` and no time `Fraction` until asked. Checks and loads add every amount
-as ticks: an int on that grid, a `Fraction` of a tick off it (a dump's 1/7
-where the times are halves). A `MigrationSchedule` keeps only three columns,
-one entry per segment: job, machine, ticks. A failing construction check
-raises one InvariantError that carries every problem in `args`. The check
-runs on public construction and in `verify`; a solver hands its columns to
-`MigrationSchedule._trusted`, unchecked. A segment given with the private
-marker `_WHOLE` as its amount holds its whole job, so a dump's short record
-or an oracle's witness needs no time object, and no `JobSegment` exists
-until something asks for `segments`.
+every process time and the balanced load W/m are whole numbers of ticks. The
+view keeps tick counts only: every time value an instance or schedule hands
+out is made from ticks by `TickView.time` when asked for, equal to (not the
+same object as) the job's own. An instance read from text gets its view from
+the reader's int pairs, and builds no `Job` until asked. Checks and loads
+add every amount as ticks: an int on that grid, a `Fraction` of a tick off it
+(a dump's 1/7 where the times are halves). A `MigrationSchedule` keeps only
+three columns, one entry per segment: job, machine, ticks. A failing
+construction check raises one InvariantError that carries every problem in
+`args`. The check runs on public construction and in `verify`; a solver
+hands its columns to `MigrationSchedule._trusted`, unchecked. A segment
+given with the private marker `_WHOLE` as its amount holds its whole job, so
+a dump's short record or an oracle's witness needs no time value, and no
+`JobSegment` exists until something asks for `segments`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -125,7 +126,9 @@ class TickView:
     """An instance's process times as whole numbers of ticks, built from a
     dictionary-encoded column: job `ids[i]` has the time `table[keys[i]]`,
     a reduced (numerator, denominator) int pair, and the lcm and the tick
-    counts are computed once per table entry.
+    counts are computed once per table entry. The view keeps neither column:
+    it holds `unit`, `sizes` and `total`, and `time` makes a time value from
+    a tick count.
 
     `unit` is the number of ticks per time unit: the lcm of the process-time
     denominators times the machine count, so that the total `total` is a
@@ -152,14 +155,6 @@ class TickView:
         counts = {key: num * (unit // den) for key, (num, den) in table.items()}
         self.sizes = dict(zip(ids, map(counts.__getitem__, keys)))
         self.total = sum(self.sizes.values())
-        self._keys, self._table = keys, table
-
-    @cached_property
-    def times(self) -> dict[int, Fraction]:
-        """Each job's process-time object, built on first use: one `Fraction` per
-        table entry, shared by its jobs (a public instance sets its jobs' own)."""
-        table = dict(zip(self._table, itertools.starmap(Fraction, self._table.values())))
-        return dict(zip(self.sizes, map(table.__getitem__, self._keys)))
 
     def of(self, amount: int | Fraction) -> int | Fraction:
         """`amount` in ticks: an int on the tick grid, a Fraction of a tick off it.
@@ -223,8 +218,9 @@ class MinMsInstance:
         view = vars(self).get("ticks") if name == "jobs" else None
         if view is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        # `Job` keeps a Fraction time as it is, so each job holds the view's object.
-        object.__setattr__(self, "jobs", tuple(map(Job, view.times, view.times.values())))
+        # `Job` keeps a Fraction time as it is: jobs of one size share one object.
+        times = map(cache(view.time), view.sizes.values())
+        object.__setattr__(self, "jobs", tuple(map(Job, view.sizes, times)))
         return self.jobs
 
     @cached_property
@@ -232,9 +228,7 @@ class MinMsInstance:
         """The integer view of the process times, computed on first use."""
         times = {job.id: job.process_time for job in self.jobs}
         ids, pairs = list(times), {i: (t.numerator, t.denominator) for i, t in times.items()}
-        view = TickView(ids, ids, pairs, self.machine_count)
-        view.times = times
-        return view
+        return TickView(ids, ids, pairs, self.machine_count)
 
 
 class JobSegment(NamedTuple):
@@ -264,8 +258,8 @@ def segment_violations(
     one entry per segment. The private amount `_WHOLE` takes its job's size
     in ticks, a positive count, so every check keeps its meaning. Other
     amounts are converted, and equal counts share one object: `pam` on many
-    machines deals the same piece to each empty one. The time objects of
-    `instance.ticks.times` are read only to word a conservation failure.
+    machines deals the same piece to each empty one. A conservation failure
+    words the sums and process times as values made from their tick counts.
     """
     problems: list[str] = []
     view = instance.ticks
@@ -294,11 +288,11 @@ def segment_violations(
         totals[job_id] += t
         out.append(t)
     if totals != sizes:  # both keyed in instance order; walked only to word the failures
-        for job_id, time in view.times.items():
-            if totals[job_id] != sizes[job_id]:
+        for job_id, size in sizes.items():
+            if totals[job_id] != size:
                 problems.append(
                     f"conservation: job {job_id} segments sum to {view.time(totals[job_id])}, "
-                    f"process time is {time}"
+                    f"process time is {view.time(size)}"
                 )
     return problems
 
@@ -335,8 +329,9 @@ class MigrationSchedule:
     raises InvariantError(*segment_violations(...)). A solver's columns go
     through `_trusted` unchecked (`verify` checks every dump from outside).
     Either way `segments` is built from the columns on first access, equal
-    to what was given: a whole job's holds the job's own time object (also
-    where `_WHOLE` was given), a piece one `Fraction` per tick count.
+    to what was given (a `_WHOLE` amount reads as its job's process time):
+    each amount is made from its tick count, one `Fraction` per distinct
+    count, equal to but not the same object as the job's own time.
 
     A job split into k segments accounts for k-1 migrations; a schedule that
     keeps every job whole has zero migrations. Segment tuple order is
@@ -374,14 +369,8 @@ class MigrationSchedule:
         state = vars(self)
         if name != "segments" or "_ticks" not in state:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        view, jobs = state["instance"].ticks, state["_jobs"]
-        sizes, times, time = view.sizes, view.times, view.time
-        pieces: dict[int, Fraction] = {}
-        amounts = [
-            times[job] if t == sizes[job] else pieces.get(t) or pieces.setdefault(t, time(t))
-            for job, t in zip(jobs, state["_ticks"])
-        ]
-        state["segments"] = tuple(map(JobSegment, jobs, state["_machines"], amounts))
+        amounts = map(cache(state["instance"].ticks.time), state["_ticks"])
+        state["segments"] = tuple(map(JobSegment, state["_jobs"], state["_machines"], amounts))
         return self.segments
 
     @property

@@ -188,7 +188,7 @@ def _stride(text: str) -> MinMsInstance | IntervalInstance | None:
         ids = list(map(int, ids))
         if minms:
             times = tokens[6::3]
-            del tokens  # each token string not in a column goes before the view exists
+            del tokens  # the view reads the time column and its memo, and keeps neither
             memo = {token: _time_terms(token) for token in set(times)}
         else:
             starts, ends, demands = tokens[6::5], tokens[7::5], tokens[8::5]
@@ -278,7 +278,7 @@ def serialize_instance(instance: MinMsInstance | IntervalInstance) -> str:
         lines += [f"job {j.id} {j.process_time}" for j in instance.jobs]
     elif isinstance(instance, IntervalInstance):
         lines = [f"mintpt {FORMAT_VERSION}", f"capacity {instance.capacity}"]
-        lines += [f"job {j.id} {j.start_slot} {j.end_slot} {j.demand}" for j in instance.jobs]
+        lines += [f"job {i} {s} {e} 1" for i, s, e in instance.rows]  # every demand is 1
     else:
         raise TypeError(f"cannot serialize {type(instance).__name__}")
     return "\n".join(lines) + "\n"

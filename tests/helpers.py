@@ -2,6 +2,9 @@
 
 from migsched import IntervalInstance, IntervalJob, Job, MinMsInstance
 
+# The whole state of a minms tick view: tick counts, no time objects.
+VIEW_STATE = ["sizes", "total", "unit"]
+
 
 def total_load(instance):
     """The exact sum of an instance's process times, read from its ticks."""

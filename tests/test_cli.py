@@ -25,7 +25,7 @@ from migsched.instances import load_instance, serialize_instance
 from migsched.mintpt import IntervalInstance, IntervalJob, IntervalSchedule
 from migsched.report import CSV_COLUMNS
 
-from helpers import first_primes, total_load
+from helpers import VIEW_STATE, first_primes, total_load
 
 
 def run(capsys, *argv):
@@ -59,8 +59,8 @@ FIELD = {"job": JOB, "machine": MACHINE, "amount": AMOUNT, "start": START, "end"
 def _long_form(segments, instance):
     """Dump segments as [job, machine, "amount"] lists. A short record, which
     holds its whole job, takes the job's process time in the instance file."""
-    times = load_instance(instance).ticks.times
-    return [[*s, str(times[s[JOB]])] if len(s) == 2 else list(s) for s in segments]
+    view = load_instance(instance).ticks
+    return [[*s, str(view.time(view.sizes[s[JOB]]))] if len(s) == 2 else list(s) for s in segments]
 
 
 class TestSolve:
@@ -1400,6 +1400,21 @@ def test_an_edited_amount_above_its_job_is_written_long(monkeypatch):
     assert cli._dump_text(schedule, "lpt") == reference_text(expected)
 
 
+def test_a_segment_above_its_job_is_written_long_for_verify_to_refuse(capsys, tmp_path):
+    # A faulty solver's segment longer than its job is no whole job: the
+    # writer keeps its amount, so verify sees the conservation failure.
+    instance = MinMsInstance((Job(0, 2), Job(1, 1)), 2)
+    view = instance.ticks
+    ticks = [view.sizes[0] + view.unit, view.sizes[1]]
+    schedule = MigrationSchedule._trusted(instance, [0, 1], [0, 1], ticks)
+    text = cli._dump_text(schedule, "lpt")
+    assert json.loads(text)["segments"] == [[0, 0, "3"], [1, 1]]
+    path = _put(tmp_path / "i.inst", serialize_instance(instance))
+    code, out, _ = run(capsys, "verify", path, _put(tmp_path / "d.json", text))
+    assert code == 1
+    assert "FAIL: conservation: job 0 segments sum to 3, process time is 2\n" in out
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=solver_cases())
 def test_reported_objective_is_measured_on_the_dumped_schedule(tmp_path_factory, case):
@@ -1643,9 +1658,8 @@ def test_bench_json_approx_past_float_range_is_null(capsys):
 def test_commands_on_a_read_instance_build_no_jobs(capsys, tmp_path, monkeypatch, fixtures_dir):
     # solve in every format, the oracle column included, and verify of each
     # solver's dump read the job count and order from the tick view of a
-    # minms instance and from the rows of a mintpt one; so does exact. No
-    # minms command builds the view's time objects either: a dump's short
-    # record and the oracle's witness hold the whole-job marker instead.
+    # minms instance and from the rows of a mintpt one; so does exact. The
+    # view holds tick counts only, whatever a command asks of it.
     read = []
 
     def load(path):
@@ -1672,11 +1686,11 @@ def test_commands_on_a_read_instance_build_no_jobs(capsys, tmp_path, monkeypatch
     assert [sorted(vars(instance)) for instance in read] == (
         [["machine_count", "ticks"]] * 26 + [["capacity", "rows"]] * 18
     )
-    assert not any("times" in vars(instance.ticks) for instance in read[:26])
+    assert all(sorted(vars(instance.ticks)) == VIEW_STATE for instance in read[:26])
 
     # Without the oracle's witness, a minms solve builds no object per job
-    # either: the view's time objects and the schedule's segments stay unbuilt,
-    # and the report and the dump are made from the tick columns.
+    # either: the schedule's segments stay unbuilt, and the report and the
+    # dump are made from the tick columns.
     dumped = []
 
     def dump_text(schedule, algorithm):
@@ -1691,7 +1705,7 @@ def test_commands_on_a_read_instance_build_no_jobs(capsys, tmp_path, monkeypatch
             for fmt in ("csv", "md", "json"):
                 argv = ["solve", path, "--algorithm", algorithm, "--format", fmt, "--dump", dump]
                 assert run(capsys, *argv, "--oracle-limit", "0")[0] == 0
-                assert "times" not in vars(read[-1].ticks)
+                assert sorted(vars(read[-1].ticks)) == VIEW_STATE
                 assert "segments" not in vars(dumped[-1])
                 assert dumped[-1].instance is read[-1]
     assert len(dumped) == 18

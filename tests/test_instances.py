@@ -35,7 +35,7 @@ from migsched import core, instances
 from migsched.core import InstanceTooLargeError, as_time
 from migsched.instances import _parse_int, load_instance
 
-from helpers import first_primes, total_load
+from helpers import VIEW_STATE, first_primes, total_load
 
 
 class TestGrahamFamily:
@@ -774,7 +774,7 @@ def stride_documents(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(stride_documents())
-def test_a_read_instance_is_the_checked_one_with_one_time_object_per_token(document):
+def test_a_read_instance_is_the_checked_one_with_one_time_object_per_value(document):
     text, machines, ids, tokens = document
     got = parse_instance(text)
     assert "jobs" not in vars(got)
@@ -783,17 +783,16 @@ def test_a_read_instance_is_the_checked_one_with_one_time_object_per_token(docum
     expected = checked.ticks
     assert (view.unit, view.total) == (expected.unit, expected.total)
     assert list(view.sizes.items()) == list(expected.sizes.items())
-    assert list(view.times.items()) == list(expected.times.items())
-    # The memo's one object per token: jobs of a token share it, and no two
-    # tokens do, also where their values are equal.
-    of_token = {}
-    for job_id, token in zip(ids, tokens):
-        assert of_token.setdefault(token, view.times[job_id]) is view.times[job_id]
-    assert len(set(map(id, of_token.values()))) == len(of_token)
+    assert sorted(vars(view)) == VIEW_STATE
     assert "jobs" not in vars(got)
     assert (got, hash(got), repr(got)) == (checked, hash(checked), repr(checked))
     assert got.jobs is got.jobs  # built once, then kept
-    assert [job.process_time for job in got.jobs] == [view.times[i] for i in ids]
+    assert [job.process_time for job in got.jobs] == [as_time(t) for t in tokens]
+    # The rebuilt jobs share one time object per distinct value, also where
+    # the tokens differ ("1/2" and "2/4").
+    of_value = {}
+    for job in got.jobs:
+        assert of_value.setdefault(job.process_time, job.process_time) is job.process_time
     assert serialize_instance(got) == serialize_instance(checked)
 
 
@@ -847,10 +846,10 @@ def test_a_read_interval_instance_keeps_its_rows_and_builds_the_checked_jobs(doc
     assert got.rows == checked.rows == tuple(rows)
     assert all(type(value) is int for row in got.rows for value in row)
     assert (got.horizon, got.capacity) == (checked.horizon, checked.capacity)
+    assert serialize_instance(got) == serialize_instance(checked)  # written from the rows
     assert "jobs" not in vars(got)
     assert (got, hash(got), repr(got)) == (checked, hash(checked), repr(checked))
     assert got.jobs is got.jobs  # built once, then kept
-    assert serialize_instance(got) == serialize_instance(checked)
 
 
 @pytest.mark.parametrize("comment", ["", "# a comment\n"], ids=["first-pass", "second-pass"])

@@ -29,7 +29,7 @@ from migsched.minms import timeline_ticks
 from migsched import cli, core, minms, oracles
 from migsched.core import segment_violations
 
-from helpers import make_instance
+from helpers import VIEW_STATE, make_instance
 
 job_sizes = st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=24)
 rational_sizes = st.lists(
@@ -452,10 +452,11 @@ class TestKeptTicks:
     def test_kept_ticks_give_the_loads_and_timelines_of_converting_again(self, sizes, m):
         inst = make_instance(sizes, m)
         view = inst.ticks
+        own = {job.id: job.process_time for job in inst.jobs}
         for sched in (lpt_schedule(inst), pam_schedule(inst).schedule, wraparound_schedule(inst)):
             # The same amounts as fresh objects, which no job's time is.
             given = tuple(JobSegment(j, i, as_time(str(a))) for j, i, a in sched.segments)
-            assert not any(a is view.times[j] for j, _, a in given)
+            assert not any(a is own[j] for j, _, a in given)
             fresh = MigrationSchedule(inst, given)
             for schedule in (sched, fresh):
                 assert schedule._ticks == tuple(view.of(s.amount) for s in schedule.segments)
@@ -479,10 +480,10 @@ class TestKeptTicks:
 @given(job_sizes | coprime_sizes | rational_sizes, st.integers(min_value=1, max_value=8))
 def test_solver_output_has_no_segment_violations(sizes, m):
     built = make_instance(sizes, m)
-    # Also on the instance read back, whose view makes its time objects from
-    # the reader's (numerator, denominator) pairs.
+    # Also on the instance read back, whose view is built from the reader's
+    # (numerator, denominator) pairs.
     for inst in (built, parse_instance(serialize_instance(built))):
-        times = inst.ticks.times
+        times = {job.id: job.process_time for job in inst.jobs}
         for algorithm in ("lpt", "pam", "wraparound"):
             sched = cli.ALGORITHMS[algorithm][1](inst)
             assert "segments" not in vars(sched)
@@ -495,10 +496,10 @@ def test_solver_output_has_no_segment_violations(sizes, m):
             assert (sched._jobs, sched._machines, sched._ticks) == (
                 rebuilt._jobs, rebuilt._machines, rebuilt._ticks
             )
-            # A whole job's segment holds the job's own time object.
+            # A whole job's segment holds its job's time, and no other does.
             sizes_of = inst.ticks.sizes
             for (job, _, amount), t in zip(sched.segments, sched._ticks):
-                assert (amount is times[job]) == (t == sizes_of[job])
+                assert (amount == times[job]) == (t == sizes_of[job])
             assert cli._dump_text(sched, algorithm) == cli._dump_text(rebuilt, algorithm)
 
 
@@ -511,10 +512,11 @@ def test_every_path_keeps_three_columns_and_builds_equal_segments(sizes, m):
     # A schedule from a solver, from the public constructor with fresh amounts
     # or with the jobs' own time objects, from verify's rebuild of a dump, or
     # the oracle's witness keeps only its columns, and builds segments equal
-    # to the ones it was given, each whole job holding its own time object.
+    # to the ones it was given, each whole job holding its job's time.
     built = make_instance(sizes, m)
     for inst in (built, parse_instance(serialize_instance(built))):
         view = inst.ticks
+        times = {job.id: job.process_time for job in inst.jobs}
         paths = []
         for algorithm in ("lpt", "pam", "wraparound"):
             solved = cli.ALGORITHMS[algorithm][1](inst)
@@ -535,9 +537,9 @@ def test_every_path_keeps_three_columns_and_builds_equal_segments(sizes, m):
         if len(sizes) <= oracles.MINMS_MAX_JOBS:
             witness = oracles.exact_minms(inst)
             assert sorted(vars(witness)) == COLUMNS
-            # Each job whole on its machine, holding its own time object.
+            # Each job whole on its machine, holding its job's time.
             jobs = witness._jobs
-            given = tuple(map(JobSegment, jobs, witness._machines, map(view.times.get, jobs)))
+            given = tuple(map(JobSegment, jobs, witness._machines, map(times.get, jobs)))
             paths.append([(witness, given), (MigrationSchedule(inst, given), given)])
         for same in paths:
             first = same[0][0]
@@ -545,8 +547,44 @@ def test_every_path_keeps_three_columns_and_builds_equal_segments(sizes, m):
                 assert schedule.segments == given
                 for (job, _, amount), t in zip(schedule.segments, schedule._ticks):
                     assert amount is not core._WHOLE
-                    assert (amount is view.times[job]) == (t == view.sizes[job])
+                    assert (amount == times[job]) == (t == view.sizes[job])
                 assert schedule == first and hash(schedule) == hash(first)
+
+
+@pytest.mark.parametrize("read", [False, True], ids=["public", "read"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "minms 1\nmachines 2\njob 3 4\njob 0 3\njob 1 4\njob 2 5\n",
+        "minms 1\nmachines 3\njob 4 7/2\njob 0 3\njob 2 5/3\njob 1 1/2\n",
+    ],
+    ids=["integer", "rational"],
+)
+def test_the_tick_view_keeps_tick_counts_only(monkeypatch, text, read):
+    # Every time value a minms instance or schedule hands out is made from
+    # tick counts when asked for, so no path leaves a time object in the view.
+    times = {int(i): as_time(t) for _, i, t in map(str.split, text.splitlines()[2:])}
+    inst = parse_instance(text)
+    if not read:
+        inst = MinMsInstance(tuple(Job(i, t) for i, t in times.items()), inst.machine_count)
+    assert {job.id: job.process_time for job in inst.jobs} == times
+    sched = pam_schedule(inst).schedule
+    assert segment_violations(inst, sched.segments) == []
+    first = next(iter(times))
+    halved = [(j, 0, t) for j, t in times.items() if j != first] + [(first, 0, times[first] / 2)]
+    assert segment_violations(inst, halved) == [
+        f"conservation: job {first} segments sum to {times[first] / 2}, "
+        f"process time is {times[first]}"
+    ]
+    witness = oracles.exact_minms(inst)
+    assert sorted((j, t) for j, _, t in witness.segments) == sorted(times.items())
+    # An edited record equal to its job's time is written short.
+    payload = cli._dump_payload(sched, "pam")
+    job, machine, _ = sched.segments[0]
+    payload["segments"][0]["amount"] = times[job]
+    monkeypatch.setattr(cli, "_dump_payload", lambda *_: payload)
+    assert json.loads(cli._dump_text(sched, "pam"))["segments"][0] == [job, machine]
+    assert sorted(vars(inst.ticks)) == VIEW_STATE
 
 
 @settings(max_examples=60)

@@ -320,10 +320,10 @@ class TestWitness:
         inst = make_instance(sizes, m)
         witness = exact_minms(inst)
         assert MigrationSchedule(inst, witness.segments) == witness
-        # One segment per job, holding the job's own process-time object.
+        # One segment per job, holding the job's process time.
         times = {job.id: job.process_time for job in inst.jobs}
         assert sorted(segment.job_id for segment in witness.segments) == sorted(times)
-        assert all(segment.amount is times[segment.job_id] for segment in witness.segments)
+        assert all(segment.amount == times[segment.job_id] for segment in witness.segments)
         assert witness.migrations == 0
         if len(sizes) <= 7 and m <= 3:
             assert witness.makespan() == naive_minms(inst)
