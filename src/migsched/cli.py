@@ -386,11 +386,12 @@ def _columns(dump: dict, key: str, widths: tuple[int, ...], issues: list[str]) -
     return columns
 
 
-def _rebuild(schedule_type, instance, raw: tuple[tuple, ...], issues: list):
-    """The kind's schedule of the decoded records, or None, with each problem
-    its construction check found (the InvariantError's `args`) as an issue."""
+def _rebuild(build: Callable, issues: list, *decoded):
+    """The kind's schedule that `build` makes of the decoded records, or None,
+    with each problem its construction check found (the InvariantError's
+    `args`) as an issue."""
     try:
-        return schedule_type(instance, raw)
+        return build(*decoded)
     except InvariantError as exc:
         issues.extend(exc.args)
         return None
@@ -416,11 +417,12 @@ def _verify_minms(
             f"machine_count {dump.get('machine_count')!r} does not match instance "
             f"{instance.machine_count}"
         )
-    raw = tuple(zip(*_columns(dump, "segments", (2, 3), issues)))
-    schedule = _rebuild(MigrationSchedule, instance, raw, issues)
+    columns = _columns(dump, "segments", (2, 3), issues)
+    schedule = _rebuild(MigrationSchedule._checked, issues, instance, *columns)
     if schedule is not None:
         notes.append(
-            f"per-job conservation holds ({len(instance.ticks.sizes)} jobs, {len(raw)} segments)"
+            f"per-job conservation holds ({len(instance.ticks.sizes)} jobs, "
+            f"{len(columns[0])} segments)"
         )
         _check_recorded(dump, "migrations", schedule.migrations, issues, notes)
     return schedule
@@ -431,7 +433,7 @@ def _verify_mintpt(
 ) -> IntervalSchedule | None:
     """The dump's own checks: its schedule, or None when that fails its check."""
     raw = tuple(zip(*_columns(dump, "stints", (4,), issues)))
-    schedule = _rebuild(IntervalSchedule, instance, raw, issues)
+    schedule = _rebuild(IntervalSchedule, issues, instance, raw)
     if schedule is not None:
         notes.append(
             f"every job placed in all its slots within capacity {instance.capacity}"

@@ -13,13 +13,16 @@ same object as) the job's own. An instance read from text gets its view from
 the reader's int pairs, and builds no `Job` until asked. Checks and loads
 add every amount as ticks: an int on that grid, a `Fraction` of a tick off it
 (a dump's 1/7 where the times are halves). A `MigrationSchedule` keeps only
-three columns, one entry per segment: job, machine, ticks. A failing
-construction check raises one InvariantError that carries every problem in
-`args`. The check runs on public construction and in `verify`; a solver
-hands its columns to `MigrationSchedule._trusted`, unchecked. A segment
-given with the private marker `_WHOLE` as its amount holds its whole job, so
-a dump's short record or an oracle's witness needs no time value, and no
-`JobSegment` exists until something asks for `segments`.
+three columns, one entry per segment: job, machine, ticks. The check,
+`segment_violations`, takes raw segments as three columns too: public
+construction transposes its segments once, and `verify` hands a dump's
+columns to `MigrationSchedule._checked`, so no segment tuple is made. A
+failing check raises one InvariantError that carries every problem in
+`args`. A solver hands its columns to `MigrationSchedule._trusted`,
+unchecked. A segment given with the private marker `_WHOLE` as its amount
+holds its whole job, so a dump's short record or an oracle's witness needs
+no time value, and no `JobSegment` exists until something asks for
+`segments`.
 """
 
 from __future__ import annotations
@@ -241,17 +244,21 @@ class JobSegment(NamedTuple):
 
 def segment_violations(
     instance: MinMsInstance,
-    segments: Iterable[tuple[int, int, Fraction]],
+    jobs: Sequence,
+    machines: Sequence,
+    amounts: Sequence,
     *,
     ticks: list[int | Fraction] | None = None,
 ) -> list[str]:
-    """Check raw (job_id, machine_id, amount) triples against an instance.
+    """Check raw segments, given as three columns (per segment its job id,
+    machine id and amount, walked together), against an instance.
 
     Returns a list of human-readable violations (empty when consistent):
     job ids that are not ints or not in the instance, machine ids that are
     not ints or out of range, amounts that are not a positive int or
     Fraction, and per-job conservation failures (segment amounts must sum to
-    the process time).
+    the process time). The columns are walked as `zip` walks them, up to the
+    shortest.
 
     `ticks`, if given, is an output list: each segment's amount in ticks is
     appended to it in segment order, so when no violation is found it holds
@@ -269,7 +276,7 @@ def segment_violations(
     shared: dict[int | Fraction, int | Fraction] = {}
     m = instance.machine_count
     # Ids are exactly int: a bool is an int to isinstance, and True a key of `totals`.
-    for job_id, machine_id, amount in segments:
+    for job_id, machine_id, amount in zip(jobs, machines, amounts):
         if type(job_id) is not int or job_id not in totals:
             problems.append(f"segment references unknown job {job_id!r}")
             continue
@@ -324,14 +331,17 @@ class MigrationSchedule:
 
     The schedule keeps only three columns, one entry per segment: `_jobs`,
     `_machines` and `_ticks` (amounts in ticks), read by its migrations,
-    loads, timelines and dump. Public construction checks the given segments
-    in one walk, keeps their columns and drops the tuple; a failing check
-    raises InvariantError(*segment_violations(...)). A solver's columns go
-    through `_trusted` unchecked (`verify` checks every dump from outside).
-    Either way `segments` is built from the columns on first access, equal
-    to what was given (a `_WHOLE` amount reads as its job's process time):
-    each amount is made from its tick count, one `Fraction` per distinct
-    count, equal to but not the same object as the job's own time.
+    loads, timelines and dump. Public construction transposes the given
+    segments into columns once, checks them in one walk and drops the tuple;
+    `_checked` runs the same check on columns as they are given (`verify`
+    reads a dump's records as columns), so no segment tuple is made. A
+    failing check raises InvariantError(*segment_violations(...)). A
+    solver's columns go through `_trusted` unchecked (`verify` checks every
+    dump from outside). Either way `segments` is built from the columns on
+    first access, equal to what was given (a `_WHOLE` amount reads as its
+    job's process time): each amount is made from its tick count, one
+    `Fraction` per distinct count, equal to but not the same object as the
+    job's own time.
 
     A job split into k segments accounts for k-1 migrations; a schedule that
     keeps every job whole has zero migrations. Segment tuple order is
@@ -343,21 +353,31 @@ class MigrationSchedule:
     segments: tuple[JobSegment, ...]
 
     def __post_init__(self) -> None:
-        segments = tuple(self.segments)
+        # One transpose: segments of another width raise ValueError, and no
+        # segments are three empty columns, which fail conservation.
+        jobs, machines, amounts = tuple(zip(*self.segments, strict=True)) or ((), (), ())
+        del vars(self)["segments"]  # built again from the columns when asked for
+        vars(self).update(vars(self._checked(self.instance, jobs, machines, amounts)))
+
+    @classmethod
+    def _checked(
+        cls, instance: MinMsInstance, jobs: Sequence, machines: Sequence, amounts: Sequence
+    ) -> MigrationSchedule:
+        """The schedule of raw columns, as the public constructor checks its
+        segments: it keeps the job and machine columns and the check's ticks."""
         ticks: list[int | Fraction] = []
-        problems = segment_violations(self.instance, segments, ticks=ticks)
+        problems = segment_violations(instance, jobs, machines, amounts, ticks=ticks)
         if problems:
             raise InvariantError(*problems)
-        jobs, machines, _ = zip(*segments)  # checked, so not empty
-        del vars(self)["segments"]  # built again from the columns when asked for
-        vars(self).update(_jobs=jobs, _machines=machines, _ticks=tuple(ticks))
+        return cls._trusted(instance, jobs, machines, ticks)
 
     @classmethod
     def _trusted(
         cls, instance: MinMsInstance, jobs: Iterable[int], machines: Iterable[int], ticks: Iterable[int]
     ) -> MigrationSchedule:
-        """The schedule of a solver's own columns: per segment its job, machine
-        and amount in ticks (an int, at most the job's size). Unchecked."""
+        """The schedule of given columns: per segment its job, machine and
+        amount in ticks (a solver's an int, at most the job's size; a checked
+        amount off the tick grid a Fraction). Unchecked."""
         schedule = object.__new__(cls)
         columns = {"_jobs": tuple(jobs), "_machines": tuple(machines), "_ticks": tuple(ticks)}
         vars(schedule).update(instance=instance, **columns)

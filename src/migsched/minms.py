@@ -27,6 +27,7 @@ checks each solver's claim on a schedule, such as one read back from a dump.
 
 from __future__ import annotations
 
+import collections
 import functools
 import heapq
 import itertools
@@ -232,7 +233,12 @@ def timeline_ticks(
 def certificate(schedule: MigrationSchedule, algorithm: str) -> tuple[list[str], list[str]]:
     """Check on `schedule` what `algorithm` guarantees: (issues, notes), one
     line per claim, a note when it holds and an issue when it fails. Any
-    other name has no certificate here and gives ([], [])."""
+    other name has no certificate here and gives ([], []).
+
+    The wraparound claims take one clock walk over the schedule's columns,
+    read as timeline_ticks reads them: the latest clock is the makespan, and
+    only the jobs with more than one segment keep their (job, start, end)
+    windows, which are sorted and compared with their neighbours."""
     instance = schedule.instance
     if algorithm == "pam":
         # Conservation holds, so the loads sum to m x opt: they all equal opt
@@ -249,19 +255,26 @@ def certificate(schedule: MigrationSchedule, algorithm: str) -> tuple[list[str],
     if algorithm != "wraparound":
         return [], []
     issues, notes = [], []
-    # One tick walk gives both facts: its latest end is the makespan, and
-    # each job's windows are compared as tick clocks.
-    walk = timeline_ticks(schedule)
+    # A job with one segment cannot overlap itself, so only split jobs keep windows.
+    jobs = schedule._jobs
+    split = {job for job, count in collections.Counter(jobs).items() if count > 1}
+    clocks: dict[int, int | Fraction] = {}
+    windows = []
+    for job, machine, t in zip(jobs, schedule._machines, schedule._ticks):
+        start = clocks.get(machine, 0)
+        clocks[machine] = end = start + t
+        if job in split:
+            windows.append((job, start, end))
     bound = _wrap_bound_ticks(instance)
-    makespan = max(end for _, _, _, end in walk)
+    makespan = max(clocks.values())
     time = instance.ticks.time
     if makespan != bound:
         issues.append(f"makespan {time(makespan)} differs from wrap bound {time(bound)}")
     else:
         notes.append(f"makespan = {time(bound)} (wrap bound)")
     # Sorted by job and start, a job's windows overlap only if two neighbours do.
-    pairs = itertools.pairwise(sorted(walk, key=operator.itemgetter(0, 2)))
-    overlapping = sorted({a[0] for a, b in pairs if a[0] == b[0] and a[3] > b[2]})
+    pairs = itertools.pairwise(sorted(windows, key=operator.itemgetter(0, 1)))
+    overlapping = sorted({a[0] for a, b in pairs if a[0] == b[0] and a[2] > b[1]})
     if overlapping:
         issues.append(f"jobs {overlapping} overlap themselves in time")
     else:

@@ -221,7 +221,8 @@ def placement_violations(
     job ids are known, machine ids are non-negative ints, start < end are
     ints, each job's stints cover its interval exactly (no gap, no slot twice,
     nothing outside), and no machine hosts more than g jobs in any slot.
-    Returns violations (empty when valid).
+    Returns violations (empty when valid). A job whose one stint is its
+    whole interval is covered exactly, with no sort and no cover walk.
 
     Capacity is tested per machine on its stints' starts and ends, each sorted:
     more than g of them share a slot exactly when some start[i + g] comes
@@ -247,8 +248,10 @@ def placement_violations(
         covered[job_id].append((start, end))
         per_machine.setdefault(machine_id, []).append((start, end))
     for job_id, first, last in instance.rows:
-        cursor = first
         spans = covered[job_id]
+        if len(spans) == 1 and spans[0] == (first, last):
+            continue  # one stint on its whole interval: nothing to walk
+        cursor = first
         if len(spans) > 1:
             spans.sort()
         for start, end in spans:

@@ -262,15 +262,16 @@ class TestVerify:
             first, second = payload["segments"][:2]
             first[AMOUNT] = str(Fraction(first[AMOUNT]) + 1)
             second[MACHINE] = 99
-            raw = [(j, m, Fraction(a)) for j, m, a in payload["segments"]]
+            # The segment check takes the job, machine and amount columns.
+            columns = list(zip(*((j, m, Fraction(a)) for j, m, a in payload["segments"])))
         else:
             first, second = payload["stints"][:2]
             first[START], first[END] = first[START] + 9, first[END] + 9
             second[JOB] = 99
-            raw = list(map(tuple, payload["stints"]))
+            columns = [list(map(tuple, payload["stints"]))]
         dump.write_text(json.dumps(payload))
         original = getattr(module, check)
-        problems = original(load_instance(instance), raw)
+        problems = original(load_instance(instance), *columns)
         assert len(problems) > 1
         calls = []
 

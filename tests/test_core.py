@@ -73,6 +73,72 @@ def segment_lists(draw):
     return inst, tuple(draw(st.permutations(segments)))
 
 
+# Values that are no id, machine or amount: bools (ints to isinstance), a
+# float, strings, an unhashable list and None.
+MALFORMED = st.sampled_from([True, False, 0.0, 1.5, "0", "1/2", [0], None])
+
+
+@st.composite
+def raw_rows(draw):
+    """An instance and raw (job, machine, amount) rows of any field types: the
+    rows of segment_lists, which may conserve, plus rows of unknown ids,
+    machines out of range, zero, negative and off-grid amounts, malformed
+    values and the whole-job marker, and whole-job markers of known jobs;
+    in any order."""
+    inst, segments = draw(segment_lists())
+    m, ids = inst.machine_count, list(inst.ticks.sizes)
+    amount = st.one_of(
+        st.integers(-2, 6), st.fractions(-2, 6, max_denominator=14), MALFORMED, st.just(_WHOLE)
+    )
+    rows = list(segments)
+    rows += draw(st.lists(st.tuples(st.integers(0, len(ids) + 1) | MALFORMED,
+                                    st.integers(-1, m) | MALFORMED, amount), max_size=6))
+    rows += [(job, draw(st.integers(0, m - 1)), _WHOLE)
+             for job in draw(st.lists(st.sampled_from(ids), max_size=2))]
+    return inst, tuple(draw(st.permutations(rows)))
+
+
+def reference_segment_violations(instance, rows, ticks):
+    """segment_violations as it walked (job_id, machine_id, amount) rows,
+    kept to check the column walk: same problems, same order, same ticks."""
+    problems = []
+    view = instance.ticks
+    sizes = view.sizes
+    totals = dict.fromkeys(sizes, 0)
+    shared = {}
+    m = instance.machine_count
+    for job_id, machine_id, amount in rows:
+        if type(job_id) is not int or job_id not in totals:
+            problems.append(f"segment references unknown job {job_id!r}")
+            continue
+        if type(machine_id) is not int or not 0 <= machine_id < m:
+            problems.append(f"job {job_id}: machine id {machine_id!r} is not an int in 0..{m - 1}")
+        if amount is _WHOLE:
+            t = sizes[job_id]
+        else:
+            if type(amount) is not int and not isinstance(amount, Fraction):
+                problems.append(f"job {job_id}: segment amount {amount!r} is not an int or Fraction")
+                continue
+            t = view.of(amount)
+            t = shared.setdefault(t, t)
+            if t <= 0:
+                problems.append(f"job {job_id}: non-positive segment amount {amount}")
+        totals[job_id] += t
+        ticks.append(t)
+    for job_id, size in sizes.items():
+        if totals[job_id] != size:
+            problems.append(
+                f"conservation: job {job_id} segments sum to {view.time(totals[job_id])}, "
+                f"process time is {view.time(size)}"
+            )
+    return problems
+
+
+def columns_of(rows):
+    """Rows as the job, machine and amount columns; no rows, three empty ones."""
+    return tuple(zip(*rows)) or ((), (), ())
+
+
 class TestTimeValue:
     def test_accepts_int_string_fraction(self):
         assert as_time(3) == 3
@@ -280,6 +346,16 @@ class TestMigrationSchedule:
         with pytest.raises(InvariantError):
             MigrationSchedule(make_instance([5], 1), (JobSegment(*fields),))
 
+    @pytest.mark.parametrize(
+        "segments", [[(0, 0)], [(0, 0, 5, 0)], [(0, 0, 5), (0, 0)], [(0, 0), (0, 0, 5)]]
+    )
+    def test_segment_of_another_width_is_no_triple(self, segments):
+        # The constructor transposes its segments once: a pair or a quadruple
+        # anywhere is a ValueError, as unpacking it is, not a problem list.
+        with pytest.raises(ValueError) as raised:
+            MigrationSchedule(make_instance([5], 1), segments)
+        assert type(raised.value) is ValueError
+
     def test_bool_job_id_is_not_job_one(self):
         inst = make_instance([3, 2], 2)
         segments = (JobSegment(0, 0, 3), JobSegment(True, 1, 2))
@@ -288,7 +364,7 @@ class TestMigrationSchedule:
 
     def test_bool_machine_and_amount_are_violations(self):
         inst = make_instance([1, 1], 2)
-        assert segment_violations(inst, [(0, True, 1), (1, 0, True)]) == [
+        assert segment_violations(inst, [0, 1], [True, 0], [1, True]) == [
             "job 0: machine id True is not an int in 0..1",
             "job 1: segment amount True is not an int or Fraction",
             "conservation: job 1 segments sum to 0, process time is 1",
@@ -298,8 +374,8 @@ class TestMigrationSchedule:
         # Jobs 9 and 5 fail, met in that order in the segments; the lines
         # follow the instance order, 5 before 9, and job 1 conserves.
         inst = MinMsInstance((Job(5, 2), Job(1, 3), Job(9, 4)), 2)
-        segments = [(9, 0, 1), (1, 1, 3), (5, 0, 1), (9, 1, Fraction(1, 2))]
-        assert segment_violations(inst, segments) == [
+        jobs, machines, amounts = [9, 1, 5, 9], [0, 1, 0, 1], [1, 3, 1, Fraction(1, 2)]
+        assert segment_violations(inst, jobs, machines, amounts) == [
             "conservation: job 5 segments sum to 1, process time is 2",
             "conservation: job 9 segments sum to 3/2, process time is 4",
         ]
@@ -309,9 +385,9 @@ class TestMigrationSchedule:
         # 5 first. A read instance words them from its view, as a checked one.
         jobs = (Job(9, 4), Job(1, 3), Job(5, 2))
         read = parse_instance("minms 1\nmachines 2\njob 9 4\njob 1 3\njob 5 2\n")
-        segments = [(5, 0, 1), (1, 1, 3), (9, 0, 1), (9, 1, Fraction(1, 2))]
+        columns = [5, 1, 9, 9], [0, 1, 0, 1], [1, 3, 1, Fraction(1, 2)]
         for inst in (MinMsInstance(jobs, 2), read):
-            assert segment_violations(inst, segments) == [
+            assert segment_violations(inst, *columns) == [
                 "conservation: job 9 segments sum to 3/2, process time is 4",
                 "conservation: job 5 segments sum to 1, process time is 2",
             ]
@@ -323,28 +399,28 @@ class TestMigrationSchedule:
         inst = make_instance([3, 2], 2)
         t0, t1 = (job.process_time for job in inst.jobs)
         for second in (t0, Fraction(3)):
-            assert segment_violations(inst, [(0, 0, t0), (0, 1, second), (1, 1, t1)]) == [
+            assert segment_violations(inst, [0, 0, 1], [0, 1, 1], [t0, second, t1]) == [
                 "conservation: job 0 segments sum to 6, process time is 3"
             ]
 
     def test_another_jobs_time_object_is_converted(self):
         inst = make_instance([3, 2], 2)
         t0 = inst.jobs[0].process_time
-        assert segment_violations(inst, [(0, 0, t0), (1, 1, t0)]) == [
+        assert segment_violations(inst, [0, 1], [0, 1], [t0, t0]) == [
             "conservation: job 1 segments sum to 3, process time is 2"
         ]
 
     def test_an_equal_amount_of_another_type_conserves(self):
         inst = make_instance([3, 2], 2)
         ticks = []
-        segments = [(0, 0, 3), (1, 1, inst.jobs[1].process_time)]
-        assert segment_violations(inst, segments, ticks=ticks) == []
+        amounts = [3, inst.jobs[1].process_time]
+        assert segment_violations(inst, [0, 1], [0, 1], amounts, ticks=ticks) == []
         assert ticks == [inst.ticks.of(3), inst.ticks.sizes[1]]
 
     def test_own_time_object_still_checks_the_machine(self):
         inst = make_instance([3, 2], 2)
         t0, t1 = (job.process_time for job in inst.jobs)
-        assert segment_violations(inst, [(0, 5, t0), (1, True, t1)]) == [
+        assert segment_violations(inst, [0, 1], [5, True], [t0, t1]) == [
             "job 0: machine id 5 is not an int in 0..1",
             "job 1: machine id True is not an int in 0..1",
         ]
@@ -376,8 +452,9 @@ class TestMigrationSchedule:
     def test_negative_off_grid_amount_is_its_only_violation(self):
         # -1/7 + 36/7 = 5 conserves the job, so the sign is the one problem.
         inst = make_instance([5], 1)
-        segments = [(0, 0, Fraction(-1, 7)), (0, 0, Fraction(36, 7))]
-        assert segment_violations(inst, segments) == ["job 0: non-positive segment amount -1/7"]
+        amounts = [Fraction(-1, 7), Fraction(36, 7)]
+        problems = segment_violations(inst, [0, 0], [0, 0], amounts)
+        assert problems == ["job 0: non-positive segment amount -1/7"]
 
     def test_off_grid_loads_equal_a_plain_sum(self):
         # Integer sizes on 2 machines (half ticks): every amount but job 3's
@@ -408,7 +485,7 @@ class TestMigrationSchedule:
         # The schedule raises exactly when the check finds a problem, and its
         # error holds each problem as one argument, in the check's order.
         inst, segments = case
-        problems = segment_violations(inst, segments)
+        problems = segment_violations(inst, *columns_of(segments))
         if not problems:
             assert MigrationSchedule(inst, segments).segments == segments
             return
@@ -416,6 +493,32 @@ class TestMigrationSchedule:
             MigrationSchedule(inst, segments)
         assert raised.value.args == tuple(problems)
         assert str(raised.value) == "; ".join(problems)
+
+    @settings(max_examples=500, deadline=None)
+    @given(raw_rows())
+    @example((make_instance([5], 1), ((0, 0, _WHOLE), (True, 0, 1), (0, 1.5, _WHOLE))))
+    @example((make_instance([3, 2], 2), ()))
+    def test_column_check_matches_the_row_walk(self, case):
+        # The check walks three columns; the row walk it replaced is the
+        # reference: the same problems in the same order, and the same ticks,
+        # value and type. The column entry and the public constructor agree.
+        inst, rows = case
+        expected_ticks, ticks = [], []
+        expected = reference_segment_violations(inst, rows, expected_ticks)
+        columns = columns_of(rows)
+        assert segment_violations(inst, *columns, ticks=ticks) == expected
+        assert list(map(type, ticks)) == list(map(type, expected_ticks))
+        assert ticks == expected_ticks
+        if expected:
+            for build in (MigrationSchedule._checked, lambda i, *_: MigrationSchedule(i, rows)):
+                with pytest.raises(InvariantError) as raised:
+                    build(inst, *columns)
+                assert raised.value.args == tuple(expected)
+            return
+        checked = MigrationSchedule._checked(inst, *columns)
+        assert checked._ticks == tuple(ticks)
+        assert (checked._jobs, checked._machines) == columns[:2]
+        assert checked == MigrationSchedule(inst, rows)
 
     def test_segment_is_a_named_triple(self):
         segment = JobSegment(3, 1, Fraction(1, 2))

@@ -487,7 +487,7 @@ def test_solver_output_has_no_segment_violations(sizes, m):
         for algorithm in ("lpt", "pam", "wraparound"):
             sched = cli.ALGORITHMS[algorithm][1](inst)
             assert "segments" not in vars(sched)
-            assert segment_violations(inst, sched.segments) == []
+            assert segment_violations(inst, *zip(*sched.segments)) == []
             # A solver's schedule skips the construction check, keeps its own
             # columns and builds its segments from them: they must be the ones
             # of the public rebuild of those segments.
@@ -569,10 +569,10 @@ def test_the_tick_view_keeps_tick_counts_only(monkeypatch, text, read):
         inst = MinMsInstance(tuple(Job(i, t) for i, t in times.items()), inst.machine_count)
     assert {job.id: job.process_time for job in inst.jobs} == times
     sched = pam_schedule(inst).schedule
-    assert segment_violations(inst, sched.segments) == []
+    assert segment_violations(inst, *zip(*sched.segments)) == []
     first = next(iter(times))
-    halved = [(j, 0, t) for j, t in times.items() if j != first] + [(first, 0, times[first] / 2)]
-    assert segment_violations(inst, halved) == [
+    halved = [t / 2 if j == first else t for j, t in times.items()]
+    assert segment_violations(inst, list(times), [0] * len(times), halved) == [
         f"conservation: job {first} segments sum to {times[first] / 2}, "
         f"process time is {times[first]}"
     ]
@@ -641,6 +641,18 @@ class TestCertificate:
         )
         assert minms.certificate(sched, "wraparound") == (
             ["jobs [0, 1] overlap themselves in time"],
+            ["makespan = 2 (wrap bound)"],
+        )
+
+    def test_wrap_job_repeated_whole_overlaps_itself(self):
+        # An unchecked schedule may hold one job whole twice: job 0 runs
+        # [0, 2) on both machines. Each segment's ticks are the job's size,
+        # yet the job has two segments, so its windows are compared.
+        inst = make_instance([2, 2], 2)
+        size = inst.ticks.sizes[0]
+        sched = MigrationSchedule._trusted(inst, [0, 0], [0, 1], [size, size])
+        assert minms.certificate(sched, "wraparound") == (
+            ["jobs [0] overlap themselves in time"],
             ["makespan = 2 (wrap bound)"],
         )
 

@@ -8,6 +8,7 @@ main suite.
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -73,3 +74,37 @@ def test_tracer_counts_every_layer(tmp_path, fixtures_dir, capsys):
     # The modules as imported now: perfbench's setup re-imports migsched.
     assert cli.render_csv is modules["report"].render_csv
     assert cli.segment_violations is modules["core"].segment_violations
+
+
+def test_verify_counts_the_segments_of_its_dumps(tmp_path, fixtures_dir, capsys):
+    # The tracer counts `core.segments_checked` as the length of the check's
+    # second argument, the job column. Every minms verify must open one
+    # `core.validate` span, and the count must be the dumps' segments.
+    spans = _load_spans()
+    modules = {layer: importlib.import_module(f"migsched.{layer}") for layer in spans.LAYERS}
+    cli = modules["cli"]
+    dumps = []
+    for fixture, algorithm in (
+        ("graham_m2.inst", "lpt"),
+        ("graham_m10.inst", "pam"),
+        ("graham_m10.inst", "wraparound"),
+    ):
+        instance, dump = str(fixtures_dir / fixture), tmp_path / f"{algorithm}.json"
+        assert cli.main(["solve", instance, "--algorithm", algorithm, "--dump", str(dump)]) == 0
+        dumps.append((instance, dump))
+    tracer = spans.Tracer()
+    tracer.install(modules)
+    try:
+        for instance, dump in dumps:
+            assert cli.main(["verify", instance, str(dump)]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+
+    segments = sum(len(json.loads(dump.read_text())["segments"]) for _, dump in dumps)
+    assert segments > len(dumps)
+    assert tracer.counts["core.validate_calls"] == len(dumps)
+    assert tracer.counts["core.segments_checked"] == segments
+    ops = {name: sorted(op for _, _, op, kind, _, _ in tracer.spans if kind == name)
+           for name in ("cli.verify", "core.validate")}
+    assert ops["core.validate"] == ops["cli.verify"] == [1, 2, 3]
