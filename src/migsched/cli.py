@@ -199,7 +199,7 @@ def _dump_payload(schedule, algorithm: str) -> dict:
         "algorithm": algorithm,
         "machines_used": schedule.machines_used,
         "migrations": schedule.migrations,
-        "stints": _Records(_FIELDS["stints"], len(schedule.stints), lambda: schedule.stints),
+        "stints": _Records(_FIELDS["stints"], len(schedule._jobs), lambda: schedule.stints),
     }
 
 
@@ -432,8 +432,8 @@ def _verify_mintpt(
     instance: IntervalInstance, dump: dict, issues: list, notes: list
 ) -> IntervalSchedule | None:
     """The dump's own checks: its schedule, or None when that fails its check."""
-    raw = tuple(zip(*_columns(dump, "stints", (4,), issues)))
-    schedule = _rebuild(IntervalSchedule, issues, instance, raw)
+    columns = _columns(dump, "stints", (4,), issues)
+    schedule = _rebuild(IntervalSchedule._checked, issues, instance, *columns)
     if schedule is not None:
         notes.append(
             f"every job placed in all its slots within capacity {instance.capacity}"

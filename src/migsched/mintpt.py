@@ -19,24 +19,30 @@ schedule's checks and totals work from the sorted start and end events, so
 their cost does not grow with the horizon; only the per-slot views
 (slot_profile, machines_per_slot) walk every slot, up to core.MAX_SLOTS.
 Both solvers find the lowest-indexed machine with room through a min-heap,
-not a scan of the machines, so each job costs O(log machines). The schedule
-check tests each machine's capacity on its sorted stint starts and ends, and
-the schedule keeps the power-on time that the same lists give. A failing
-check raises one InvariantError that carries every problem in `args`. The
-check runs on public construction and in `verify`; each solver builds its
-schedule from its own bookkeeping (IntervalSchedule._trusted), with the busy
-slots and the machine count it has counted on the stints it placed, and the
-check does not run again on it. certificate checks each solver's claim on a
+not a scan of the machines, so each job costs O(log machines).
+
+An IntervalSchedule keeps four columns, one entry per stint: job, machine,
+start, end. The check, `placement_violations`, takes raw stints as four
+columns too: public construction transposes its stints once, and `verify`
+hands a dump's columns to IntervalSchedule._checked, so no stint tuple is
+made and nothing is sorted. The check tests each machine's capacity on its
+sorted stint starts and ends, and counts the migrations in its walk over
+each split job's stints; the schedule keeps the power-on time that the same
+lists give, the machine count and the migrations. A failing check raises
+one InvariantError that carries every problem in `args`. Each solver hands
+its columns to IntervalSchedule._trusted, with the busy slots, the machine
+count and the migrations it has counted on the stints it placed, and the
+check does not run again on them. A schedule builds its (job, start)-ordered
+`stints` only when asked for. certificate checks each solver's claim on a
 schedule, such as one read back from a dump.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .core import MAX_SLOTS, InstanceTooLargeError, InvariantError, _check_unique_ids
 
@@ -195,7 +201,7 @@ def _per_slot(runs: Iterable[tuple[int, int, int]], horizon: int) -> tuple[int, 
 def slot_profile(instance: IntervalInstance) -> SlotProfile:
     """Count active jobs per slot and the resulting machine-count floor."""
     horizon = _slots(instance, "slot_profile")
-    loads = _per_slot(_runs(row[1:] for row in instance.rows), horizon)
+    loads = _per_slot(_runs(map(operator.itemgetter(1, 2), instance.rows)), horizon)
     g = instance.capacity
     return SlotProfile(loads, tuple(-(-load // g) for load in loads))
 
@@ -206,16 +212,23 @@ def mintpt_lower_bound(instance: IntervalInstance) -> int:
     No schedule, migratory or not, can power on fewer machine-slots.
     """
     g = instance.capacity
-    return sum(-(-count // g) * (t - s) for s, t, count in _runs(row[1:] for row in instance.rows))
+    runs = _runs(map(operator.itemgetter(1, 2), instance.rows))
+    return sum(-(-count // g) * (t - s) for s, t, count in runs)
 
 
 def placement_violations(
     instance: IntervalInstance,
-    stints: Iterable[tuple[int, int, int, int]],
+    jobs: Sequence,
+    machines: Sequence,
+    starts: Sequence,
+    ends: Sequence,
     *,
     power_on: list[int] | None = None,
+    migrations: list[int] | None = None,
 ) -> list[str]:
-    """Check raw (job_id, machine_id, start, end) stints against an instance.
+    """Check raw stints, given as four columns (per stint its job id, machine
+    id, start and end slot, walked together as `zip` walks them, up to the
+    shortest), against an instance.
 
     A stint places a job on one machine in slots [start, end). Verifies that
     job ids are known, machine ids are non-negative ints, start < end are
@@ -230,12 +243,14 @@ def placement_violations(
     to word its messages. When `power_on` is given, it receives each
     machine's busy slots in machine order, from the same sorted lists: the
     span from the first start to the last end less the gaps where end[i]
-    comes before start[i + 1].
+    comes before start[i + 1]. When `migrations` is given, it receives one
+    count, taken in the cover walk: the neighbouring stints of one job, in
+    start order, that sit on different machines.
     """
     problems: list[str] = []
-    covered: dict[int, list[tuple[int, int]]] = {job_id: [] for job_id, _, _ in instance.rows}
+    covered: dict[int, list[tuple[int, int, int]]] = {job_id: [] for job_id, _, _ in instance.rows}
     per_machine: dict[int, list[tuple[int, int]]] = {}
-    for job_id, machine_id, start, end in stints:
+    for job_id, machine_id, start, end in zip(jobs, machines, starts, ends):
         if type(job_id) is not int or job_id not in covered:
             problems.append(f"stint references unknown job {job_id!r}")
             continue
@@ -245,16 +260,19 @@ def placement_violations(
         if type(start) is not int or type(end) is not int or start >= end:
             problems.append(f"job {job_id}: stint [{start!r}, {end!r}) is not a slot range")
             continue
-        covered[job_id].append((start, end))
+        covered[job_id].append((start, end, machine_id))
         per_machine.setdefault(machine_id, []).append((start, end))
+    moves = 0
     for job_id, first, last in instance.rows:
         spans = covered[job_id]
-        if len(spans) == 1 and spans[0] == (first, last):
+        if len(spans) == 1 and spans[0][0] == first and spans[0][1] == last:
             continue  # one stint on its whole interval: nothing to walk
-        cursor = first
         if len(spans) > 1:
             spans.sort()
-        for start, end in spans:
+        cursor, previous = first, spans[0][2] if spans else None
+        for start, end, machine_id in spans:
+            moves += machine_id != previous
+            previous = machine_id
             if start < first or end > last:
                 problems.append(
                     f"job {job_id}: stint [{start}, {end}) outside its interval [{first}, {last})"
@@ -281,9 +299,17 @@ def placement_violations(
                         f"capacity {g}"
                     )
         if power_on is not None:
-            gaps = sum(map(max, map(operator.sub, starts[1:], ends), itertools.repeat(0)))
+            gaps = sum(filter((0).__lt__, map(operator.sub, starts[1:], ends)))  # positive ones
             power_on.append(ends[-1] - starts[0] - gaps)
+    if migrations is not None:
+        migrations.append(moves)
     return problems
+
+
+def _transpose(rows: Iterable[tuple], width: int) -> tuple[tuple, ...]:
+    """The columns of rows of `width` values: `width` empty columns for no
+    rows, and ValueError for a row of another width."""
+    return tuple(zip(*rows, strict=True)) or ((),) * width
 
 
 @dataclass(frozen=True)
@@ -291,59 +317,97 @@ class IntervalSchedule:
     """Run-length machine assignment: (job_id, machine_id, start, end) stints.
 
     A stint places a job on one machine in slots [start, end), end exclusive.
-    Stints are validated at public construction (each job's interval covered
-    exactly, capacity respected in every slot of every machine) and then
-    kept in canonical (job_id, start) order. A migration is a boundary inside
-    a job where its machine changes.
+    A migration is a boundary inside a job where its machine changes.
 
-    The construction check also counts each machine's busy slots, one count
-    per machine it hosts, and the schedule keeps their sum as its total
-    power-on time and their number as `machines_used`. A failing check
-    raises InvariantError(*placement_violations(...)). A solver's output is
-    built by `_trusted` from the solver's own counts and is not checked:
-    `verify` checks every dump from outside.
+    The schedule keeps four columns, one entry per stint: `_jobs`,
+    `_machines`, `_starts` and `_ends`, in the order it was given them, read
+    by its per-slot view and its dump. `stints` is built from them on first
+    access, in canonical (job_id, start) order. Public construction
+    transposes the given stints into columns once and checks them (each
+    job's interval covered exactly, capacity respected in every slot of
+    every machine); `_checked` runs the same check on columns as they are
+    given (`verify` reads a dump's records as columns), so no stint tuple is
+    made and nothing is sorted. A failing check raises
+    InvariantError(*placement_violations(...)).
+
+    The check also counts each machine's busy slots, one count per machine
+    it hosts, and the migrations, and the schedule keeps the busy slots' sum
+    as its total power-on time, their number as `machines_used`, and the
+    migrations. A solver's columns go through `_trusted` with the counts
+    the solver took from its own bookkeeping, unchecked: `verify` checks
+    every dump from outside.
     """
 
     instance: IntervalInstance
     stints: tuple[tuple[int, int, int, int], ...]
 
     def __post_init__(self) -> None:
-        stints = tuple(self.stints)
+        columns = _transpose(self.stints, 4)
+        del vars(self)["stints"]  # built again from the columns when asked for
+        vars(self).update(vars(self._checked(self.instance, *columns)))
+
+    @classmethod
+    def _checked(
+        cls,
+        instance: IntervalInstance,
+        jobs: Sequence,
+        machines: Sequence,
+        starts: Sequence,
+        ends: Sequence,
+    ) -> IntervalSchedule:
+        """The schedule of raw columns, as the public constructor checks its
+        stints: it keeps the columns and the check's counts."""
         power_on: list[int] = []
-        # Checked before sorting: a malformed id may not compare with the others.
-        problems = placement_violations(self.instance, stints, power_on=power_on)
+        migrations: list[int] = []
+        problems = placement_violations(
+            instance, jobs, machines, starts, ends, power_on=power_on, migrations=migrations
+        )
         if problems:
             raise InvariantError(*problems)
-        self._keep(stints, sum(power_on), len(power_on))
+        counts = sum(power_on), len(power_on), migrations[0]
+        return cls._trusted(instance, jobs, machines, starts, ends, *counts)
 
     @classmethod
     def _trusted(
         cls,
         instance: IntervalInstance,
-        stints: Iterable[tuple[int, int, int, int]],
+        jobs: Iterable[int],
+        machines: Iterable[int],
+        starts: Iterable[int],
+        ends: Iterable[int],
         power_on: int,
         machines_used: int,
+        migrations: int,
     ) -> IntervalSchedule:
-        """The schedule of `stints` that a solver built from its own
-        bookkeeping, with the total busy slots and the number of machines
-        that host a stint as it counted them. placement_violations is skipped."""
+        """The schedule of given columns, with the total busy slots, the
+        number of machines that host a stint and the migrations as they were
+        counted. Unchecked."""
         schedule = object.__new__(cls)
-        object.__setattr__(schedule, "instance", instance)
-        schedule._keep(stints, power_on, machines_used)
+        vars(schedule).update(
+            instance=instance,
+            _jobs=tuple(jobs),
+            _machines=tuple(machines),
+            _starts=tuple(starts),
+            _ends=tuple(ends),
+            _power_on=power_on,
+            _machines_used=machines_used,
+            _migrations=migrations,
+        )
         return schedule
 
-    def _keep(
-        self, stints: Iterable[tuple[int, int, int, int]], power_on: int, machines_used: int
-    ) -> None:
-        """Store the stints in canonical order with their migration count, and the two counts."""
-        store = object.__setattr__
-        store(self, "_power_on", power_on)
-        store(self, "_machines_used", machines_used)
-        stints = tuple(sorted(stints, key=operator.itemgetter(0, 2)))
-        store(self, "stints", stints)
-        # Canonical order puts a job's stints side by side, each ending where the next starts.
-        migrations = sum(a[0] == b[0] and a[1] != b[1] for a, b in zip(stints, stints[1:]))
-        store(self, "_migrations", migrations)
+    def __getattr__(self, name: str):
+        """`stints`, built from the columns in canonical order and kept.
+        Missing on a half-built object (as while unpickling), as other names are."""
+        state = vars(self)
+        if name != "stints" or "_ends" not in state:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        rows = zip(state["_jobs"], state["_machines"], state["_starts"], state["_ends"])
+        # Two stable sorts, by start and then by job, give (job, start) order
+        # faster than one sort on pair keys.
+        stints = sorted(rows, key=operator.itemgetter(2))
+        stints.sort(key=operator.itemgetter(0))
+        state["stints"] = tuple(stints)
+        return self.stints
 
     @property
     def machines_used(self) -> int:
@@ -357,7 +421,7 @@ class IntervalSchedule:
         """Distinct machines powered on in each slot of the horizon (see slot_profile)."""
         horizon = _slots(self.instance, "machines_per_slot")
         per_machine: dict[int, list[tuple[int, int]]] = {}
-        for _, machine_id, start, end in self.stints:
+        for machine_id, start, end in zip(self._machines, self._starts, self._ends):
             per_machine.setdefault(machine_id, []).append((start, end))
         busy = (
             (start, end)
@@ -395,16 +459,19 @@ def estf_schedule(instance: IntervalInstance) -> IntervalSchedule:
     The schedule's power-on time is counted as the jobs are placed: each
     machine keeps its reach, the latest end of its jobs so far, and a job
     that ends past it adds its slots beyond max(its start, the reach); the
-    jobs come in start order, so no slot is counted twice.
+    jobs come in start order, so no slot is counted twice. The schedule
+    keeps the jobs in allocation order, with no stint tuple, and has no
+    migrations.
     """
     g = instance.capacity
     live: list[int] = []  # per machine: its jobs that end after the current start
     reach: list[int] = []  # per machine: the latest end slot of its jobs so far
     room: list[int] = []  # min-heap of the machines with fewer than g live jobs
     running: list[tuple[int, int]] = []  # min-heap of (end slot, machine) of live jobs
-    stints: list[tuple[int, int, int, int]] = []
+    order = _allocation_order(instance)
+    machines: list[int] = []  # per job in allocation order: its machine
     power_on = 0
-    for job_id, start, end in _allocation_order(instance):
+    for _, start, end in order:
         while running and running[0][0] <= start:
             machine = heapq.heappop(running)[1]
             live[machine] -= 1
@@ -422,8 +489,9 @@ def estf_schedule(instance: IntervalInstance) -> IntervalSchedule:
             power_on += end - max(start, reach[machine])
             reach[machine] = end
         heapq.heappush(running, (end, machine))
-        stints.append((job_id, machine, start, end))
-    return IntervalSchedule._trusted(instance, stints, power_on, len(live))
+        machines.append(machine)
+    jobs, starts, ends = _transpose(order, 3)
+    return IntervalSchedule._trusted(instance, jobs, machines, starts, ends, power_on, len(live), 0)
 
 
 def lbm_schedule(instance: IntervalInstance) -> IntervalSchedule:
@@ -457,7 +525,9 @@ def lbm_schedule(instance: IntervalInstance) -> IntervalSchedule:
     list runs in end order; walked backwards, every stint already seen on a
     machine ends no earlier than the current one, so the machine's busy slots
     seen below the current end are [its lowest start so far, end), and the
-    stint adds only its slots under that start.
+    stint adds only its slots under that start. A job stranded k times ends
+    k of its k + 1 stints on machines it leaves, so the migrations are the
+    stints beyond one per job.
     """
     g = instance.capacity
     order = _allocation_order(instance)
@@ -506,7 +576,9 @@ def lbm_schedule(instance: IntervalInstance) -> IntervalSchedule:
         if start < below:
             power_on += min(end, below) - start
             low[machine] = start
-    return IntervalSchedule._trusted(instance, stints, power_on, len(low))
+    migrations = len(stints) - len(order)
+    columns = _transpose(stints, 4)
+    return IntervalSchedule._trusted(instance, *columns, power_on, len(low), migrations)
 
 
 def certificate(schedule: IntervalSchedule, algorithm: str) -> tuple[list[str], list[str]]:

@@ -7,6 +7,7 @@ import functools
 import io
 import itertools
 import json
+import random
 import re
 import time
 import tracemalloc
@@ -21,7 +22,7 @@ from migsched import (
     Job, JobSegment, MigrationSchedule, MinMsInstance, cli, core, minms, mintpt, oracles
 )
 from migsched.cli import main
-from migsched.instances import load_instance, serialize_instance
+from migsched.instances import gen_random_mintpt, load_instance, serialize_instance
 from migsched.mintpt import IntervalInstance, IntervalJob, IntervalSchedule
 from migsched.report import CSV_COLUMNS
 
@@ -268,7 +269,8 @@ class TestVerify:
             first, second = payload["stints"][:2]
             first[START], first[END] = first[START] + 9, first[END] + 9
             second[JOB] = 99
-            columns = [list(map(tuple, payload["stints"]))]
+            # The placement check takes the job, machine, start and end columns.
+            columns = list(zip(*payload["stints"]))
         dump.write_text(json.dumps(payload))
         original = getattr(module, check)
         problems = original(load_instance(instance), *columns)
@@ -419,6 +421,37 @@ class TestVerify:
         run(capsys, "solve", intervals, "--algorithm", "estf", "--dump", str(dump))
         code, out, _ = run(capsys, "verify", intervals, str(dump))
         assert code == 0
+
+    def test_shuffled_lbm_dump_passes_with_its_migrations(self, capsys, tmp_path):
+        # verify checks the records in the order written: a dump whose stints
+        # are shuffled passes with the same lines, migrations included.
+        text = serialize_instance(gen_random_mintpt(40, 12, 3, seed=5))
+        instance = _put(tmp_path / "i.inst", text)
+        dump = tmp_path / "lbm.json"
+        run(capsys, "solve", instance, "--algorithm", "lbm", "--dump", str(dump))
+        code, out, _ = run(capsys, "verify", instance, str(dump))
+        payload = json.loads(dump.read_text())
+        assert code == 0 and payload["migrations"] > 0
+        assert f"ok: migrations = {payload['migrations']} as recorded" in out.splitlines()
+        random.Random(0).shuffle(payload["stints"])
+        dump.write_text(json.dumps(payload))
+        assert run(capsys, "verify", instance, str(dump)) == (0, out, "")
+
+    def test_a_job_split_on_one_machine_has_no_migration(self, capsys, tmp_path):
+        instance = _put(tmp_path / "i.inst", "mintpt 1\ncapacity 1\njob 0 0 3 1\n")
+        payload = {
+            "format": "migsched-dump", "version": 4, "kind": "mintpt", "algorithm": "estf",
+            "machines_used": 1, "migrations": 0, "stints": [[0, 0, 0, 2], [0, 0, 2, 3]],
+        }
+        dump = _put(tmp_path / "estf.json", json.dumps(payload))
+        code, out, _ = run(capsys, "verify", instance, dump)
+        assert code == 0
+        assert out.splitlines() == [
+            "ok: every job placed in all its slots within capacity 1",
+            "ok: migrations = 0 as recorded",
+            "ok: no migrations, each job keeps one machine",
+            "verification passed",
+        ]
 
     def test_kind_mismatch_rejected(self, capsys, graham10, intervals, tmp_path):
         dump = tmp_path / "lbm.json"

@@ -105,6 +105,17 @@ def reference_queries(placements):
     return assignment, migrations, power_on
 
 
+def columns(stints):
+    """The (jobs, machines, starts, ends) columns of four-field stints."""
+    return tuple(zip(*stints)) or ((), (), (), ())
+
+
+def reference_migrations(stints):
+    """Neighbouring stints of one job, in (job, start) order, on different machines."""
+    ordered = sorted(stints, key=lambda s: (s[0], s[2]))
+    return sum(a[0] == b[0] and a[1] != b[1] for a, b in zip(ordered, ordered[1:]))
+
+
 def reference_placement_violations(instance, stints):
     """placement_violations as an event walk: every machine's runs are walked."""
     problems = []
@@ -202,6 +213,39 @@ def stint_lists(draw):
     return inst, draw(st.permutations(stints))
 
 
+@st.composite
+def solver_stint_lists(draw):
+    """An instance and a solver's stints, each at will cut in two with its
+    second part on a machine of its own (still a valid schedule, with
+    migrations), in any order, and at will one of them corrupted."""
+    inst = draw(interval_instances())
+    solver = draw(st.sampled_from([estf_schedule, lbm_schedule]))
+    stints = []
+    for k, (job_id, machine, start, end) in enumerate(solver(inst).stints):
+        if end - start > 1 and draw(st.booleans()):
+            cut = draw(st.integers(start + 1, end - 1))
+            stints += [(job_id, machine, start, cut), (job_id, 1000 + k, cut, end)]
+        else:
+            stints.append((job_id, machine, start, end))
+    if stints and draw(st.booleans()):
+        i = draw(st.integers(0, len(stints) - 1))
+        job_id, machine, start, end = stints[i]
+        stints[i : i + 1] = draw(
+            st.sampled_from(
+                [
+                    [],  # dropped
+                    [stints[i]] * 2,  # placed twice
+                    [(job_id, machine, start + 1, end + 1)],  # shifted
+                    [(job_id, machine, end, start)],  # not a slot range
+                    [(job_id, -1, start, end)],  # a negative machine
+                    [(len(inst.rows), machine, start, end)],  # an unknown job
+                    [(job_id, 0, start, end)],  # moved to machine 0, maybe overfull
+                ]
+            )
+        )
+    return inst, draw(st.permutations(stints))
+
+
 class TestStintsMatchPerSlotReference:
     @settings(max_examples=300, deadline=None)
     @given(interval_instances())
@@ -218,7 +262,7 @@ class TestStintsMatchPerSlotReference:
         # counts: they must be the ones the public rebuild of its stints finds.
         for solver in (estf_schedule, lbm_schedule):
             sched = solver(inst)
-            assert placement_violations(inst, sched.stints) == []
+            assert placement_violations(inst, *columns(sched.stints)) == []
             rebuilt = IntervalSchedule(inst, sched.stints)
             assert sched.stints == rebuilt.stints
             assert sched.total_power_on_time() == rebuilt.total_power_on_time()
@@ -231,10 +275,10 @@ class TestStintsMatchPerSlotReference:
     @example((four_job_instance(), [(0, 0, 0, 3), (0, 0, 0, 3), (1, 1, 0, 4), (7, 0, 0, 1)]))
     def test_placement_violations_match_the_event_walk(self, case):
         inst, stints = case
-        assert placement_violations(inst, stints) == reference_placement_violations(inst, stints)
+        problems = placement_violations(inst, *columns(stints))
+        assert problems == reference_placement_violations(inst, stints)
         # The schedule raises exactly when the check finds a problem, with
         # each problem as one argument of its error, in the check's order.
-        problems = placement_violations(inst, stints)
         if problems:
             with pytest.raises(InvariantError) as raised:
                 IntervalSchedule(inst, tuple(stints))
@@ -242,6 +286,27 @@ class TestStintsMatchPerSlotReference:
             assert str(raised.value) == "; ".join(problems)
         else:
             IntervalSchedule(inst, tuple(stints))
+
+    @settings(max_examples=300, deadline=None)
+    @given(solver_stint_lists())
+    def test_checked_columns_match_the_public_constructor(self, case):
+        # verify hands a dump's columns, in any order, to _checked: it must
+        # find what the public constructor finds on the same stints.
+        inst, stints = case
+
+        def outcome(build, *args):
+            try:
+                sched = build(*args)
+            except InvariantError as exc:
+                return "fails", exc.args
+            counts = sched.total_power_on_time(), sched.machines_used, sched.migrations
+            return "holds", sched.stints, counts
+
+        public = outcome(IntervalSchedule, inst, tuple(stints))
+        assert outcome(IntervalSchedule._checked, inst, *columns(stints)) == public
+        if public[0] == "holds":
+            assert public[1] == tuple(sorted(stints, key=lambda s: (s[0], s[2])))
+            assert public[2][2] == reference_migrations(stints)
 
     @settings(max_examples=200, deadline=None)
     @given(interval_instances(), st.randoms(use_true_random=False))

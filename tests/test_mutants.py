@@ -4,6 +4,7 @@ mutated module still compiles. The mutants themselves run outside this suite
 (`python3 mutants/run.py`)."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -25,4 +26,14 @@ def test_each_mutant_applies_to_exactly_one_place(mutant):
     # A mutant that does not compile fails every test at import: its "kill"
     # would show nothing about the tests.
     compile(text.replace(mutant["old"], mutant["new"]), mutant["file"], "exec")
-    assert mutant["tests"] and all((ROOT / test).is_file() for test in mutant["tests"])
+    assert mutant["tests"] and all(map(_names_a_test, mutant["tests"]))
+
+
+def _names_a_test(test: str) -> bool:
+    """A test file, or a node in one (`file::Class::test`): the file exists
+    and defines each named class and function."""
+    path, *names = test.split("::")
+    if not (ROOT / path).is_file():
+        return False
+    text = (ROOT / path).read_text(encoding="utf-8")
+    return all(re.search(rf"^\s*(class|def) {re.escape(name)}\b", text, re.M) for name in names)
