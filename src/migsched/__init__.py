@@ -17,6 +17,7 @@ instances, and the migsched CLI benchmarks everything side by side.
 """
 
 from .core import (
+    InstanceTooLargeError,
     InvariantError,
     Job,
     JobSegment,
@@ -35,7 +36,6 @@ from .instances import (
 )
 from .minms import (
     PamTrace,
-    lpt_ratio,
     lpt_schedule,
     opt_balance,
     pam_schedule,
@@ -47,7 +47,6 @@ from .mintpt import (
     IntervalSchedule,
     SlotProfile,
     estf_schedule,
-    interval_span,
     lbm_schedule,
     mintpt_lower_bound,
     slot_profile,
@@ -55,7 +54,6 @@ from .mintpt import (
 from .oracles import (
     MINMS_MAX_JOBS,
     MINTPT_MAX_JOBS,
-    InstanceTooLargeError,
     exact_minms,
     exact_mintpt,
 )
@@ -72,12 +70,10 @@ __all__ = [
     "lpt_schedule",
     "pam_schedule",
     "wraparound_schedule",
-    "lpt_ratio",
     "IntervalJob",
     "IntervalInstance",
     "IntervalSchedule",
     "SlotProfile",
-    "interval_span",
     "slot_profile",
     "mintpt_lower_bound",
     "estf_schedule",

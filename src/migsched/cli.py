@@ -24,6 +24,7 @@ from pathlib import Path
 from . import minms, mintpt
 from .core import (
     _WHOLE,
+    InstanceTooLargeError,
     InvariantError,
     MigrationSchedule,
     MinMsInstance,
@@ -39,7 +40,7 @@ from .instances import (
     serialize_instance,
 )
 from .mintpt import IntervalInstance, IntervalSchedule, placement_violations  # as above
-from .oracles import InstanceTooLargeError, exact_minms, exact_mintpt
+from .oracles import exact_minms, exact_mintpt
 from .report import ReportRow, render_csv, render_json, render_markdown
 
 DUMP_FORMAT = "migsched-dump"

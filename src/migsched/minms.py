@@ -15,7 +15,7 @@ Four routes, from classical to exact:
     max(longest job, ideal load) yields a preemptive timetable that respects
     both.
 
-All of them, and timeline_ticks, compute on the instance's integer ticks
+All of them compute on the instance's integer ticks
 (core.TickView). Each solver returns its schedule (pam inside its PamTrace)
 as the job, machine and tick columns of its own bookkeeping, with no
 `JobSegment` and no `Fraction` per segment (core.MigrationSchedule._trusted);
@@ -43,8 +43,6 @@ __all__ = [
     "lpt_schedule",
     "pam_schedule",
     "wraparound_schedule",
-    "lpt_ratio",
-    "timeline_ticks",
     "certificate",
 ]
 
@@ -203,42 +201,16 @@ def wraparound_schedule(instance: MinMsInstance) -> MigrationSchedule:
     return MigrationSchedule._trusted(instance, jobs, machines, kept)
 
 
-def lpt_ratio(instance: MinMsInstance) -> Fraction:
-    """Exact ratio of the greedy makespan to the balanced optimum."""
-    return lpt_schedule(instance).makespan() / opt_balance(instance)
-
-
-def timeline_ticks(
-    schedule: MigrationSchedule,
-) -> list[tuple[int, int, int | Fraction, int | Fraction]]:
-    """Read a schedule as a timetable in ticks: back-to-back execution from 0.
-
-    Segments run consecutively on each machine in segment tuple order.
-    Returns (job_id, machine_id, start, end) per segment, as tick clocks: an
-    int while every amount on the machine so far is on the tick grid, a
-    Fraction of a tick once one is off it. Only meaningful for schedules
-    built with that convention (wraparound_schedule). It reads the schedule's
-    columns, with the ticks kept from its construction check or from its
-    solver, so nothing is converted again and no segment is built.
-    """
-    clocks: dict[int, int | Fraction] = {}
-    out = []
-    for job_id, machine, t in zip(schedule._jobs, schedule._machines, schedule._ticks):
-        start = clocks.get(machine, 0)
-        clocks[machine] = end = start + t
-        out.append((job_id, machine, start, end))
-    return out
-
-
 def certificate(schedule: MigrationSchedule, algorithm: str) -> tuple[list[str], list[str]]:
     """Check on `schedule` what `algorithm` guarantees: (issues, notes), one
     line per claim, a note when it holds and an issue when it fails. Any
     other name has no certificate here and gives ([], []).
 
     The wraparound claims take one clock walk over the schedule's columns,
-    read as timeline_ticks reads them: the latest clock is the makespan, and
-    only the jobs with more than one segment keep their (job, start, end)
-    windows, which are sorted and compared with their neighbours."""
+    read as a timetable (each machine runs its segments back to back from 0,
+    in column order): the latest clock is the makespan, and only the jobs
+    with more than one segment keep their (job, start, end) windows, which
+    are sorted and compared with their neighbours."""
     instance = schedule.instance
     if algorithm == "pam":
         # Conservation holds, so the loads sum to m x opt: they all equal opt

@@ -51,7 +51,6 @@ __all__ = [
     "IntervalInstance",
     "SlotProfile",
     "IntervalSchedule",
-    "interval_span",
     "slot_profile",
     "mintpt_lower_bound",
     "estf_schedule",
@@ -146,20 +145,6 @@ class SlotProfile:
 
     loads: tuple[int, ...]
     min_machines: tuple[int, ...]
-
-
-def interval_span(intervals: Iterable[tuple[int, int]]) -> int:
-    """Measure of the union of the intervals, overlaps counted once.
-
-    Always <= the sum of their lengths, with equality exactly when no two
-    intervals overlap (sharing an endpoint is not an overlap). An interval
-    [s, t) with t <= s raises InvariantError, the first in sorted order.
-    """
-    ordered = sorted(intervals)
-    for s, t in ordered:
-        if t <= s:
-            raise InvariantError(f"interval [{s}, {t}) has non-positive length")
-    return sum(t - s for s, t, count in _runs(ordered) if count)
 
 
 def _runs(intervals: Iterable[tuple[int, int]]) -> list[tuple[int, int, int]]:

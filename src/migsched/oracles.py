@@ -27,7 +27,6 @@ from .core import _WHOLE, InstanceTooLargeError, MigrationSchedule, MinMsInstanc
 from .mintpt import IntervalInstance, IntervalSchedule
 
 __all__ = [
-    "InstanceTooLargeError",
     "MINMS_MAX_JOBS",
     "MINTPT_MAX_JOBS",
     "SEARCH_MAX_JOBS",

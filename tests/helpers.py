@@ -1,6 +1,6 @@
 """Helpers shared by several test modules."""
 
-from migsched import IntervalInstance, IntervalJob, Job, MinMsInstance
+from migsched import IntervalInstance, IntervalJob, IntervalSchedule, Job, MinMsInstance
 
 # The whole state of a minms tick view: tick counts, no time objects.
 VIEW_STATE = ["sizes", "total", "unit"]
@@ -28,6 +28,15 @@ def first_primes(n):
 def interval_length(intervals):
     """Sum of the intervals' lengths, overlaps counted multiply."""
     return sum(t - s for s, t in intervals)
+
+
+def one_machine_power_on(intervals):
+    """The total power-on time of one machine that hosts every interval as
+    a job: the measure of their union, overlaps counted once."""
+    intervals = list(intervals)
+    jobs = tuple(IntervalJob(i, s, t) for i, (s, t) in enumerate(intervals))
+    stints = tuple((i, 0, s, t) for i, (s, t) in enumerate(intervals))
+    return IntervalSchedule(IntervalInstance(jobs, max(1, len(jobs))), stints).total_power_on_time()
 
 
 def four_job_instance():

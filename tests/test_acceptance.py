@@ -20,9 +20,7 @@ from migsched import (
     gen_graham_worst_case,
     gen_random_minms,
     gen_random_mintpt,
-    interval_span,
     lbm_schedule,
-    lpt_ratio,
     lpt_schedule,
     mintpt_lower_bound,
     opt_balance,
@@ -33,7 +31,7 @@ from migsched import (
 from migsched.cli import main
 from migsched.instances import load_instance
 
-from helpers import interval_length
+from helpers import interval_length, one_machine_power_on
 
 
 def test_a1_adversarial_family_reproduction():
@@ -45,7 +43,7 @@ def test_a1_adversarial_family_reproduction():
         assert opt_balance(inst) == 3 * m
         trace = pam_schedule(inst)
         assert all(load == 3 * m for load in trace.schedule.machine_loads())
-        assert lpt_ratio(inst) == Fraction(4 * m - 1, 3 * m)
+        assert lpt_schedule(inst).makespan() / opt_balance(inst) == Fraction(4 * m - 1, 3 * m)
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
     print(f"\nACCEPTANCE 1 PASS - adversarial family exact for m in 2,3,5,10,20 ({elapsed:.2f}s)")
@@ -125,7 +123,7 @@ def test_a4_wraparound_feasibility_and_divisible_load_caveat():
 
 def test_a5_span_length_algebra():
     """Pinned span/length values plus the equality-iff-disjoint property."""
-    assert interval_span([(1, 4), (2, 4), (5, 6)]) == 4
+    assert one_machine_power_on([(1, 4), (2, 4), (5, 6)]) == 4
     assert interval_length([(1, 4), (2, 4), (5, 6)]) == 6
     rng = random.Random(99)
     for _ in range(1000):
@@ -134,7 +132,7 @@ def test_a5_span_length_algebra():
         for _ in range(count):
             s = rng.randint(0, 15)
             intervals.append((s, s + rng.randint(1, 6)))
-        span = interval_span(intervals)
+        span = one_machine_power_on(intervals)
         length = interval_length(intervals)
         assert span <= length
         ordered = sorted(intervals)

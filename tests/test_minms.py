@@ -1,6 +1,7 @@
 """Makespan solvers: greedy, exact balancing via splits, wrap-around."""
 
 import heapq
+import itertools
 import json
 import random
 import tracemalloc
@@ -17,7 +18,6 @@ from migsched import (
     MinMsInstance,
     as_time,
     gen_graham_worst_case,
-    lpt_ratio,
     lpt_schedule,
     opt_balance,
     pam_schedule,
@@ -25,7 +25,6 @@ from migsched import (
     serialize_instance,
     wraparound_schedule,
 )
-from migsched.minms import timeline_ticks
 from migsched import cli, core, minms, oracles
 from migsched.core import segment_violations
 
@@ -115,15 +114,6 @@ def reference_wraparound(instance):
     return tuple(segments), bound
 
 
-def tick_walk_over_unit(sched):
-    """timeline_ticks with each clock divided by the instance's unit."""
-    unit = sched.instance.ticks.unit
-    return [
-        (job, machine, Fraction(start) / unit, Fraction(end) / unit)
-        for job, machine, start, end in timeline_ticks(sched)
-    ]
-
-
 def reference_timeline(segments):
     """Fraction timeline: (job_id, machine_id, start, end) per segment."""
     clocks = {}
@@ -133,6 +123,32 @@ def reference_timeline(segments):
         out.append((job_id, machine, start, start + amount))
         clocks[machine] = start + amount
     return out
+
+
+def reference_wrap_certificate(instance, segments):
+    """The wraparound certificate of `segments`, read off their Fraction
+    timeline: its makespan against the Fraction wrap bound, then the jobs
+    with two windows that overlap, every pair of windows compared."""
+    timeline = reference_timeline(segments)
+    makespan, bound = max(end for *_, end in timeline), reference_wraparound(instance)[1]
+    windows = {}
+    for job_id, _, start, end in timeline:
+        windows.setdefault(job_id, []).append((start, end))
+    overlapping = sorted(
+        job_id
+        for job_id, spans in windows.items()
+        if any(a < d and c < b for (a, b), (c, d) in itertools.combinations(spans, 2))
+    )
+    issues, notes = [], []
+    if makespan == bound:
+        notes.append(f"makespan = {bound} (wrap bound)")
+    else:
+        issues.append(f"makespan {makespan} differs from wrap bound {bound}")
+    if overlapping:
+        issues.append(f"jobs {overlapping} overlap themselves in time")
+    else:
+        notes.append("no job overlaps itself in time")
+    return issues, notes
 
 
 # Coprime denominators, so the tick unit's lcm has several prime factors.
@@ -319,12 +335,13 @@ class TestWraparound:
     @staticmethod
     def assert_no_self_overlap(sched):
         windows = {}
-        for job_id, _, start, end in tick_walk_over_unit(sched):
+        for job_id, _, start, end in reference_timeline(sched.segments):
             windows.setdefault(job_id, []).append((start, end))
         for spans in windows.values():
             spans.sort()
             for (_, end), (start, _) in zip(spans, spans[1:]):
                 assert end <= start
+        assert "no job overlaps itself in time" in minms.certificate(sched, "wraparound")[1]
 
     def test_no_self_overlap_on_family(self):
         sched = wraparound_schedule(gen_graham_worst_case(10))
@@ -338,19 +355,23 @@ class TestWraparound:
         assert sched.migrations <= m - 1  # McNaughton: at most one wrap per machine boundary
         self.assert_no_self_overlap(sched)
         # Every wraparound piece is a whole number of ticks, so the walk's clocks are ints.
-        walk = timeline_ticks(sched)
-        assert all(type(t) is int for _, _, start, end in walk for t in (start, end))
+        assert all(type(t) is int for t in sched._ticks)
 
 
 class TestLptRatio:
+    """The report's ratio column for lpt: its makespan over the balanced optimum."""
+
     def test_adversarial_family_m2(self):
-        assert lpt_ratio(gen_graham_worst_case(2)) == Fraction(7, 6)
+        inst = gen_graham_worst_case(2)
+        assert lpt_schedule(inst).makespan() / opt_balance(inst) == Fraction(7, 6)
 
     def test_adversarial_family_m10(self):
-        assert lpt_ratio(gen_graham_worst_case(10)) == Fraction(13, 10)
+        inst = gen_graham_worst_case(10)
+        assert lpt_schedule(inst).makespan() / opt_balance(inst) == Fraction(13, 10)
 
     def test_balanced_instance(self):
-        assert lpt_ratio(make_instance([6, 6], 2)) == 1
+        inst = make_instance([6, 6], 2)
+        assert lpt_schedule(inst).makespan() / opt_balance(inst) == 1
 
 
 def all_fractions(values):
@@ -377,7 +398,8 @@ class TestTicksMatchFractionReference:
         sched = wraparound_schedule(inst)
         ref_segments, ref_bound = reference_wraparound(inst)
         assert (sched.segments, sched.makespan()) == (ref_segments, ref_bound)
-        assert tick_walk_over_unit(sched) == reference_timeline(ref_segments)
+        wrap = minms.certificate(sched, "wraparound")
+        assert wrap == reference_wrap_certificate(inst, ref_segments)
 
         for schedule in (lpt, trace.schedule, sched):
             assert all_fractions(s.amount for s in schedule.segments)
@@ -429,21 +451,17 @@ class TestTicksMatchFractionReference:
             for _ in range(3):
                 segments.append(JobSegment(job.id, rng.randrange(m), job.process_time / 3))
         sched = MigrationSchedule(inst, tuple(segments))
-        times = tick_walk_over_unit(sched)
-        assert times == reference_timeline(segments)
-        assert all_fractions(t for _, _, start, end in times for t in (start, end))
+        assert minms.certificate(sched, "wraparound") == reference_wrap_certificate(inst, segments)
         assert all_fractions(sched.machine_loads() + (sched.makespan(),))
 
 
-def reference_tick_walk(schedule):
-    """Loads and timeline in ticks, each amount converted by `TickView.of`."""
+def reference_tick_loads(schedule):
+    """Per-machine loads in ticks, each amount converted by `TickView.of`."""
     of = schedule.instance.ticks.of
-    loads, walk = {}, []
-    for job, machine, amount in schedule.segments:
-        start = loads.get(machine, 0)
-        loads[machine] = start + of(amount)
-        walk.append((job, machine, start, loads[machine]))
-    return loads, walk
+    loads = {}
+    for _, machine, amount in schedule.segments:
+        loads[machine] = loads.get(machine, 0) + of(amount)
+    return loads
 
 
 class TestKeptTicks:
@@ -460,12 +478,11 @@ class TestKeptTicks:
             fresh = MigrationSchedule(inst, given)
             for schedule in (sched, fresh):
                 assert schedule._ticks == tuple(view.of(s.amount) for s in schedule.segments)
-                loads, walk = reference_tick_walk(schedule)
+                loads = reference_tick_loads(schedule)
                 assert schedule.makespan() == view.time(max(loads.values()))
                 assert schedule.machine_loads() == tuple(
                     view.time(loads.get(i, 0)) for i in range(m)
                 )
-                assert timeline_ticks(schedule) == walk
 
     def test_equal_pieces_share_one_tick_count(self):
         # Two jobs on 1000 machines: pam deals W/m (1802 ticks, past the

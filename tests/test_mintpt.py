@@ -16,7 +16,6 @@ from migsched import (
     InvariantError,
     estf_schedule,
     gen_random_mintpt,
-    interval_span,
     lbm_schedule,
     mintpt,
     mintpt_lower_bound,
@@ -25,7 +24,7 @@ from migsched import (
 from migsched import core
 from migsched.mintpt import placement_violations
 
-from helpers import four_job_instance, interval_length
+from helpers import four_job_instance, interval_length, one_machine_power_on
 
 intervals_strategy = st.lists(
     st.tuples(st.integers(0, 20), st.integers(1, 10)).map(lambda t: (t[0], t[0] + t[1])),
@@ -170,11 +169,8 @@ def reference_placement_violations(instance, stints):
 
 
 def span_per_machine(stints):
-    """Sum over machines of interval_span of the machine's stints."""
-    per_machine = {}
-    for _, machine, start, end in stints:
-        per_machine.setdefault(machine, []).append((start, end))
-    return sum(interval_span(intervals) for intervals in per_machine.values())
+    """Busy machine-slots of the stints: each (machine, slot) pair counted once."""
+    return len({(machine, slot) for _, machine, start, end in stints for slot in range(start, end)})
 
 
 @st.composite
@@ -358,36 +354,35 @@ class TestIntervalAlgebra:
         assert interval_length([(0, 3)]) == 3
 
     def test_span_of_mixed_set(self):
-        assert interval_span([(1, 4), (2, 4), (5, 6)]) == 4
+        assert one_machine_power_on([(1, 4), (2, 4), (5, 6)]) == 4
 
     def test_span_abutting_intervals_union(self):
-        assert interval_span([(0, 2), (2, 4)]) == 4
+        assert one_machine_power_on([(0, 2), (2, 4)]) == 4
 
     def test_span_equals_length_without_overlap(self):
         disjoint = [(0, 2), (3, 5), (7, 8)]
-        assert interval_span(disjoint) == interval_length(disjoint)
+        assert one_machine_power_on(disjoint) == interval_length(disjoint)
 
     def test_degenerate_interval_rejected(self):
-        with pytest.raises(InvariantError):
-            interval_span([(3, 3)])
-        with pytest.raises(InvariantError):
-            interval_span([(4, 2)])
-        # The first bad interval in sorted order is the one named.
-        with pytest.raises(InvariantError, match=r"^interval \[3, 3\) has non-positive length$"):
-            interval_span([(5, 9), (4, 2), (3, 3)])
+        # A degenerate interval is no job: IntervalJob refuses it.
+        for s, t in ((3, 3), (4, 2)):
+            message = rf"end slot must exceed start slot, got \[{s}, {t}\)"
+            with pytest.raises(InvariantError, match=message):
+                one_machine_power_on([(5, 9), (s, t)])
 
     @given(intervals_strategy)
     def test_span_at_most_length(self, intervals):
-        assert interval_span(intervals) <= interval_length(intervals)
+        assert one_machine_power_on(intervals) <= interval_length(intervals)
 
     @given(intervals_strategy)
     def test_span_equals_length_iff_no_overlap(self, intervals):
-        equal = interval_span(intervals) == interval_length(intervals)
+        equal = one_machine_power_on(intervals) == interval_length(intervals)
         assert equal == (not overlaps(intervals))
 
     @given(intervals_strategy)
     def test_span_counts_each_covered_slot_once(self, intervals):
-        assert interval_span(intervals) == len({slot for s, t in intervals for slot in range(s, t)})
+        covered = {slot for s, t in intervals for slot in range(s, t)}
+        assert one_machine_power_on(intervals) == len(covered)
 
 
 class TestSlotProfile:

@@ -30,10 +30,11 @@ def test_each_mutant_applies_to_exactly_one_place(mutant):
 
 
 def _names_a_test(test: str) -> bool:
-    """A test file, or a node in one (`file::Class::test`): the file exists
-    and defines each named class and function."""
+    """A node in a test file (`file::test` or `file::Class::test`), not a
+    whole file, so a run takes only the test that kills the mutant: the file
+    exists and defines each named class and function."""
     path, *names = test.split("::")
-    if not (ROOT / path).is_file():
+    if not names or not (ROOT / path).is_file():
         return False
     text = (ROOT / path).read_text(encoding="utf-8")
     return all(re.search(rf"^\s*(class|def) {re.escape(name)}\b", text, re.M) for name in names)
